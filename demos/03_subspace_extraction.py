@@ -13,16 +13,19 @@ from hoselm.extractor import (
     ExtractorConfig,
     error_feedback,
     extract_features,
+    factor_inputs,
     ls_readout,
     project,
     refine_node,
     residual,
     spawn_node,
 )
+from hoselm.kernels import pinv
 
 
-def readout_error(h, targets):
-    r = ls_readout(h, targets)
+def readout_error(node, x, targets):
+    h = project(node, x)
+    r = ls_readout(node, h, targets, factor_inputs(x, targets))
     return np.linalg.norm(r.weights @ h + r.bias - targets)
 
 
@@ -37,16 +40,16 @@ def main():
     print("one node, step by step:")
     node = spawn_node(inputs, 8, seed=11)
     h0 = project(node, x)
-    r0 = ls_readout(h0, targets)
+    r0 = ls_readout(node, h0, targets, factor_inputs(x, targets))
     e0 = residual(h0, r0, targets)
     feedback = error_feedback(e0, r0, h0, 1e-4)
-    refined = refine_node(node, x, feedback, 0.5)
+    refined, _ = refine_node(node, x, feedback, 0.5, pinv(x @ x.T))
     fb_before = np.linalg.norm(node.weights @ x - feedback)
     fb_after = np.linalg.norm(refined.weights @ x - feedback)
     print(f"  distance to the feedback target: {fb_before:.4f} random node")
     print(f"  distance to the feedback target: {fb_after:.4f} refined node")
-    before = readout_error(h0, targets)
-    after = readout_error(project(refined, x), targets)
+    before = readout_error(node, x, targets)
+    after = readout_error(refined, x, targets)
     print(f"  readout error {before:.4f} -> {after:.4f} (never worse in this regime)")
 
     print()

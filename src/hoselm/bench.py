@@ -96,7 +96,10 @@ class MetricsReport:
 def _load_dataset(cfg):
     if cfg.dataset is not None:
         groups, labels = load_csv(cfg.dataset, cfg.group_ranges, cfg.label_col)
-        return groups, labels, int(labels.max()) + 1
+        # Class k is the k-th smallest label present, so labels need not be
+        # contiguous; labels 0..K-1 map to themselves.
+        classes, labels = np.unique(labels, return_inverse=True)
+        return groups, labels, len(classes)
     group, labels = synth_blobs(
         cfg.synth_classes,
         cfg.synth_per_class,

@@ -7,6 +7,8 @@ the residual's scale.  The node then removes the best multiple of that
 activation from the residual.  Because the step size is the exact 1-D
 least-squares minimizer, the residual norm never increases, and the model's
 score plus the final residual reconstructs the training targets exactly.
+The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
+computes it once and every node reuses it.
 
 This layer is deterministic: no randomness enters anywhere.
 """
@@ -67,11 +69,13 @@ def _node_activation(weights, bias, h, norm_out):
     return denormalize_unit(sigmoid_map(weights @ h + bias), norm_out)
 
 
-def fit_node(h, e_prev, coeff, eps=1e-4):
+def fit_node(h, e_prev, gram_inv, eps=1e-4):
     """Fit one node against the current residual; return (node, next residual).
 
     The residual is normalized into (0, 1], pulled back through the logit,
-    and ridge-solved against the features; the scalar bias centers the fit.
+    and ridge-solved against the features through gram_inv, the
+    ridge_inverse(h @ h.T, coeff) shared by every node of a fit; the scalar
+    bias centers the fit.
     The sigmoid activation is rescaled to the residual's range and removed
     from the residual with the least-squares step size.
 
@@ -79,17 +83,19 @@ def fit_node(h, e_prev, coeff, eps=1e-4):
     zero (constant residual normalizing to a zero range), since no step can
     make progress; this layer is deterministic, so retrying cannot help.
     """
-    if coeff <= 0:
-        raise ValueError(f"ridge coefficient must be positive, got {coeff}")
     hm = as_matrix(h, "combined features")
     em = as_matrix(e_prev, "residual")
     if hm.shape[1] != em.shape[1]:
         raise ShapeError(
             f"sample counts differ: features {hm.shape[1]}, residual {em.shape[1]}"
         )
+    if gram_inv.shape != (hm.shape[0], hm.shape[0]):
+        raise ShapeError(
+            f"ridge inverse shape {gram_inv.shape} does not match {hm.shape[0]} feature rows"
+        )
     scaled, norm_in = normalize_unit(em, eps)
     z = logit_map(scaled)
-    weights = z @ hm.T @ ridge_inverse(hm @ hm.T, coeff)
+    weights = z @ hm.T @ gram_inv
     bias = float(np.mean(z - weights @ hm))
     v = _node_activation(weights, bias, hm, norm_in)
     v_sq = float(np.sum(v * v))
@@ -112,11 +118,12 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
         raise ValueError(f"node_count must be >= 1, got {node_count}")
     hm = as_matrix(h, "combined features")
     tm = as_matrix(targets, "targets")
+    gram_inv = ridge_inverse(hm @ hm.T, coeff)
     e = tm
     nodes = []
     for _ in range(node_count):
         try:
-            node, e = fit_node(hm, e, coeff, eps)
+            node, e = fit_node(hm, e, gram_inv, eps)
         except DegenerateNodeError:
             break
         nodes.append(node)

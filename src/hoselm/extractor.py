@@ -9,6 +9,13 @@ projection against the feedback target with a damped update.  A layer of L
 such nodes yields L subspace features of identical shape d x M, ready for
 elementwise combination.
 
+The node-independent work is done once per layer.  Every node's feature is
+h = [W, b] [x; 1], so one thin QR [x; 1]' = Q R of the group's inputs
+factors every node's readout: pinv(h) = Q pinv([W, b] R'), a d x (n+1)
+pseudoinverse in place of the d x M one, with the same singular values and
+the same cutoff.  Likewise pinv(X X') is taken once per layer and shared by
+every node's refinement.
+
 Everything here is deterministic given the config seed and free of shared
 state, so layers may be built concurrently.
 """
@@ -16,6 +23,7 @@ state, so layers may be built concurrently.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr_multiply
 
 from .errors import ShapeError
 from .kernels import as_matrix, mse, normalize_unit, pinv
@@ -26,6 +34,7 @@ __all__ = [
     "ExtractorConfig",
     "spawn_node",
     "project",
+    "factor_inputs",
     "ls_readout",
     "residual",
     "error_feedback",
@@ -109,18 +118,47 @@ def project(node, x):
     return node.weights @ xm + node.bias
 
 
-def ls_readout(h, targets):
+def factor_inputs(x, targets):
+    """Factor a group's inputs once for every node's readout.
+
+    Takes the thin QR [x; 1]' = Q R and returns (T Q, R); Q itself is never
+    built.  T Q is t x k and R is k x (n+1), with k = min(M, n+1).
+    """
+    xm = as_matrix(x, "inputs")
+    tm = as_matrix(targets, "targets")
+    if xm.shape[1] != tm.shape[1]:
+        raise ShapeError(
+            f"sample counts differ: inputs {xm.shape[1]}, targets {tm.shape[1]}"
+        )
+    # The transpose of a C-ordered stack is Fortran-ordered, so LAPACK can
+    # factor it in place without another M-sized copy.
+    augmented = np.vstack((xm, np.ones((1, xm.shape[1])))).T
+    return qr_multiply(augmented, tm, mode="right", overwrite_a=True)
+
+
+def ls_readout(node, h, targets, factor):
     """Minimum-norm least-squares readout weights = Y @ pinv(h).
 
-    The bias records the root-mean-square of the unbiased residual.
+    h = project(node, x), and factor = factor_inputs(x, targets) = (T Q, R).
+    Since h = [W, b] R' Q' and Q has orthonormal columns,
+    Y pinv(h) = (T Q) pinv([W, b] R'): the pseudoinverse is taken in
+    (n+1)-space, with the cutoff the d x M one would use.  The bias records
+    the root-mean-square of the unbiased residual.
     """
     hm = as_matrix(h, "subspace feature")
     tm = as_matrix(targets, "targets")
+    tq, r = factor
     if hm.shape[1] != tm.shape[1]:
         raise ShapeError(
             f"sample counts differ: feature {hm.shape[1]}, targets {tm.shape[1]}"
         )
-    weights = tm @ pinv(hm)
+    if r.shape[1] != node.input_dim + 1 or tq.shape != (tm.shape[0], r.shape[0]):
+        raise ShapeError(
+            f"factor shapes {tq.shape} and {r.shape} do not match the node's "
+            f"{node.input_dim} inputs and the {tm.shape[0]} target rows"
+        )
+    coeffs = np.column_stack((node.weights, np.full(node.subspace_dim, node.bias))) @ r.T
+    weights = tq @ pinv(coeffs, rcond=np.finfo(np.float64).eps * max(hm.shape))
     bias = float(np.sqrt(mse(weights @ hm - tm)))
     return LsReadout(weights=weights, bias=bias)
 
@@ -155,13 +193,15 @@ def error_feedback(e, readout, h, norm_eps):
     return values
 
 
-def refine_node(node, x, feedback, damping):
+def refine_node(node, x, feedback, damping, gram_pinv):
     """Re-solve the projection against the feedback target, with damping.
 
     a_temp = feedback @ X' @ pinv(X X') is the least-squares solution of
-    a @ X ~ feedback; the update extrapolates past it by `damping` times the
+    a @ X ~ feedback; gram_pinv is that pinv(X X'), shared by every node of
+    a layer.  The update extrapolates past a_temp by `damping` times the
     step from the old weights.  The new bias is the root-mean-square misfit
-    of the refined projection.
+    of the refined projection.  Returns the refined node and its feature,
+    equal to project(refined, x).
     """
     xm = as_matrix(x, "inputs")
     fm = as_matrix(feedback, "feedback target")
@@ -174,36 +214,40 @@ def refine_node(node, x, feedback, damping):
             f"feedback shape {fm.shape} does not match "
             f"({node.subspace_dim}, {xm.shape[1]})"
         )
-    a_temp = fm @ xm.T @ pinv(xm @ xm.T)
+    if gram_pinv.shape != (node.input_dim, node.input_dim):
+        raise ShapeError(
+            f"pinv(X X') shape {gram_pinv.shape} does not match {node.input_dim} inputs"
+        )
+    a_temp = fm @ xm.T @ gram_pinv
     weights = a_temp + damping * (a_temp - node.weights)
-    bias = float(np.sqrt(mse(weights @ xm - fm)))
-    return SubnetNode(weights=weights, bias=bias)
+    wx = weights @ xm
+    bias = float(np.sqrt(mse(wx - fm)))
+    return SubnetNode(weights=weights, bias=bias), wx + bias
 
 
 def extract_features(x, targets, cfg):
     """Build a layer of cfg.node_count refined nodes and their features.
 
-    Per node: spawn from a seed derived from cfg.seed, project, fit the
-    readout, compute the residual, form the feedback target, refine once,
-    and re-project.  Returns the refined nodes and their subspace features,
-    each cfg.subspace_dim x M.
+    The group is factored once (factor_inputs and pinv(X X')).  Per node:
+    spawn from a seed derived from cfg.seed, project, fit the readout,
+    compute the residual, form the feedback target, and refine once.
+    Returns the refined nodes and their subspace features, each
+    cfg.subspace_dim x M.
     """
     xm = as_matrix(x, "inputs")
     tm = as_matrix(targets, "targets")
-    if xm.shape[1] != tm.shape[1]:
-        raise ShapeError(
-            f"sample counts differ: inputs {xm.shape[1]}, targets {tm.shape[1]}"
-        )
+    factor = factor_inputs(xm, tm)
+    gram_pinv = pinv(xm @ xm.T)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.node_count)
     nodes = []
     features = []
     for node_seed in seeds:
         node = spawn_node(xm.shape[0], cfg.subspace_dim, node_seed)
         h = project(node, xm)
-        readout = ls_readout(h, tm)
+        readout = ls_readout(node, h, tm, factor)
         e = residual(h, readout, tm)
         feedback = error_feedback(e, readout, h, cfg.norm_eps)
-        refined = refine_node(node, xm, feedback, cfg.damping)
+        refined, feature = refine_node(node, xm, feedback, cfg.damping, gram_pinv)
         nodes.append(refined)
-        features.append(project(refined, xm))
+        features.append(feature)
     return nodes, features

@@ -5,6 +5,11 @@ the greedy classifier, the sequential readout) is built from the handful of
 operations here: SVD pseudoinverse, ridge-regularized inverse, mean squared
 error, sigmoid / logit, and the (0, 1]-normalization pair.
 
+pinv is the plain SVD reference whose Penrose conditions acceptance
+criterion 1 pins.  Callers keep its inputs small: the extractor factors each
+feature group once and takes its per-node pseudoinverses in (n+1)-space, and
+the classifier takes one ridge inverse per fit.
+
 All matrices are dense float64 numpy arrays, samples as columns.
 """
 

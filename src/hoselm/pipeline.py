@@ -217,6 +217,9 @@ def fit(groups, targets, cfg):
     if cfg.mode == "batch":
         extractors, features = _fit_extractors(mats, tm, cfg)
         combined = combine(features, spec)
+        # The per-node features are not needed past combination; release
+        # them before the classifier forms its Gram.
+        del features
         readout = fit_classifier(combined, tm, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     else:
         samples = mats[0].shape[1]

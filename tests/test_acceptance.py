@@ -13,7 +13,7 @@ from hoselm.classifier import fit_node
 from hoselm.cli import main
 from hoselm.data import one_hot, split, synth_blobs
 from hoselm.elm import fit_output, hidden_activations, init_hidden
-from hoselm.kernels import pinv
+from hoselm.kernels import pinv, ridge_inverse
 from hoselm.oselm import os_boot, os_update
 from hoselm.pipeline import PipelineConfig, classification_metrics, evaluate, fit
 
@@ -105,8 +105,9 @@ def test_acceptance_4_classifier_monotone_residual_and_optimal_step():
         classes = int(rng.integers(2, 5))
         h = rng.standard_normal((dim, samples))
         e = rng.standard_normal((classes, samples))
+        gram_inv = ridge_inverse(h @ h.T, 100.0)
         for _ in range(3):
-            node, e_next = fit_node(h, e, 100.0)
+            node, e_next = fit_node(h, e, gram_inv)
             monotone &= (
                 np.linalg.norm(e_next) <= np.linalg.norm(e) + 1e-9
             )

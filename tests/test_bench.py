@@ -136,6 +136,22 @@ def test_csv_dataset_source(tmp_path):
     assert report.entries[0].confusion.shape == (3, 3)
 
 
+def test_csv_dataset_with_non_contiguous_labels(tmp_path):
+    from hoselm.data import synth_blobs, write_csv
+
+    group, labels = synth_blobs(3, 30, 6, 0.2, seed=5)
+    path = tmp_path / "data.csv"
+    write_csv(path, [group], np.array([0, 2, 7])[labels])
+    cfg = quick_cfg(
+        dataset=str(path), dataset_name="file", modes=("batch", "sequential"), repetitions=1
+    )
+    report = run_benchmark(cfg)
+    assert [e.method for e in report.entries] == ["batch", "sequential"]
+    for entry in report.entries:
+        assert entry.confusion.shape == (3, 3)
+        assert entry.confusion.sum() == 45
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         quick_cfg(repetitions=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hoselm.classifier
 from hoselm.classifier import (
     ClassifierModel,
     decode_labels,
@@ -11,6 +12,11 @@ from hoselm.classifier import (
     score,
 )
 from hoselm.errors import DegenerateNodeError, ShapeError
+from hoselm.kernels import ridge_inverse
+
+
+def gram_inverse(h, coeff=100.0):
+    return ridge_inverse(h @ h.T, coeff)
 
 
 def random_problem(rng, classes=3, dim=10, samples=40, noise=0.3):
@@ -31,7 +37,7 @@ def test_residual_never_grows():
         classes = int(rng.integers(2, 5))
         h = rng.standard_normal((dim, samples))
         e = rng.standard_normal((classes, samples))
-        _, e_next = fit_node(h, e, 100.0)
+        _, e_next = fit_node(h, e, gram_inverse(h))
         assert np.linalg.norm(e_next) <= np.linalg.norm(e) + 1e-9
 
 
@@ -40,7 +46,7 @@ def test_step_beats_fine_grid():
     for _ in range(10):
         h = rng.standard_normal((6, 25))
         e = rng.standard_normal((2, 25))
-        node, e_next = fit_node(h, e, 100.0)
+        node, e_next = fit_node(h, e, gram_inverse(h))
         v = (e - e_next) / node.step
         best = np.linalg.norm(e_next)
         grid = np.linspace(node.step - 0.5, node.step + 0.5, 2001)
@@ -52,7 +58,7 @@ def test_step_zeroes_quadratic_derivative():
     rng = np.random.default_rng(9)
     h = rng.standard_normal((5, 30))
     e = rng.standard_normal((3, 30))
-    node, e_next = fit_node(h, e, 100.0)
+    node, e_next = fit_node(h, e, gram_inverse(h))
     v = (e - e_next) / node.step
     delta = 1e-6
 
@@ -67,7 +73,7 @@ def test_zero_residual_raises_degenerate():
     rng = np.random.default_rng(3)
     h = rng.standard_normal((4, 10))
     with pytest.raises(DegenerateNodeError):
-        fit_node(h, np.zeros((2, 10)), 100.0)
+        fit_node(h, np.zeros((2, 10)), gram_inverse(h))
 
 
 def test_fit_on_zero_targets_is_fixed_point():
@@ -84,10 +90,38 @@ def test_single_node_fit_equals_fit_node():
     rng = np.random.default_rng(11)
     h, t, _ = random_problem(rng)
     model = fit_classifier(h, t, 1, 100.0)
-    node, _ = fit_node(h, t, 100.0)
+    node, _ = fit_node(h, t, gram_inverse(h))
     assert len(model.nodes) == 1
     assert np.array_equal(model.nodes[0].weights, node.weights)
     assert model.nodes[0].step == node.step
+
+
+def test_fit_classifier_equals_fit_node_threaded_by_hand():
+    rng = np.random.default_rng(12)
+    h, t, _ = random_problem(rng)
+    model = fit_classifier(h, t, 5, 100.0)
+    gram_inv = gram_inverse(h)
+    e = t
+    assert len(model.nodes) == 5
+    for got in model.nodes:
+        want, e = fit_node(h, e, gram_inv)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.bias == want.bias and got.step == want.step
+        assert got.norm_in == want.norm_in and got.norm_out == want.norm_out
+
+
+def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
+    calls = []
+
+    def counted(g, c):
+        calls.append(g.shape)
+        return ridge_inverse(g, c)
+
+    monkeypatch.setattr(hoselm.classifier, "ridge_inverse", counted)
+    h, t, _ = random_problem(np.random.default_rng(14))
+    model = fit_classifier(h, t, 6, 100.0)
+    assert len(model.nodes) == 6
+    assert calls == [(10, 10)]
 
 
 def test_fit_is_deterministic():
@@ -105,7 +139,7 @@ def test_score_plus_final_residual_reconstructs_targets():
     h, t, _ = random_problem(rng)
     e = t
     for _ in range(6):
-        _, e = fit_node(h, e, 100.0)
+        _, e = fit_node(h, e, gram_inverse(h))
     model = fit_classifier(h, t, 6, 100.0)
     assert np.allclose(score(model, h) + e, t, atol=1e-9)
 
@@ -189,9 +223,11 @@ def test_decode_row_permutation_oracle():
 def test_shape_and_parameter_errors():
     h = np.ones((3, 5))
     with pytest.raises(ShapeError):
-        fit_node(h, np.ones((2, 6)), 100.0)
+        fit_node(h, np.ones((2, 6)), gram_inverse(h))
+    with pytest.raises(ShapeError):
+        fit_node(h, np.ones((2, 5)), np.eye(4))
     with pytest.raises(ValueError):
-        fit_node(h, np.ones((2, 5)), 0.0)
+        fit_classifier(h, np.ones((2, 5)), 1, 0.0)
     with pytest.raises(ValueError):
         fit_classifier(h, np.ones((2, 5)), 0, 100.0)
     model = fit_classifier(h + np.random.default_rng(1).random((3, 5)), np.eye(2, 5), 2, 100.0)

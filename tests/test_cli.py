@@ -1,20 +1,27 @@
 """CLI tests: subcommand flows, config-file merging, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoselm
 from hoselm.cli import main
 
 
 def run_cli(*argv):
+    # The child imports the same hoselm as this process, installed or not.
+    package_root = str(Path(hoselm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hoselm.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

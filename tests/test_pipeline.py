@@ -7,6 +7,7 @@ from hoselm.classifier import fit_node
 from hoselm.combine import combine
 from hoselm.errors import ModeError, ShapeError
 from hoselm.extractor import project
+from hoselm.kernels import ridge_inverse
 from hoselm.pipeline import (
     FeatureGroup,
     PipelineConfig,
@@ -67,8 +68,9 @@ def test_batch_training_scores_reconstruct_targets():
     ]
     combined = combine(feats, model.combine_spec)
     e = targets
+    gram_inv = ridge_inverse(combined @ combined.T, cfg.coeff)
     for _ in range(len(model.readout.nodes)):
-        _, e = fit_node(combined, e, cfg.coeff, cfg.norm_eps)
+        _, e = fit_node(combined, e, gram_inv, cfg.norm_eps)
     assert np.allclose(scores(model, groups) + e, targets, atol=1e-9)
 
 
