@@ -10,6 +10,13 @@ score plus the final residual reconstructs the training targets exactly.
 The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
 computes it once and every node reuses it.
 
+For scoring, the nodes are stacked row-wise into one NodeStack: one
+(nodes * classes) x D weight matrix with per-row bias, normalization and
+step columns.  A score is then one matrix product for the affine half and
+one vectorized sigmoid, denormalization and step-weighted sum for the
+activation half.  The pipeline folds the affine half into its frozen
+input maps and calls activate on the result.
+
 This layer is deterministic: no randomness enters anywhere.
 """
 
@@ -31,8 +38,11 @@ from .kernels import (
 __all__ = [
     "ClassifierNode",
     "ClassifierModel",
+    "NodeStack",
     "fit_node",
     "fit_classifier",
+    "stack_nodes",
+    "activate",
     "score",
     "decode_labels",
 ]
@@ -65,8 +75,53 @@ class ClassifierModel:
     class_count: int
 
 
-def _node_activation(weights, bias, h, norm_out):
-    return denormalize_unit(sigmoid_map(weights @ h + bias), norm_out)
+@dataclass(frozen=True)
+class NodeStack:
+    """A classifier's nodes stacked row-wise for scoring all at once.
+
+    Rows k*C .. k*C + C - 1 belong to node k (C = class_count).  weights is
+    (nodes * C) x D; bias, lo, span (hi - lo), eps and step are
+    (nodes * C) x 1 columns repeating each node's parameters on its rows.
+    """
+
+    weights: np.ndarray
+    bias: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
+    eps: np.ndarray
+    step: np.ndarray
+    class_count: int
+
+
+def stack_nodes(model):
+    """Stack a fitted model's nodes into a NodeStack (zero nodes: zero rows)."""
+    nodes = model.nodes
+
+    def rows(values):
+        return np.repeat(np.asarray(values, dtype=np.float64), model.class_count)[:, None]
+
+    weights = [n.weights for n in nodes] or [np.empty((0, model.feature_dim))]
+    return NodeStack(
+        weights=np.vstack(weights),
+        bias=rows([n.bias for n in nodes]),
+        lo=rows([n.norm_out.lo for n in nodes]),
+        span=rows([n.norm_out.hi - n.norm_out.lo for n in nodes]),
+        eps=rows([n.norm_out.eps for n in nodes]),
+        step=rows([n.step for n in nodes]),
+        class_count=model.class_count,
+    )
+
+
+def activate(stack, z):
+    """Scores (classes x samples) from stacked pre-activations z.
+
+    z = stack.weights @ h + stack.bias, however it was computed.  Each row
+    goes through the sigmoid, the inverse of its node's normalization
+    (a zero span maps every entry to lo, the degenerate case), and its
+    node's step; the nodes' rows are then summed per class in node order.
+    """
+    v = stack.lo + (sigmoid_map(z) - stack.eps) * stack.span / (1.0 - stack.eps)
+    return (stack.step * v).reshape(-1, stack.class_count, z.shape[1]).sum(axis=0)
 
 
 def fit_node(h, e_prev, gram_inv, eps=1e-4):
@@ -97,7 +152,7 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     z = logit_map(scaled)
     weights = z @ hm.T @ gram_inv
     bias = float(np.mean(z - weights @ hm))
-    v = _node_activation(weights, bias, hm, norm_in)
+    v = denormalize_unit(sigmoid_map(weights @ hm + bias), norm_in)
     v_sq = float(np.sum(v * v))
     if v_sq == 0.0:
         raise DegenerateNodeError("node activation is identically zero")
@@ -142,13 +197,17 @@ def score(model, h):
         raise ShapeError(
             f"features have {hm.shape[0]} rows, model expects {model.feature_dim}"
         )
-    out = np.zeros((model.class_count, hm.shape[1]))
-    for node in model.nodes:
-        out += node.step * _node_activation(node.weights, node.bias, hm, node.norm_out)
-    return out
+    stack = stack_nodes(model)
+    return activate(stack, stack.weights @ hm + stack.bias)
 
 
 def decode_labels(scores):
-    """Per-column argmax; ties resolve to the lowest class index."""
-    sm = as_matrix(scores, "scores")
+    """Per-column argmax; ties resolve to the lowest class index.
+
+    scores come from a scoring call that validated its inputs, so only the
+    layout is checked here.
+    """
+    sm = np.asarray(scores)
+    if sm.ndim != 2 or sm.size == 0:
+        raise ShapeError(f"scores must be a non-empty 2-D array, got shape {sm.shape}")
     return np.argmax(sm, axis=0)

@@ -22,4 +22,9 @@ class ParseError(ValueError):
 
 
 class FormatError(ValueError):
-    """A dataset file is structurally malformed (ragged or empty rows)."""
+    """A dataset or model file is structurally malformed.
+
+    Datasets: ragged or empty rows.  Model files: a missing or unreadable
+    header or array, or an array whose shape, node or group count, dtype or
+    finiteness disagrees with the header.
+    """

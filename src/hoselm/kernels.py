@@ -82,8 +82,12 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid_map(x):
-    """Elementwise 1/(1 + exp(-x)); saturates inside (0, 1), never overflows."""
-    return np.clip(expit(as_matrix(x, "sigmoid input")), _SIG_LO, _SIG_HI)
+    """Elementwise 1/(1 + exp(-x)); saturates inside (0, 1), never overflows.
+
+    Callers pass pre-activations they computed from validated operands, so
+    the input is not checked again.
+    """
+    return np.clip(expit(x), _SIG_LO, _SIG_HI)
 
 
 def logit_map(x, clip_eps=1e-7):

@@ -10,22 +10,37 @@ In sequential mode the extractor layers are fitted once on the initial
 chunk and frozen; later chunks only advance the readout, so the model can
 consume a stream without retaining any of it.  Fitted models are immutable;
 partial_fit returns a new model sharing the frozen extractors.
+
+Extractor nodes are affine (W x + b) and both combiners are linear, so once
+fit returns everything below the readout is one frozen affine map per
+feature group.  Each model derives those maps once (AffineMaps): the
+combined feature is H = sum_g A_g x_g + c for plus and the row stack of
+A_g x_g + a_g for concat.  A batch model also folds its classifier's
+stacked affine half into them, F_g = W_stack A_g, so a request costs one
+matrix product per group followed by the classifier's activation half.
+A sequential model applies the maps to get H for its readout.  The maps
+are derived, never stored in model files.
 """
 
 import json
 import time
-from dataclasses import dataclass, replace
+import zipfile
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classifier import ClassifierModel, ClassifierNode, decode_labels
-from .classifier import fit_classifier
-from .classifier import score as classifier_score
+from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
+from .classifier import fit_classifier, stack_nodes
 from .combine import CombineSpec, combine
-from .errors import ModeError, ShapeError
-from .extractor import ExtractorConfig, SubnetNode, extract_features, project
+from .errors import FormatError, ModeError, ShapeError
+from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import NormParams, as_matrix
 from .oselm import OselmState, os_boot, os_predict, os_update
+
+# Requests go through the affine maps and no longer call these two, but
+# perfbench/tracing.py wraps them as attributes of this module by name.
+from .classifier import score as classifier_score  # noqa: F401
+from .extractor import project  # noqa: F401
 
 __all__ = [
     "FeatureGroup",
@@ -97,12 +112,86 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class AffineMaps:
+    """Frozen layers below the readout as one affine map per feature group.
+
+    apply(mats) is sum_g weights[g] @ mats[g] + offset, or with stacked set
+    the row stack of the weights[g] @ mats[g], plus offset (a column).  For
+    a batch model the classifier's affine half is folded in, so apply gives
+    its stacked pre-activations and stack holds the NodeStack whose
+    activation half turns them into scores; for a sequential model stack is
+    None and apply gives the combined feature.  source is the (extractors,
+    combine spec, batch readout or None) the maps were derived from.
+    """
+
+    weights: tuple
+    offset: np.ndarray
+    stacked: bool
+    stack: object
+    source: tuple = field(repr=False)
+
+    def apply(self, mats):
+        parts = [w @ m for w, m in zip(self.weights, mats)]
+        if self.stacked:
+            out = np.vstack(parts)
+        else:
+            out = parts[0]
+            for part in parts[1:]:
+                out += part
+        out += self.offset
+        return out
+
+
+def _input_maps(extractors, spec):
+    """Weights, offset and stacked flag of the maps whose apply() equals
+    combine() of every node's projection of its group."""
+    if spec.operator == "concat":
+        weights = tuple(np.vstack([n.weights for n in nodes]) for nodes in extractors)
+        offset = np.concatenate(
+            [np.full(n.subspace_dim, n.bias) for nodes in extractors for n in nodes]
+        )
+        return weights, offset[:, None], True
+
+    def gain(g, k):
+        # plus weights every operand after the very first by gamma.
+        return 1.0 if g == k == 0 else spec.gamma
+
+    weights = tuple(
+        sum(gain(g, k) * n.weights for k, n in enumerate(nodes))
+        for g, nodes in enumerate(extractors)
+    )
+    bias = sum(
+        gain(g, k) * n.bias for g, nodes in enumerate(extractors) for k, n in enumerate(nodes)
+    )
+    return weights, np.full((extractors[0][0].subspace_dim, 1), bias), False
+
+
+def _derive_maps(extractors, spec, classifier):
+    """The model's AffineMaps; classifier is the batch readout or None."""
+    source = (extractors, spec, classifier)
+    weights, offset, stacked = _input_maps(extractors, spec)
+    if classifier is None:
+        return AffineMaps(weights, offset, stacked, None, source)
+    stack = stack_nodes(classifier)
+    if stacked:
+        # Each group's rows of the combined feature meet their own columns.
+        cuts = np.cumsum([w.shape[0] for w in weights])[:-1]
+        blocks = np.split(stack.weights, cuts, axis=1)
+    else:
+        blocks = [stack.weights] * len(weights)
+    folded = tuple(b @ w for b, w in zip(blocks, weights))
+    return AffineMaps(folded, stack.weights @ offset + stack.bias, False, stack, source)
+
+
+@dataclass(frozen=True)
 class HOselmModel:
     """Fitted model: frozen extractor layers plus one trained readout.
 
     extractors holds one tuple of nodes per feature group, in group order;
     readout is a ClassifierModel in batch mode or an OselmState in
-    sequential mode.
+    sequential mode.  maps is derived from the other fields when the model
+    is built (see AffineMaps) and reused as long as the fields it was
+    derived from are the same objects, so partial_fit shares it.
     """
 
     extractors: tuple
@@ -111,6 +200,13 @@ class HOselmModel:
     readout: object
     config: PipelineConfig
     class_count: int
+    maps: AffineMaps = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        classifier = self.readout if self.config.mode == "batch" else None
+        source = (self.extractors, self.combine_spec, classifier)
+        if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
+            object.__setattr__(self, "maps", _derive_maps(*source))
 
 
 @dataclass(frozen=True)
@@ -127,7 +223,6 @@ class Evaluation:
     mean_per_class_rate: float
     accuracy: float
     absent_classes: tuple
-    train_seconds: float
     infer_seconds: float
 
 
@@ -145,14 +240,6 @@ def _checked_groups(groups):
 
 def _slice_groups(mats, lo, hi):
     return [m[:, lo:hi] for m in mats]
-
-
-def _project_all(extractors, mats):
-    # Group-major, node-minor feature order.
-    feats = []
-    for nodes, m in zip(extractors, mats):
-        feats.extend(project(node, m) for node in nodes)
-    return feats
 
 
 def _check_layout(model, mats):
@@ -215,6 +302,7 @@ def fit(groups, targets, cfg):
     names = tuple(g.name for g in groups)
 
     if cfg.mode == "batch":
+        maps = None
         extractors, features = _fit_extractors(mats, tm, cfg)
         combined = combine(features, spec)
         # The per-node features are not needed past combination; release
@@ -228,10 +316,10 @@ def fit(groups, targets, cfg):
         _require_all_classes(t0, "the initial sequential chunk")
         extractors, features = _fit_extractors(_slice_groups(mats, 0, boot), t0, cfg)
         readout = os_boot(combine(features, spec), t0, cfg.coeff)
+        maps = _derive_maps(extractors, spec, None)
         for lo in range(boot, samples, cfg.chunk_size or samples):
             hi = min(lo + cfg.chunk_size, samples)
-            chunk = combine(_project_all(extractors, _slice_groups(mats, lo, hi)), spec)
-            readout = os_update(readout, chunk, tm[:, lo:hi])
+            readout = os_update(readout, maps.apply(_slice_groups(mats, lo, hi)), tm[:, lo:hi])
 
     return HOselmModel(
         extractors=extractors,
@@ -240,22 +328,22 @@ def fit(groups, targets, cfg):
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
+        maps=maps,
     )
 
 
 def partial_fit(model, groups, targets):
     """Fold one new chunk into a sequential model; returns the new model.
 
-    Extractor weights are frozen; only the readout advances.  The chunk is
-    not retained.
+    Extractor weights are frozen; only the readout advances, and the new
+    model shares the parent's maps.  The chunk is not retained.
     """
     if model.config.mode != "sequential":
         raise ModeError("partial_fit requires a sequential-mode model")
     mats = _checked_groups(groups)
     _check_layout(model, mats)
     tm = as_matrix(targets, "targets")
-    chunk = combine(_project_all(model.extractors, mats), model.combine_spec)
-    readout = os_update(model.readout, chunk, tm)
+    readout = os_update(model.readout, model.maps.apply(mats), tm)
     return replace(model, readout=readout)
 
 
@@ -263,10 +351,10 @@ def scores(model, groups):
     """Raw readout scores (classes x samples) for aligned groups."""
     mats = _checked_groups(groups)
     _check_layout(model, mats)
-    combined = combine(_project_all(model.extractors, mats), model.combine_spec)
+    z = model.maps.apply(mats)
     if model.config.mode == "batch":
-        return classifier_score(model.readout, combined)
-    return os_predict(model.readout, combined)
+        return activate(model.maps.stack, z)
+    return os_predict(model.readout, z)
 
 
 def predict(model, groups):
@@ -306,8 +394,8 @@ def evaluate(model, groups, targets):
     """Predict on a labeled set and report classification metrics.
 
     Targets must be one-hot; true labels are their per-column argmax.
-    Inference wall-clock time is recorded; training time is left at zero
-    for callers that measured it elsewhere to fill in.
+    Inference wall-clock time is recorded; callers that want training time
+    measure fit themselves.
     """
     tm = as_matrix(targets, "targets")
     start = time.perf_counter()
@@ -323,25 +411,8 @@ def evaluate(model, groups, targets):
         mean_per_class_rate=mean_rate,
         accuracy=accuracy,
         absent_classes=absent,
-        train_seconds=0.0,
         infer_seconds=infer_seconds,
     )
-
-
-def _config_to_dict(cfg):
-    return {
-        "node_count": cfg.node_count,
-        "subspace_dim": cfg.subspace_dim,
-        "damping": cfg.damping,
-        "gamma": cfg.gamma,
-        "operator": cfg.operator,
-        "coeff": cfg.coeff,
-        "classifier_nodes": cfg.classifier_nodes,
-        "mode": cfg.mode,
-        "chunk_size": cfg.chunk_size,
-        "seed": cfg.seed,
-        "norm_eps": cfg.norm_eps,
-    }
 
 
 def _norm_to_row(p):
@@ -366,7 +437,7 @@ def save_model(model, path):
         )
     header = {
         "format_version": _FORMAT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "group_names": list(model.group_names),
         "class_count": model.class_count,
         "combine": {"operator": model.combine_spec.operator, "gamma": model.combine_spec.gamma},
@@ -398,55 +469,148 @@ def save_model(model, path):
     np.savez(path, **arrays)
 
 
-def load_model(path):
-    """Read back a model written by save_model."""
-    with np.load(path, allow_pickle=False) as data:
+def _header(data):
+    if "header" not in data.files:
+        raise FormatError("model file has no header")
+    try:
         header = json.loads(str(data["header"]))
-        version = header.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {version}")
+    except ValueError as exc:
+        raise FormatError(f"model header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError("model header is not a JSON object")
+    version = header.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise FormatError(f"unsupported model format version: {version}")
+    return header
+
+
+def _array(data, name, shape):
+    """Array `name` of the given shape (None matches any positive size),
+    float and finite."""
+    if name not in data.files:
+        raise FormatError(f"model file has no array {name!r}")
+    try:
+        a = data[name]
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"model array {name!r} is unreadable: {exc}") from exc
+    if a.ndim != len(shape) or any(
+        n != want if want is not None else n < 1 for n, want in zip(a.shape, shape)
+    ):
+        want = tuple("*" if n is None else n for n in shape)
+        raise FormatError(f"model array {name!r} has shape {a.shape}, header implies {want}")
+    if a.dtype.kind != "f" or not np.all(np.isfinite(a)):
+        raise FormatError(f"model array {name!r} is not all finite floats")
+    return a
+
+
+def _count(value, what, low=0):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise FormatError(f"model header {what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _coeff(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        raise FormatError(f"model header coeff must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _read_extractor(data, g, cfg):
+    weights = _array(data, f"extractor_{g}_weights", (cfg.node_count, cfg.subspace_dim, None))
+    biases = _array(data, f"extractor_{g}_biases", (cfg.node_count,))
+    return tuple(SubnetNode(weights=w, bias=float(b)) for w, b in zip(weights, biases))
+
+
+def _read_classifier(data, meta, cfg, classes, dim):
+    count = _count(meta["node_count"], "readout node_count")
+    if count > cfg.classifier_nodes:
+        raise FormatError(f"readout has {count} nodes, config allows {cfg.classifier_nodes}")
+    if meta["feature_dim"] != dim:
+        raise FormatError(f"readout feature_dim {meta['feature_dim']!r}, combined features {dim}")
+    nodes = ()
+    if count:
+        weights = _array(data, "classifier_weights", (count, classes, dim))
+        biases = _array(data, "classifier_biases", (count,))
+        steps = _array(data, "classifier_steps", (count,))
+        norms = [_array(data, f"classifier_norm_{end}", (count, 3)) for end in ("in", "out")]
+        for norm in norms:
+            lo, hi, eps = norm.T
+            # Denormalizing divides by 1 - eps and scales by hi - lo.
+            if np.any(lo > hi) or np.any(eps <= 0) or np.any(eps >= 1):
+                raise FormatError("classifier normalization rows need lo <= hi and 0 < eps < 1")
+        nodes = tuple(
+            ClassifierNode(
+                weights=weights[i],
+                bias=float(biases[i]),
+                step=float(steps[i]),
+                norm_in=_norm_from_row(norms[0][i]),
+                norm_out=_norm_from_row(norms[1][i]),
+            )
+            for i in range(count)
+        )
+    return ClassifierModel(
+        nodes=nodes, coeff=_coeff(meta["coeff"]), feature_dim=dim, class_count=classes
+    )
+
+
+def _read_sequential(data, meta, classes, dim):
+    return OselmState(
+        p=_array(data, "readout_p", (dim, dim)),
+        beta=_array(data, "readout_beta", (dim, classes)),
+        seen=_count(meta["seen"], "readout seen"),
+        coeff=_coeff(meta["coeff"]),
+    )
+
+
+def _load(data):
+    header = _header(data)
+    try:
         cfg = PipelineConfig(**header["config"])
-        extractors = []
-        for g in range(len(header["group_names"])):
-            weights = data[f"extractor_{g}_weights"]
-            biases = data[f"extractor_{g}_biases"]
-            extractors.append(
-                tuple(
-                    SubnetNode(weights=w, bias=float(b))
-                    for w, b in zip(weights, biases)
-                )
-            )
+        spec = CombineSpec(**header["combine"])
+        names = header["group_names"]
+        classes = header["class_count"]
         meta = header["readout"]
-        if meta["kind"] == "classifier":
-            nodes = []
-            for i in range(meta["node_count"]):
-                nodes.append(
-                    ClassifierNode(
-                        weights=data["classifier_weights"][i],
-                        bias=float(data["classifier_biases"][i]),
-                        step=float(data["classifier_steps"][i]),
-                        norm_in=_norm_from_row(data["classifier_norm_in"][i]),
-                        norm_out=_norm_from_row(data["classifier_norm_out"][i]),
-                    )
-                )
-            readout = ClassifierModel(
-                nodes=tuple(nodes),
-                coeff=meta["coeff"],
-                feature_dim=meta["feature_dim"],
-                class_count=header["class_count"],
-            )
+        kind = meta["kind"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"model header is malformed: {exc!r}") from exc
+    _count(classes, "class_count", 1)
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise FormatError(f"model header group_names must list group names, got {names!r}")
+    batch = cfg.mode == "batch"
+    if kind != ("classifier" if batch else "sequential"):
+        raise FormatError(f"readout kind {kind!r} does not match mode {cfg.mode!r}")
+    extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
+    # Row count of the combined feature the readout consumes.
+    dim = cfg.subspace_dim * (cfg.node_count * len(names) if spec.operator == "concat" else 1)
+    try:
+        if batch:
+            readout = _read_classifier(data, meta, cfg, classes, dim)
         else:
-            readout = OselmState(
-                p=data["readout_p"],
-                beta=data["readout_beta"],
-                seen=meta["seen"],
-                coeff=meta["coeff"],
-            )
+            readout = _read_sequential(data, meta, classes, dim)
+    except KeyError as exc:
+        raise FormatError(f"model header readout lacks {exc}") from exc
     return HOselmModel(
-        extractors=tuple(extractors),
-        group_names=tuple(header["group_names"]),
-        combine_spec=CombineSpec(**header["combine"]),
+        extractors=extractors,
+        group_names=tuple(names),
+        combine_spec=spec,
         readout=readout,
         config=cfg,
-        class_count=header["class_count"],
+        class_count=classes,
     )
+
+
+def load_model(path):
+    """Read back a model written by save_model.
+
+    Every array is checked against the header before the model is built:
+    presence, shape, node and group counts, and finiteness.  A file that
+    fails a check, or is not a readable NPZ archive, raises FormatError.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not a model file: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError(f"{path}: not a model file (a bare array, not an NPZ archive)")
+    with data:
+        return _load(data)

@@ -1,11 +1,13 @@
 """Pipeline tests: both training modes, streaming updates, metrics, I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hoselm.classifier import fit_node
 from hoselm.combine import combine
-from hoselm.errors import ModeError, ShapeError
+from hoselm.errors import FormatError, ModeError, ShapeError
 from hoselm.extractor import project
 from hoselm.kernels import ridge_inverse
 from hoselm.pipeline import (
@@ -249,7 +251,8 @@ def test_evaluate_reports_timing_fields():
     model = fit(groups, targets, small_cfg())
     report = evaluate(model, groups, targets)
     assert report.infer_seconds >= 0
-    assert report.train_seconds == 0.0
+    # Training time is the caller's to measure; the always-zero field is gone.
+    assert not hasattr(report, "train_seconds")
     assert report.confusion.sum() == targets.shape[1]
 
 
@@ -268,6 +271,153 @@ def test_model_round_trips_through_file(tmp_path, mode):
         cont_a = partial_fit(model, groups, targets)
         cont_b = partial_fit(loaded, groups, targets)
         assert np.array_equal(cont_a.readout.beta, cont_b.readout.beta)
+
+
+def test_saved_header_holds_the_full_config(tmp_path):
+    groups, targets, _ = toy_blobs(seed=6)
+    cfg = PipelineConfig(
+        node_count=2,
+        subspace_dim=7,
+        damping=0.25,
+        gamma=0.5,
+        operator="concat",
+        coeff=3.0,
+        classifier_nodes=4,
+        mode="sequential",
+        chunk_size=30,
+        seed=11,
+        norm_eps=1e-3,
+    )
+    path = tmp_path / "model.npz"
+    save_model(fit(groups, targets, cfg), path)
+    with np.load(path) as data:
+        header = json.loads(str(data["header"]))
+    assert header["config"] == {
+        "node_count": 2,
+        "subspace_dim": 7,
+        "damping": 0.25,
+        "gamma": 0.5,
+        "operator": "concat",
+        "coeff": 3.0,
+        "classifier_nodes": 4,
+        "mode": "sequential",
+        "chunk_size": 30,
+        "seed": 11,
+        "norm_eps": 1e-3,
+    }
+
+
+def _two_group_model_file(tmp_path, mode):
+    groups, targets, _ = toy_blobs(seed=7)
+    rng = np.random.default_rng(7)
+    wide = FeatureGroup(x=np.vstack([groups[0].x, rng.standard_normal((2, 60))]), name="wide")
+    path = tmp_path / "model.npz"
+    save_model(fit([groups[0], wide], targets, small_cfg(mode=mode, operator="concat")), path)
+    with np.load(path) as data:
+        return path, {name: data[name] for name in data.files}
+
+
+def _drop(name):
+    def edit(arrays):
+        del arrays[name]
+
+    return edit
+
+
+def _set(name, change):
+    def edit(arrays):
+        arrays[name] = change(arrays[name])
+
+    return edit
+
+
+def _poison(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+def _header_edit(change):
+    def edit(arrays):
+        header = json.loads(str(arrays["header"]))
+        change(header)
+        arrays["header"] = np.array(json.dumps(header))
+
+    return edit
+
+
+CORRUPTIONS = {
+    "missing classifier array": ("batch", _drop("classifier_steps"), "classifier_steps"),
+    "missing extractor array": ("sequential", _drop("extractor_1_biases"), "extractor_1_biases"),
+    "missing header": ("batch", _drop("header"), "header"),
+    "classifier stack shorter than node_count": (
+        "batch",
+        _set("classifier_weights", lambda a: a[:-1]),
+        "classifier_weights",
+    ),
+    "extractor of the wrong width in group 1": (
+        "batch",
+        _set("extractor_1_weights", lambda a: a[:, :-1, :]),
+        "extractor_1_weights",
+    ),
+    "extractor flattened to 2-D": (
+        "sequential",
+        _set("extractor_1_weights", lambda a: a.reshape(-1, a.shape[-1])),
+        "extractor_1_weights",
+    ),
+    "extractor with an empty input axis": (
+        "batch",
+        _set("extractor_0_weights", lambda a: a[:, :, :0]),
+        "extractor_0_weights",
+    ),
+    "readout of the wrong width": (
+        "sequential",
+        _set("readout_beta", lambda a: a[1:]),
+        "readout_beta",
+    ),
+    "non-finite extractor bias": ("batch", _set("extractor_0_biases", _poison), "finite"),
+    "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
+    "future format version": (
+        "batch",
+        _header_edit(lambda h: h.update(format_version=2)),
+        "version",
+    ),
+    "config with an unknown key": (
+        "batch",
+        _header_edit(lambda h: h["config"].update(layers=4)),
+        "malformed",
+    ),
+    "extra group name": (
+        "batch",
+        _header_edit(lambda h: h["group_names"].append("ghost")),
+        "extractor_2_weights",
+    ),
+    "readout kind of the other mode": (
+        "batch",
+        _header_edit(lambda h: h["readout"].update(kind="sequential")),
+        "kind",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_model_rejects_files_that_disagree_with_their_header(tmp_path, case):
+    mode, edit, match = CORRUPTIONS[case]
+    path, arrays = _two_group_model_file(tmp_path, mode)
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(FormatError, match=match):
+        load_model(path)
+
+
+def test_load_model_rejects_files_that_are_not_archives(tmp_path):
+    path = tmp_path / "model.npz"
+    path.write_bytes(b"not a zip archive")
+    with pytest.raises(FormatError):
+        load_model(path)
+    np.save(path, np.ones(3))
+    with pytest.raises(FormatError, match="NPZ"):
+        load_model(tmp_path / "model.npz.npy")
 
 
 def test_config_validation():

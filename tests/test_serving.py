@@ -1,0 +1,217 @@
+"""Request path: frozen affine maps against the layer-by-layer reference."""
+
+import importlib
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hoselm.classifier
+import hoselm.extractor
+import hoselm.kernels
+import hoselm.oselm
+import hoselm.pipeline
+from hoselm.classifier import ClassifierModel, ClassifierNode, fit_classifier, score
+from hoselm.extractor import SubnetNode, project
+from hoselm.kernels import NormParams, denormalize_unit, sigmoid_map
+from hoselm.oselm import OselmState, os_predict
+from hoselm.pipeline import (
+    FeatureGroup,
+    HOselmModel,
+    PipelineConfig,
+    fit,
+    partial_fit,
+    predict,
+    scores,
+)
+
+# The package re-exports the function combine under the submodule's name.
+combine_module = importlib.import_module("hoselm.combine")
+combine = combine_module.combine
+CombineSpec = combine_module.CombineSpec
+
+
+def loop_score(model, h):
+    """The classifier score node by node: the reference for the stacked one."""
+    out = np.zeros((model.class_count, h.shape[1]))
+    for n in model.nodes:
+        out += n.step * denormalize_unit(sigmoid_map(n.weights @ h + n.bias), n.norm_out)
+    return out
+
+
+def _classifier_node(rng, classes, dim, degenerate):
+    lo = float(rng.uniform(-2.0, 2.0))
+    hi = lo if degenerate else lo + float(rng.uniform(0.1, 3.0))
+    return ClassifierNode(
+        weights=rng.standard_normal((classes, dim)),
+        bias=float(rng.uniform(-1.0, 1.0)),
+        step=float(rng.uniform(-2.0, 2.0)),
+        norm_in=NormParams(lo=lo, hi=hi, eps=1e-4),
+        norm_out=NormParams(lo=lo, hi=hi, eps=1e-4),
+    )
+
+
+@st.composite
+def served_models(draw):
+    """A model with random frozen layers, plus request groups for it.
+
+    Widths stay small and subspaces reach past input_dim + 1, so rank
+    deficient projections are common; classifiers have 0-3 nodes, any of
+    which may have a degenerate (hi == lo) normalization.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    operator = draw(st.sampled_from(["plus", "concat"]))
+    gamma = draw(st.floats(-2.0, 2.0).filter(lambda g: g != 1.0))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    node_count = draw(st.integers(1, 3))
+    subspace_dim = draw(st.integers(1, 9))
+    mode = draw(st.sampled_from(["batch", "sequential"]))
+    classes = draw(st.integers(1, 4))
+    samples = draw(st.integers(1, 7))
+    extractors = tuple(
+        tuple(
+            SubnetNode(
+                weights=rng.uniform(-1.0, 1.0, (subspace_dim, n)), bias=float(rng.uniform(-1, 1))
+            )
+            for _ in range(node_count)
+        )
+        for n in widths
+    )
+    dim = subspace_dim * (node_count * len(widths) if operator == "concat" else 1)
+    if mode == "batch":
+        degenerate = draw(st.lists(st.booleans(), max_size=3))
+        nodes = tuple(_classifier_node(rng, classes, dim, d) for d in degenerate)
+        readout = ClassifierModel(nodes=nodes, coeff=1.0, feature_dim=dim, class_count=classes)
+    else:
+        readout = OselmState(
+            p=np.eye(dim), beta=rng.standard_normal((dim, classes)), seen=1, coeff=1.0
+        )
+    model = HOselmModel(
+        extractors=extractors,
+        group_names=tuple(f"g{i}" for i in range(len(widths))),
+        combine_spec=CombineSpec(operator=operator, gamma=gamma),
+        readout=readout,
+        config=PipelineConfig(
+            node_count=node_count,
+            subspace_dim=subspace_dim,
+            gamma=gamma,
+            operator=operator,
+            classifier_nodes=3,
+            mode=mode,
+        ),
+        class_count=classes,
+    )
+    groups = [FeatureGroup(x=rng.uniform(-3.0, 3.0, (n, samples))) for n in widths]
+    return model, groups
+
+
+@given(served_models())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scores_equal_layer_by_layer_reference(case):
+    """scores() equals readout(combine(project(...))) within 1e-12 relative.
+
+    The batch readout's reference is the node-by-node loop; classifier
+    score() over the combined feature must match it too.
+
+    Relative to the largest magnitude the summed terms can reach: the step-
+    weighted range of each classifier node, or |beta|' |H| for the
+    sequential readout, so a cancelling sum is not held to a tighter bound
+    than its terms allow.
+    """
+    model, groups = case
+    feats = [
+        project(node, g.x) for nodes, g in zip(model.extractors, groups) for node in nodes
+    ]
+    h = combine(feats, model.combine_spec)
+    if model.config.mode == "batch":
+        want = loop_score(model.readout, h)
+        scale = sum(
+            abs(n.step) * max(abs(n.norm_out.lo), abs(n.norm_out.hi)) for n in model.readout.nodes
+        )
+        assert np.max(np.abs(score(model.readout, h) - want)) <= 1e-12 * scale
+    else:
+        want = os_predict(model.readout, h)
+        scale = float(np.max(np.abs(model.readout.beta).T @ np.abs(h)))
+    got = scores(model, groups)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _two_group_data(seed=0):
+    rng = np.random.default_rng(seed)
+    labels = np.tile(np.arange(3), 20)
+    targets = np.eye(3)[:, labels]
+    groups = [
+        FeatureGroup(x=np.eye(5)[:, labels] + 0.1 * rng.standard_normal((5, 60)), name="a"),
+        FeatureGroup(x=np.eye(3)[:, labels] + 0.1 * rng.standard_normal((3, 60)), name="b"),
+    ]
+    return groups, targets
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of project, combine and as_matrix wherever they are looked up."""
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (hoselm.extractor, hoselm.pipeline):
+        count(module, "project")
+    for module in (combine_module, hoselm.pipeline):
+        count(module, "combine")
+    for module in (
+        hoselm.kernels,
+        hoselm.extractor,
+        combine_module,
+        hoselm.classifier,
+        hoselm.oselm,
+        hoselm.pipeline,
+    ):
+        count(module, "as_matrix")
+    return counts
+
+
+@pytest.mark.parametrize("operator", ["plus", "concat"])
+def test_batch_predict_validates_once_per_group(calls, operator):
+    groups, targets = _two_group_data()
+    cfg = PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4, operator=operator)
+    model = fit(groups, targets, cfg)
+    calls.clear()
+    predict(model, groups)
+    assert calls["project"] == 0
+    assert calls["combine"] == 0
+    assert calls["as_matrix"] == len(groups)
+
+
+def test_sequential_requests_skip_projection_and_combiner(calls):
+    groups, targets = _two_group_data()
+    cfg = PipelineConfig(node_count=2, subspace_dim=6, mode="sequential", operator="concat")
+    model = fit(groups, targets, cfg)
+    calls.clear()
+    predict(model, groups)
+    updated = partial_fit(model, groups, targets)
+    assert calls["project"] == 0
+    assert calls["combine"] == 0
+    assert updated.maps is model.maps
+    assert updated.readout.seen == 2 * targets.shape[1]
+
+
+def test_replaced_batch_readout_rebuilds_maps():
+    groups, targets = _two_group_data()
+    model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
+    feats = [project(n, g.x) for nodes, g in zip(model.extractors, groups) for n in nodes]
+    h = combine(feats, model.combine_spec)
+    other = fit_classifier(h, targets, 2, 1.0)
+    swapped = replace(model, readout=other)
+    assert swapped.maps is not model.maps
+    assert np.allclose(scores(swapped, groups), score(other, h), rtol=1e-12, atol=1e-12)
