@@ -53,16 +53,15 @@ class ClassifierNode:
     """One additive node: affine map, sigmoid, rescale, weighted step.
 
     norm_in records the normalization applied to the residual the node was
-    fitted on; norm_out is the map inverted on the node's activation (the
-    same parameters, so the activation lands on the residual's scale).
-    step scales the activation's contribution to the score.
+    fitted on; its inverse maps the node's activation back to the
+    residual's scale.  step scales the activation's contribution to the
+    score.
     """
 
     weights: np.ndarray
     bias: float
     step: float
     norm_in: NormParams
-    norm_out: NormParams
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,9 @@ def stack_nodes(model):
     return NodeStack(
         weights=np.vstack(weights),
         bias=rows([n.bias for n in nodes]),
-        lo=rows([n.norm_out.lo for n in nodes]),
-        span=rows([n.norm_out.hi - n.norm_out.lo for n in nodes]),
-        eps=rows([n.norm_out.eps for n in nodes]),
+        lo=rows([n.norm_in.lo for n in nodes]),
+        span=rows([n.norm_in.hi - n.norm_in.lo for n in nodes]),
+        eps=rows([n.norm_in.eps for n in nodes]),
         step=rows([n.step for n in nodes]),
         class_count=model.class_count,
     )
@@ -157,9 +156,7 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     if v_sq == 0.0:
         raise DegenerateNodeError("node activation is identically zero")
     step = float(np.sum(em * v) / v_sq)
-    node = ClassifierNode(
-        weights=weights, bias=bias, step=step, norm_in=norm_in, norm_out=norm_in
-    )
+    node = ClassifierNode(weights=weights, bias=bias, step=step, norm_in=norm_in)
     return node, em - step * v
 
 

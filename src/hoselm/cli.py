@@ -2,10 +2,12 @@
 
 Options can come from a JSON config file (--config) using the same names
 as the long flags with dashes turned into underscores; flags given on the
-command line override the file.  All randomness flows from --seed.
+command line override the file, and options set by neither take the
+defaults of PipelineConfig and RunConfig.  All randomness flows from --seed.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,36 +23,35 @@ from .pipeline import (
     save_model,
 )
 
-_PIPELINE_DEFAULTS = {
-    "nodes": 3,
-    "hidden": 100,
-    "damping": 0.5,
-    "gamma": 1.0,
-    "operator": "plus",
-    "coeff": 100.0,
-    "classifier_nodes": 10,
-    "mode": "batch",
-    "chunk_size": None,
-    "seed": 0,
+# Option name -> PipelineConfig field for every field but norm_eps, which
+# the CLI does not expose; two options are named differently.
+_RENAMED = {"node_count": "nodes", "subspace_dim": "hidden"}
+_PIPELINE_FIELDS = {
+    _RENAMED.get(f.name, f.name): f.name
+    for f in dataclasses.fields(PipelineConfig)
+    if f.name != "norm_eps"
 }
+_PIPELINE_DEFAULTS = {o: getattr(PipelineConfig, name) for o, name in _PIPELINE_FIELDS.items()}
 
-_DATA_DEFAULTS = {
-    "data": None,
-    "groups": None,
-    "label_col": -1,
+# Option name -> RunConfig field, for the synthetic-data and split options.
+_RUN_FIELDS = {
+    "classes": "synth_classes",
+    "per_class": "synth_per_class",
+    "dim": "synth_dim",
+    "spread": "synth_spread",
+    "train_size": "train_size",
+    "stratified": "stratified",
+    "repetitions": "repetitions",
 }
+_RUN_DEFAULTS = {o: getattr(RunConfig, name) for o, name in _RUN_FIELDS.items()}
+
+_DATA_DEFAULTS = {"data": None, "groups": None, "label_col": RunConfig.label_col}
 
 _BENCH_DEFAULTS = {
     **_DATA_DEFAULTS,
     **_PIPELINE_DEFAULTS,
+    **_RUN_DEFAULTS,
     "dataset_name": None,
-    "classes": 3,
-    "per_class": 400,
-    "dim": 16,
-    "spread": 0.2,
-    "train_size": 0.5,
-    "stratified": False,
-    "repetitions": 1,
     "no_timing": False,
     "format": "json",
     "out": None,
@@ -173,11 +174,11 @@ def _build_parser():
     bench.set_defaults(func=_cmd_bench, defaults=_BENCH_DEFAULTS)
 
     synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
-    synth.add_argument("--classes", type=int, default=3)
-    synth.add_argument("--per-class", type=int, default=400)
-    synth.add_argument("--dim", type=int, default=16)
-    synth.add_argument("--spread", type=float, default=0.2)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--classes", type=int, default=RunConfig.synth_classes)
+    synth.add_argument("--per-class", type=int, default=RunConfig.synth_per_class)
+    synth.add_argument("--dim", type=int, default=RunConfig.synth_dim)
+    synth.add_argument("--spread", type=float, default=RunConfig.synth_spread)
+    synth.add_argument("--seed", type=int, default=RunConfig.seed)
     synth.add_argument("--out", required=True, help="CSV file to write")
     synth.set_defaults(func=_cmd_synth)
 
@@ -206,18 +207,21 @@ def _merged_options(args, defaults):
     return values
 
 
-def _pipeline_config(values, mode=None):
-    return PipelineConfig(
-        node_count=values["nodes"],
-        subspace_dim=values["hidden"],
-        damping=values["damping"],
-        gamma=values["gamma"],
-        operator=values["operator"],
-        coeff=values["coeff"],
-        classifier_nodes=values["classifier_nodes"],
-        mode=mode or values["mode"],
-        chunk_size=values["chunk_size"],
+def _pipeline_config(values):
+    return PipelineConfig(**{name: values[option] for option, name in _PIPELINE_FIELDS.items()})
+
+
+def _run_config(values, modes):
+    return RunConfig(
+        pipeline=_pipeline_config({**values, "mode": modes[0]}),
+        modes=modes,
+        dataset=values["data"],
+        dataset_name=values["dataset_name"] or values["data"] or RunConfig.dataset_name,
+        group_ranges=values["groups"],
+        label_col=values["label_col"],
         seed=values["seed"],
+        measure_time=not values["no_timing"],
+        **{name: values[option] for option, name in _RUN_FIELDS.items()},
     )
 
 
@@ -243,7 +247,9 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    label_col = None if args.no_labels else (-1 if args.label_col is None else args.label_col)
+    label_col = None if args.no_labels else (
+        _DATA_DEFAULTS["label_col"] if args.label_col is None else args.label_col
+    )
     groups, labels = load_csv(args.data, args.groups, label_col)
     predicted = predict(model, groups)
     lines = "".join(f"{p}\n" for p in predicted)
@@ -267,26 +273,7 @@ def _cmd_predict(args):
 def _cmd_bench(args):
     values = _merged_options(args, args.defaults)
     modes = ("batch", "sequential") if getattr(args, "both_modes", None) else (values["mode"],)
-    dataset_name = values["dataset_name"] or (
-        values["data"] if values["data"] else "synth"
-    )
-    cfg = RunConfig(
-        pipeline=_pipeline_config(values, mode=modes[0]),
-        modes=modes,
-        dataset=values["data"],
-        dataset_name=dataset_name,
-        group_ranges=values["groups"],
-        label_col=values["label_col"],
-        synth_classes=values["classes"],
-        synth_per_class=values["per_class"],
-        synth_dim=values["dim"],
-        synth_spread=values["spread"],
-        train_size=values["train_size"],
-        stratified=bool(values["stratified"]),
-        repetitions=values["repetitions"],
-        seed=values["seed"],
-        measure_time=not values["no_timing"],
-    )
+    cfg = _run_config(values, modes)
     report = run_benchmark(cfg)
     if values["out"]:
         emit_report(report, values["out"], values["format"])

@@ -25,7 +25,7 @@ are derived, never stored in model files.
 import json
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +58,11 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# What numpy and zipfile raise on a damaged archive member.  RuntimeError
+# covers an encryption flag and, as its subclass NotImplementedError, an
+# unsupported compression method.
+_UNREADABLE = (ValueError, OSError, EOFError, RuntimeError, zipfile.BadZipFile)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,9 @@ class PipelineConfig:
     and norm_eps feed the extractor refinement; operator and gamma select
     the combiner; coeff regularizes both readouts; classifier_nodes bounds
     the batch readout; chunk_size slices sequential training (None trains
-    on a single boot chunk).
+    on a single boot chunk).  Construction rejects values fit cannot use:
+    coeff must be finite and positive, damping finite and >= 0, gamma
+    finite, and norm_eps inside (0, 0.5).
     """
 
     node_count: int = 3
@@ -99,16 +105,18 @@ class PipelineConfig:
     def __post_init__(self):
         if min(self.node_count, self.subspace_dim, self.classifier_nodes) < 1:
             raise ValueError("node_count, subspace_dim, classifier_nodes must be >= 1")
-        if self.coeff <= 0:
-            raise ValueError(f"coeff must be positive, got {self.coeff}")
-        if self.damping < 0:
-            raise ValueError(f"damping must be >= 0, got {self.damping}")
+        if not 0 < self.coeff < np.inf:
+            raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
+        if not 0 <= self.damping < np.inf:
+            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        if not 0 < self.norm_eps < 1:
-            raise ValueError(f"norm_eps must lie in (0, 1), got {self.norm_eps}")
+        # normalize_unit maps into [eps, 1 - eps], which needs eps < 1/2.
+        if not 0 < self.norm_eps < 0.5:
+            raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
+        CombineSpec(operator=self.operator, gamma=self.gamma)  # a known operator, finite gamma
 
 
 @dataclass(frozen=True)
@@ -238,10 +246,6 @@ def _checked_groups(groups):
     return mats
 
 
-def _slice_groups(mats, lo, hi):
-    return [m[:, lo:hi] for m in mats]
-
-
 def _check_layout(model, mats):
     if len(mats) != len(model.extractors):
         raise ShapeError(
@@ -285,51 +289,49 @@ def _fit_extractors(mats, targets, cfg):
 def fit(groups, targets, cfg):
     """Train a model on aligned feature groups and one-hot targets.
 
-    Batch mode extracts from the full set and fits the additive classifier.
-    Sequential mode fits the extractors on the first chunk (which must
-    contain every class), boots the sequential readout on it, and folds in
-    the remaining chunks through the frozen extractors.
+    Both modes boot on a first block: fit the extractors on it, combine
+    their features, and fit the readout (the additive classifier in batch
+    mode, the sequential readout in sequential mode).  Batch mode boots on
+    every column.  Sequential mode boots on the first chunk_size columns
+    (all of them when chunk_size is None), which must contain every class,
+    and then folds each later chunk in through partial_fit, the last one
+    possibly short.
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
     mats = _checked_groups(groups)
     tm = as_matrix(targets, "targets")
-    if tm.shape[1] != mats[0].shape[1]:
-        raise ShapeError(
-            f"targets have {tm.shape[1]} columns, groups have {mats[0].shape[1]}"
-        )
+    samples = mats[0].shape[1]
+    if tm.shape[1] != samples:
+        raise ShapeError(f"targets have {tm.shape[1]} columns, groups have {samples}")
     spec = CombineSpec(operator=cfg.operator, gamma=cfg.gamma)
-    names = tuple(g.name for g in groups)
-
-    if cfg.mode == "batch":
-        maps = None
-        extractors, features = _fit_extractors(mats, tm, cfg)
-        combined = combine(features, spec)
-        # The per-node features are not needed past combination; release
-        # them before the classifier forms its Gram.
-        del features
-        readout = fit_classifier(combined, tm, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+    batch = cfg.mode == "batch"
+    boot = samples if batch else min(cfg.chunk_size or samples, samples)
+    head = tm[:, :boot]
+    if not batch:
+        _require_all_classes(head, "the initial sequential chunk")
+    extractors, features = _fit_extractors([m[:, :boot] for m in mats], head, cfg)
+    combined = combine(features, spec)
+    # The per-node features are not needed past combination; release them
+    # before the readout forms its Gram.
+    del features
+    if batch:
+        readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     else:
-        samples = mats[0].shape[1]
-        boot = samples if cfg.chunk_size is None else min(cfg.chunk_size, samples)
-        t0 = tm[:, :boot]
-        _require_all_classes(t0, "the initial sequential chunk")
-        extractors, features = _fit_extractors(_slice_groups(mats, 0, boot), t0, cfg)
-        readout = os_boot(combine(features, spec), t0, cfg.coeff)
-        maps = _derive_maps(extractors, spec, None)
-        for lo in range(boot, samples, cfg.chunk_size or samples):
-            hi = min(lo + cfg.chunk_size, samples)
-            readout = os_update(readout, maps.apply(_slice_groups(mats, lo, hi)), tm[:, lo:hi])
-
-    return HOselmModel(
+        readout = os_boot(combined, head, cfg.coeff)
+    model = HOselmModel(
         extractors=extractors,
-        group_names=names,
+        group_names=tuple(g.name for g in groups),
         combine_spec=spec,
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
-        maps=maps,
     )
+    # Later chunks have the boot chunk's length; batch mode has none.
+    for lo in range(boot, samples, boot):
+        chunk = [FeatureGroup(x=m[:, lo : lo + boot]) for m in mats]
+        model = partial_fit(model, chunk, tm[:, lo : lo + boot])
+    return model
 
 
 def partial_fit(model, groups, targets):
@@ -415,21 +417,17 @@ def evaluate(model, groups, targets):
     )
 
 
-def _norm_to_row(p):
-    return [p.lo, p.hi, p.eps]
-
-
-def _norm_from_row(row):
-    return NormParams(lo=float(row[0]), hi=float(row[1]), eps=float(row[2]))
-
-
 def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
-    Arrays: per group g, extractor_{g}_weights (nodes x dim x inputs) and
-    extractor_{g}_biases; batch readouts add stacked classifier node arrays,
-    sequential readouts their accumulator and weight matrices.  Everything
-    else rides in the header.  See the README for the full layout.
+    Format v2 stores each fact once.  The header holds the full config
+    (which also fixes the combiner and the readout's ridge coefficient),
+    the group names, the class count, and the batch readout's node count or
+    the sequential readout's sample count.  Arrays: per group g,
+    extractor_{g}_weights (nodes x dim x inputs) and extractor_{g}_biases;
+    batch readouts add stacked classifier node arrays, sequential readouts
+    their accumulator and weight matrices.  See the README for the full
+    layout and for what format v1 stored besides.
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
@@ -440,59 +438,60 @@ def save_model(model, path):
         "config": asdict(model.config),
         "group_names": list(model.group_names),
         "class_count": model.class_count,
-        "combine": {"operator": model.combine_spec.operator, "gamma": model.combine_spec.gamma},
     }
     arrays = {}
     for g, nodes in enumerate(model.extractors):
         arrays[f"extractor_{g}_weights"] = np.stack([n.weights for n in nodes])
         arrays[f"extractor_{g}_biases"] = np.array([n.bias for n in nodes])
     if model.config.mode == "batch":
-        m = model.readout
-        header["readout"] = {
-            "kind": "classifier",
-            "coeff": m.coeff,
-            "feature_dim": m.feature_dim,
-            "node_count": len(m.nodes),
-        }
-        if m.nodes:
-            arrays["classifier_weights"] = np.stack([n.weights for n in m.nodes])
-            arrays["classifier_biases"] = np.array([n.bias for n in m.nodes])
-            arrays["classifier_steps"] = np.array([n.step for n in m.nodes])
-            arrays["classifier_norm_in"] = np.array([_norm_to_row(n.norm_in) for n in m.nodes])
-            arrays["classifier_norm_out"] = np.array([_norm_to_row(n.norm_out) for n in m.nodes])
+        nodes = model.readout.nodes
+        header["readout"] = {"node_count": len(nodes)}
+        if nodes:
+            arrays["classifier_weights"] = np.stack([n.weights for n in nodes])
+            arrays["classifier_biases"] = np.array([n.bias for n in nodes])
+            arrays["classifier_steps"] = np.array([n.step for n in nodes])
+            arrays["classifier_norm_in"] = np.array([astuple(n.norm_in) for n in nodes])
     else:
         s = model.readout
-        header["readout"] = {"kind": "sequential", "coeff": s.coeff, "seen": s.seen}
+        header["readout"] = {"seen": s.seen}
         arrays["readout_p"] = s.p
         arrays["readout_beta"] = s.beta
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
     np.savez(path, **arrays)
 
 
-def _header(data):
-    if "header" not in data.files:
-        raise FormatError("model file has no header")
+def _member(data, name):
+    """Member `name` of an open model file, read as an array."""
+    if name not in data.files:
+        raise FormatError(f"model file has no array {name!r}")
     try:
-        header = json.loads(str(data["header"]))
+        a = data[name]
+    except _UNREADABLE as exc:
+        raise FormatError(f"model array {name!r} is unreadable: {exc}") from exc
+    if not isinstance(a, np.ndarray):
+        # NpzFile hands back the raw bytes of a member without the .npy magic.
+        raise FormatError(f"model array {name!r} is not an .npy array")
+    return a
+
+
+def _header(data):
+    text = str(_member(data, "header"))
+    try:
+        header = json.loads(text)
     except ValueError as exc:
         raise FormatError(f"model header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"unsupported model format version: {version}")
+    if version not in (1, _FORMAT_VERSION):
+        raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
 
 def _array(data, name, shape):
     """Array `name` of the given shape (None matches any positive size),
     float and finite."""
-    if name not in data.files:
-        raise FormatError(f"model file has no array {name!r}")
-    try:
-        a = data[name]
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"model array {name!r} is unreadable: {exc}") from exc
+    a = _member(data, name)
     if a.ndim != len(shape) or any(
         n != want if want is not None else n < 1 for n, want in zip(a.shape, shape)
     ):
@@ -509,90 +508,93 @@ def _count(value, what, low=0):
     return value
 
 
-def _coeff(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
-        raise FormatError(f"model header coeff must be positive and finite, got {value!r}")
-    return float(value)
-
-
 def _read_extractor(data, g, cfg):
     weights = _array(data, f"extractor_{g}_weights", (cfg.node_count, cfg.subspace_dim, None))
     biases = _array(data, f"extractor_{g}_biases", (cfg.node_count,))
     return tuple(SubnetNode(weights=w, bias=float(b)) for w, b in zip(weights, biases))
 
 
-def _read_classifier(data, meta, cfg, classes, dim):
-    count = _count(meta["node_count"], "readout node_count")
+def _read_classifier(data, count, cfg, classes, dim, version):
+    count = _count(count, "readout node_count")
     if count > cfg.classifier_nodes:
         raise FormatError(f"readout has {count} nodes, config allows {cfg.classifier_nodes}")
-    if meta["feature_dim"] != dim:
-        raise FormatError(f"readout feature_dim {meta['feature_dim']!r}, combined features {dim}")
     nodes = ()
     if count:
         weights = _array(data, "classifier_weights", (count, classes, dim))
         biases = _array(data, "classifier_biases", (count,))
         steps = _array(data, "classifier_steps", (count,))
-        norms = [_array(data, f"classifier_norm_{end}", (count, 3)) for end in ("in", "out")]
-        for norm in norms:
-            lo, hi, eps = norm.T
-            # Denormalizing divides by 1 - eps and scales by hi - lo.
-            if np.any(lo > hi) or np.any(eps <= 0) or np.any(eps >= 1):
-                raise FormatError("classifier normalization rows need lo <= hi and 0 < eps < 1")
+        norms = _array(data, "classifier_norm_in", (count, 3))
+        lo, hi, eps = norms.T
+        # Denormalizing divides by 1 - eps and scales by hi - lo.
+        if np.any(lo > hi) or np.any(eps <= 0) or np.any(eps >= 1):
+            raise FormatError("classifier normalization rows need lo <= hi and 0 < eps < 1")
+        if version == 1 and not np.array_equal(
+            _array(data, "classifier_norm_out", (count, 3)), norms
+        ):
+            raise FormatError("format v1 classifier_norm_out disagrees with classifier_norm_in")
         nodes = tuple(
             ClassifierNode(
                 weights=weights[i],
                 bias=float(biases[i]),
                 step=float(steps[i]),
-                norm_in=_norm_from_row(norms[0][i]),
-                norm_out=_norm_from_row(norms[1][i]),
+                norm_in=NormParams(*map(float, norms[i])),
             )
             for i in range(count)
         )
     return ClassifierModel(
-        nodes=nodes, coeff=_coeff(meta["coeff"]), feature_dim=dim, class_count=classes
+        nodes=nodes, coeff=float(cfg.coeff), feature_dim=dim, class_count=classes
     )
 
 
-def _read_sequential(data, meta, classes, dim):
-    return OselmState(
-        p=_array(data, "readout_p", (dim, dim)),
-        beta=_array(data, "readout_beta", (dim, classes)),
-        seen=_count(meta["seen"], "readout seen"),
-        coeff=_coeff(meta["coeff"]),
-    )
+def _drop_v1_copies(header, meta, cfg, dim):
+    """Format v1 also stored the combiner and the readout's kind, coeff and
+    (batch) feature_dim; each must equal what the config and shapes fix."""
+    batch = cfg.mode == "batch"
+    copies = [
+        ("combine", header.get("combine"), {"operator": cfg.operator, "gamma": cfg.gamma}),
+        ("readout kind", meta.pop("kind", None), "classifier" if batch else "sequential"),
+        ("readout coeff", meta.pop("coeff", None), cfg.coeff),
+    ] + ([("readout feature_dim", meta.pop("feature_dim", None), dim)] if batch else [])
+    for what, stored, kept in copies:
+        if stored != kept:
+            raise FormatError(f"format v1 {what} {stored!r} disagrees with {kept!r}")
 
 
 def _load(data):
     header = _header(data)
     try:
         cfg = PipelineConfig(**header["config"])
-        spec = CombineSpec(**header["combine"])
         names = header["group_names"]
         classes = header["class_count"]
-        meta = header["readout"]
-        kind = meta["kind"]
+        meta = dict(header["readout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header is malformed: {exc!r}") from exc
     _count(classes, "class_count", 1)
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise FormatError(f"model header group_names must list group names, got {names!r}")
     batch = cfg.mode == "batch"
-    if kind != ("classifier" if batch else "sequential"):
-        raise FormatError(f"readout kind {kind!r} does not match mode {cfg.mode!r}")
-    extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
     # Row count of the combined feature the readout consumes.
-    dim = cfg.subspace_dim * (cfg.node_count * len(names) if spec.operator == "concat" else 1)
-    try:
-        if batch:
-            readout = _read_classifier(data, meta, cfg, classes, dim)
-        else:
-            readout = _read_sequential(data, meta, classes, dim)
-    except KeyError as exc:
-        raise FormatError(f"model header readout lacks {exc}") from exc
+    dim = cfg.subspace_dim * (cfg.node_count * len(names) if cfg.operator == "concat" else 1)
+    version = header["format_version"]
+    if version == 1:
+        _drop_v1_copies(header, meta, cfg, dim)
+    key = "node_count" if batch else "seen"
+    if list(meta) != [key]:
+        raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
+    extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
+    if batch:
+        readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
+    else:
+        readout = OselmState(
+            p=_array(data, "readout_p", (dim, dim)),
+            beta=_array(data, "readout_beta", (dim, classes)),
+            seen=_count(meta[key], "readout seen"),
+            coeff=float(cfg.coeff),
+        )
     return HOselmModel(
         extractors=extractors,
         group_names=tuple(names),
-        combine_spec=spec,
+        combine_spec=CombineSpec(operator=cfg.operator, gamma=cfg.gamma),
         readout=readout,
         config=cfg,
         class_count=classes,
@@ -600,15 +602,16 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model.
+    """Read back a model written by save_model, in format v1 or v2.
 
     Every array is checked against the header before the model is built:
-    presence, shape, node and group counts, and finiteness.  A file that
+    presence, shape, node and group counts, and finiteness; a v1 file's
+    duplicated facts must agree with the copies v2 keeps.  A file that
     fails a check, or is not a readable NPZ archive, raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise FormatError(f"{path}: not a model file: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise FormatError(f"{path}: not a model file (a bare array, not an NPZ archive)")

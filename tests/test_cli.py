@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import hoselm
-from hoselm.cli import main
+from hoselm.bench import RunConfig
+from hoselm.cli import _build_parser, _merged_options, _pipeline_config, _run_config, main
+from hoselm.pipeline import PipelineConfig
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*argv):
@@ -199,6 +203,18 @@ def test_train_errors_are_reported(tmp_path, capsys):
     assert code == 2
 
 
+def test_predict_reports_a_damaged_model_file(tmp_path, dataset, capsys):
+    model_path = tmp_path / "model.npz"
+    main(["train", "--data", str(dataset), "--out", str(model_path), *small_flags()])
+    capsys.readouterr()
+    # Change one character of the stored header, so its CRC no longer matches.
+    raw = bytearray(model_path.read_bytes())
+    raw[raw.find("format_version".encode("utf-32-le"))] ^= 1
+    model_path.write_bytes(bytes(raw))
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset)]) == 2
+    assert "'header' is unreadable" in capsys.readouterr().err
+
+
 def test_subprocess_entry_point(tmp_path):
     data = tmp_path / "d.csv"
     synth = run_cli(
@@ -232,3 +248,29 @@ def test_train_size_parsing(tmp_path, dataset, capsys):
     report = json.loads(capsys.readouterr().out)
     confusion = np.array(report["entries"][0]["confusion"])
     assert confusion.sum() == 120 - 3 * 20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bench_report_bytes_are_unchanged(tmp_path, fmt):
+    """The fixed-seed, untimed report of the default synthetic run in both
+    modes equals the committed one byte for byte, so a change meant to keep
+    behaviour can show that it does."""
+    out = tmp_path / f"report.{fmt}"
+    args = ["bench", "--both-modes", "--no-timing", "--chunk-size", "40", "--seed", "5"]
+    assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+    golden = DATA / f"bench_both_modes_chunk40_seed5.{fmt}"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_option_defaults_are_the_config_defaults():
+    parser = _build_parser()
+    train = parser.parse_args(["train"])
+    assert _pipeline_config(_merged_options(train, train.defaults)) == PipelineConfig()
+    bench = parser.parse_args(["bench"])
+    values = _merged_options(bench, bench.defaults)
+    assert _run_config(values, (values["mode"],)) == RunConfig()
+    synth = parser.parse_args(["synth", "--out", "unused.csv"])
+    run = RunConfig()
+    assert (synth.classes, synth.per_class, synth.dim, synth.spread, synth.seed) == (
+        run.synth_classes, run.synth_per_class, run.synth_dim, run.synth_spread, run.seed
+    )

@@ -137,6 +137,39 @@ def test_sequential_boot_needs_every_class():
         fit(sorted_groups, sorted_targets, small_cfg(mode="sequential", chunk_size=5))
 
 
+def _model_arrays(model):
+    arrays = [a for nodes in model.extractors for n in nodes for a in (n.weights, n.bias)]
+    return arrays + [model.readout.p, model.readout.beta, model.readout.seen]
+
+
+@pytest.mark.parametrize("operator", ["plus", "concat"])
+@pytest.mark.parametrize("chunk", [1, 7, 44, 45, 50])  # 45 samples
+def test_sequential_fit_is_boot_then_partial_fit(operator, chunk):
+    """fit in sequential mode is a boot fit on the first chunk followed by
+    partial_fit over the rest, the last chunk possibly short, bit for bit."""
+    rng = np.random.default_rng(4)
+    groups, targets, _ = toy_blobs(per_class=15, seed=4)
+    wide = FeatureGroup(x=rng.standard_normal((4, 45)), name="wide")
+    groups = [groups[0], wide]
+    # Soft targets are nonzero everywhere, so any boot chunk holds every class.
+    targets = targets + 0.1 * rng.uniform(0.1, 1.0, targets.shape)
+    samples = targets.shape[1]
+    assert samples == 45
+    cfg = small_cfg(mode="sequential", operator=operator, chunk_size=chunk)
+
+    model = fit(groups, targets, cfg)
+
+    head = [FeatureGroup(x=g.x[:, :chunk], name=g.name) for g in groups]
+    by_hand = fit(head, targets[:, :chunk], cfg)
+    for lo in range(chunk, samples, chunk):
+        part = [FeatureGroup(x=g.x[:, lo : lo + chunk]) for g in groups]
+        by_hand = partial_fit(by_hand, part, targets[:, lo : lo + chunk])
+    assert model.readout.seen == samples
+    got, want = _model_arrays(model), _model_arrays(by_hand)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_partial_fit_matches_concatenated_chunk():
     groups, targets, _ = toy_blobs(per_class=30, seed=4)
     x = groups[0].x
@@ -307,6 +340,22 @@ def test_saved_header_holds_the_full_config(tmp_path):
     }
 
 
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_saved_model_stores_each_fact_once(tmp_path, mode):
+    """Format v2 keeps no copy of what the config or the array shapes fix."""
+    groups, targets, _ = toy_blobs(seed=6)
+    path = tmp_path / "model.npz"
+    save_model(fit(groups, targets, small_cfg(mode=mode, chunk_size=20)), path)
+    with np.load(path) as data:
+        header = json.loads(str(data["header"]))
+        files = set(data.files)
+    assert header["format_version"] == 2
+    assert set(header) == {"format_version", "config", "group_names", "class_count", "readout"}
+    assert header["readout"] == ({"node_count": 6} if mode == "batch" else {"seen": 60})
+    assert "classifier_norm_out" not in files
+    assert ("classifier_norm_in" in files) == (mode == "batch")
+
+
 def _two_group_model_file(tmp_path, mode):
     groups, targets, _ = toy_blobs(seed=7)
     rng = np.random.default_rng(7)
@@ -379,7 +428,7 @@ CORRUPTIONS = {
     "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
     "future format version": (
         "batch",
-        _header_edit(lambda h: h.update(format_version=2)),
+        _header_edit(lambda h: h.update(format_version=3)),
         "version",
     ),
     "config with an unknown key": (
@@ -431,3 +480,20 @@ def test_config_validation():
         PipelineConfig(chunk_size=0)
     with pytest.raises(ValueError):
         PipelineConfig(norm_eps=0.0)
+    # Values that used to pass here and then fail inside fit, or give a
+    # model that cannot be loaded back.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="coeff"):
+            PipelineConfig(coeff=bad)
+    for bad in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="damping"):
+            PipelineConfig(damping=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            PipelineConfig(gamma=bad)
+    for bad in (0.5, 0.6, 0.99, 1.0, np.nan):
+        with pytest.raises(ValueError, match="norm_eps"):
+            PipelineConfig(norm_eps=bad)
+    with pytest.raises(ValueError, match="operator"):
+        PipelineConfig(operator="times")
+    PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0, norm_eps=0.49)

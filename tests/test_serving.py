@@ -38,7 +38,7 @@ def loop_score(model, h):
     """The classifier score node by node: the reference for the stacked one."""
     out = np.zeros((model.class_count, h.shape[1]))
     for n in model.nodes:
-        out += n.step * denormalize_unit(sigmoid_map(n.weights @ h + n.bias), n.norm_out)
+        out += n.step * denormalize_unit(sigmoid_map(n.weights @ h + n.bias), n.norm_in)
     return out
 
 
@@ -50,7 +50,6 @@ def _classifier_node(rng, classes, dim, degenerate):
         bias=float(rng.uniform(-1.0, 1.0)),
         step=float(rng.uniform(-2.0, 2.0)),
         norm_in=NormParams(lo=lo, hi=hi, eps=1e-4),
-        norm_out=NormParams(lo=lo, hi=hi, eps=1e-4),
     )
 
 
@@ -129,7 +128,7 @@ def test_scores_equal_layer_by_layer_reference(case):
     if model.config.mode == "batch":
         want = loop_score(model.readout, h)
         scale = sum(
-            abs(n.step) * max(abs(n.norm_out.lo), abs(n.norm_out.hi)) for n in model.readout.nodes
+            abs(n.step) * max(abs(n.norm_in.lo), abs(n.norm_in.hi)) for n in model.readout.nodes
         )
         assert np.max(np.abs(score(model.readout, h) - want)) <= 1e-12 * scale
     else:
