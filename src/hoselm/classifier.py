@@ -10,6 +10,16 @@ score plus the final residual reconstructs the training targets exactly.
 The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
 computes it once and every node reuses it.
 
+The features may also be given factored, H = C Q' with Q an M x k matrix
+of orthonormal columns and k < D.  The ridge solve then moves to the k x k
+side through the push-through identity H'(I/c + H H')^-1 = Q (I/c + C'C)^-1 C'
+(the Gram inverted is the smaller of C C' and C'C), and each node meets H
+only through products with C and Q.  The pipeline fits a batch readout
+this way when the combined feature is wider than its inputs (see
+pipeline.fit), with a C of orthogonal columns, so that C'C is diagonal up
+to rounding and its inverse stays accurate.  Node weights are classes x D
+either way.
+
 For scoring, the nodes are stacked row-wise into one NodeStack: one
 (nodes * classes) x D weight matrix with per-row bias, normalization and
 step columns.  A score is then one matrix product for the affine half and
@@ -123,45 +133,67 @@ def activate(stack, z):
     return (stack.step * v).reshape(-1, stack.class_count, z.shape[1]).sum(axis=0)
 
 
-def fit_node(h, e_prev, gram_inv, eps=1e-4):
+def fit_node(h, e_prev, gram_inv, eps=1e-4, basis=None):
     """Fit one node against the current residual; return (node, next residual).
 
-    The residual is normalized into (0, 1], pulled back through the logit,
-    and ridge-solved against the features through gram_inv, the
-    ridge_inverse(h @ h.T, coeff) shared by every node of a fit; the scalar
-    bias centers the fit.
+    The features are h (D x M) when basis is None, and h @ basis.T
+    otherwise, with basis an M x k matrix of orthonormal columns (see
+    fit_classifier).  The residual is normalized into (0, 1], pulled back
+    through the logit, and ridge-solved against the features through
+    gram_inv, the ridge inverse shared by every node of a fit; its shape
+    says which Gram it inverts: (I/c + h h')^-1 when it has h's row count,
+    else (I/c + h'h)^-1, applied through the push-through identity
+    h'(I/c + h h')^-1 = (I/c + h'h)^-1 h'.  The scalar bias centers the fit.
     The sigmoid activation is rescaled to the residual's range and removed
     from the residual with the least-squares step size.
+
+    Callers pass validated float arrays; only shapes are checked here.
 
     Raises DegenerateNodeError when the rescaled activation is identically
     zero (constant residual normalizing to a zero range), since no step can
     make progress; this layer is deterministic, so retrying cannot help.
     """
-    hm = as_matrix(h, "combined features")
-    em = as_matrix(e_prev, "residual")
-    if hm.shape[1] != em.shape[1]:
+    rows, cols = h.shape
+    if basis is not None and basis.shape[1] != cols:
+        raise ShapeError(f"basis has {basis.shape[1]} columns, features have {cols}")
+    samples = cols if basis is None else basis.shape[0]
+    if e_prev.shape[1] != samples:
         raise ShapeError(
-            f"sample counts differ: features {hm.shape[1]}, residual {em.shape[1]}"
+            f"sample counts differ: features {samples}, residual {e_prev.shape[1]}"
         )
-    if gram_inv.shape != (hm.shape[0], hm.shape[0]):
+    if gram_inv.shape not in ((rows, rows), (cols, cols)):
         raise ShapeError(
-            f"ridge inverse shape {gram_inv.shape} does not match {hm.shape[0]} feature rows"
+            f"ridge inverse shape {gram_inv.shape} matches neither {rows} nor {cols}"
         )
-    scaled, norm_in = normalize_unit(em, eps)
+    scaled, norm_in = normalize_unit(e_prev, eps)
     z = logit_map(scaled)
-    weights = z @ hm.T @ gram_inv
-    bias = float(np.mean(z - weights @ hm))
-    v = denormalize_unit(sigmoid_map(weights @ hm + bias), norm_in)
+    zq = z if basis is None else z @ basis
+    if gram_inv.shape[0] == rows:
+        weights = zq @ h.T @ gram_inv
+    else:
+        weights = zq @ gram_inv @ h.T
+    pre = weights @ h
+    if basis is not None:
+        pre = pre @ basis.T
+    bias = float(np.mean(z - pre))
+    v = denormalize_unit(sigmoid_map(pre + bias), norm_in)
     v_sq = float(np.sum(v * v))
     if v_sq == 0.0:
         raise DegenerateNodeError("node activation is identically zero")
-    step = float(np.sum(em * v) / v_sq)
+    step = float(np.sum(e_prev * v) / v_sq)
     node = ClassifierNode(weights=weights, bias=bias, step=step, norm_in=norm_in)
-    return node, em - step * v
+    return node, e_prev - step * v
 
 
-def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
+def fit_classifier(h, targets, node_count, coeff, eps=1e-4, basis=None):
     """Fit up to node_count nodes greedily, threading the residual.
+
+    The features are h (D x M) when basis is None.  Otherwise they are
+    h @ basis.T, given as a D x k factor h and an M x k basis with
+    orthonormal columns; the features are never formed.  The ridge inverse
+    is taken once, of the smaller Gram: h h' (D x D) when h has at most as
+    many rows as columns, else h'h.  Either way the node weights are
+    classes x D.
 
     Starts from the targets themselves and deflates; stops early if a node
     degenerates (determinism would only reproduce it).
@@ -170,19 +202,20 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
         raise ValueError(f"node_count must be >= 1, got {node_count}")
     hm = as_matrix(h, "combined features")
     tm = as_matrix(targets, "targets")
-    gram_inv = ridge_inverse(hm @ hm.T, coeff)
+    rows, cols = hm.shape
+    gram_inv = ridge_inverse(hm @ hm.T if rows <= cols else hm.T @ hm, coeff)
     e = tm
     nodes = []
     for _ in range(node_count):
         try:
-            node, e = fit_node(hm, e, gram_inv, eps)
+            node, e = fit_node(hm, e, gram_inv, eps, basis)
         except DegenerateNodeError:
             break
         nodes.append(node)
     return ClassifierModel(
         nodes=tuple(nodes),
         coeff=float(coeff),
-        feature_dim=hm.shape[0],
+        feature_dim=rows,
         class_count=tm.shape[0],
     )
 

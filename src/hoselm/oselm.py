@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import as_matrix, ridge_inverse
+from .kernels import ridge_inverse
+
+# Inputs arrive validated, so nothing here calls as_matrix; perfbench/tracing.py
+# still wraps it as an attribute of this module by name.
+from .kernels import as_matrix  # noqa: F401
 
 __all__ = ["OselmState", "os_boot", "os_update", "os_predict"]
 
@@ -37,22 +41,21 @@ class OselmState:
 
 
 def _check_chunk(state, h, targets):
-    hm = as_matrix(h, "activations chunk")
-    tm = as_matrix(targets, "target chunk")
-    if hm.shape[1] != tm.shape[1]:
+    """Shape checks only: h and targets arrive as validated float arrays
+    (the pipeline's own H and the targets its boundary checked)."""
+    if h.shape[1] != targets.shape[1]:
         raise ShapeError(
-            f"chunk sample counts differ: {hm.shape[1]} vs {tm.shape[1]}"
+            f"chunk sample counts differ: {h.shape[1]} vs {targets.shape[1]}"
         )
     if state is not None:
-        if hm.shape[0] != state.p.shape[0]:
+        if h.shape[0] != state.p.shape[0]:
             raise ShapeError(
-                f"chunk has {hm.shape[0]} feature rows, state expects {state.p.shape[0]}"
+                f"chunk has {h.shape[0]} feature rows, state expects {state.p.shape[0]}"
             )
-        if tm.shape[0] != state.beta.shape[1]:
+        if targets.shape[0] != state.beta.shape[1]:
             raise ShapeError(
-                f"chunk has {tm.shape[0]} target rows, state expects {state.beta.shape[1]}"
+                f"chunk has {targets.shape[0]} target rows, state expects {state.beta.shape[1]}"
             )
-    return hm, tm
 
 
 def os_boot(h, targets, coeff):
@@ -62,11 +65,11 @@ def os_boot(h, targets, coeff):
     """
     if coeff <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {coeff}")
-    hm, tm = _check_chunk(None, h, targets)
-    p = ridge_inverse(hm @ hm.T, coeff)
+    _check_chunk(None, h, targets)
+    p = ridge_inverse(h @ h.T, coeff)
     p = (p + p.T) / 2.0
-    beta = p @ hm @ tm.T
-    return OselmState(p=p, beta=beta, seen=hm.shape[1], coeff=float(coeff))
+    beta = p @ h @ targets.T
+    return OselmState(p=p, beta=beta, seen=h.shape[1], coeff=float(coeff))
 
 
 def os_update(state, h, targets):
@@ -80,22 +83,22 @@ def os_update(state, h, targets):
     p is resymmetrized after the update to bound floating-point drift.
     The chunk is not retained.
     """
-    hm, tm = _check_chunk(state, h, targets)
-    ph = state.p @ hm
-    gain = np.eye(hm.shape[1]) + hm.T @ ph
+    _check_chunk(state, h, targets)
+    ph = state.p @ h
+    gain = np.eye(h.shape[1]) + h.T @ ph
     p_new = state.p - ph @ np.linalg.solve(gain, ph.T)
     p_new = (p_new + p_new.T) / 2.0
-    beta_new = state.beta + p_new @ hm @ (tm.T - hm.T @ state.beta)
+    beta_new = state.beta + p_new @ h @ (targets.T - h.T @ state.beta)
     return OselmState(
-        p=p_new, beta=beta_new, seen=state.seen + hm.shape[1], coeff=state.coeff
+        p=p_new, beta=beta_new, seen=state.seen + h.shape[1], coeff=state.coeff
     )
 
 
 def os_predict(state, h):
-    """Scores beta' H for samples-as-columns activations."""
-    hm = as_matrix(h, "activations")
-    if hm.shape[0] != state.beta.shape[0]:
+    """Scores beta' H for samples-as-columns activations (a validated
+    float array; only its shape is checked)."""
+    if h.shape[0] != state.beta.shape[0]:
         raise ShapeError(
-            f"activations have {hm.shape[0]} rows, state expects {state.beta.shape[0]}"
+            f"activations have {h.shape[0]} rows, state expects {state.beta.shape[0]}"
         )
-    return state.beta.T @ hm
+    return state.beta.T @ h

@@ -20,6 +20,12 @@ stacked affine half into them, F_g = W_stack A_g, so a request costs one
 matrix product per group followed by the classifier's activation half.
 A sequential model applies the maps to get H for its readout.  The maps
 are derived, never stored in model files.
+
+The same affinity lets a batch fit skip forming H when it is wide.  With
+D combined rows and k = sum of group widths + 1, H = B [x_1; ...; x_G; 1]
+has rank at most k; when D > k the classifier is fitted on a thin factor
+H = F P' (see _readout_factor), from one QR of the stacked inputs, and
+works on the k x k side.  When D <= k the features are combined as usual.
 """
 
 import json
@@ -28,6 +34,7 @@ import zipfile
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag, qr, svd
 
 from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
 from .classifier import fit_classifier, stack_nodes
@@ -286,6 +293,37 @@ def _fit_extractors(mats, targets, cfg):
     return tuple(extractors), features
 
 
+def _feature_rows(cfg, group_count):
+    """Row count D of the combined feature the readout consumes."""
+    return cfg.subspace_dim * (cfg.node_count * group_count if cfg.operator == "concat" else 1)
+
+
+def _readout_factor(mats, extractors, spec):
+    """The combined feature as a thin factor (F, P) with H = F P'.
+
+    Every extractor node is affine, so H = B [x_1; ...; x_G; 1], where B is
+    the D x k coefficient of the input maps (k = sum of group widths + 1):
+    [A_1 ... A_G, c] for plus, block rows [0 ... A_g ... 0, a_g] for
+    concat.  One thin QR
+    [x_1; ...; x_G; 1]' = Q R gives H = C Q' with C = B R'.  The small C is
+    then rotated to its singular vectors, C = U S V', and the factor
+    returned is F = U S with the orthonormal basis P = Q V.  F has
+    orthogonal columns, so the classifier's k x k Gram F'F is diagonal up to
+    rounding and its ridge inverse stays accurate however ill-conditioned H
+    is; an unrotated C'C squares H's condition number.
+    """
+    weights, offset, stacked = _input_maps(extractors, spec)
+    coeffs = np.hstack((block_diag(*weights) if stacked else np.hstack(weights), offset))
+    # Stacked straight into Fortran order, whatever the groups' layout, so
+    # LAPACK factors it in place; the groups were validated by _checked_groups.
+    samples = mats[0].shape[1]
+    inputs = np.empty((samples, sum(m.shape[0] for m in mats) + 1), order="F")
+    np.concatenate((*mats, np.ones((1, samples))), out=inputs.T)
+    q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
+    u, s, vt = svd(coeffs @ r.T, full_matrices=False, check_finite=False)
+    return u * s, q @ vt.T
+
+
 def fit(groups, targets, cfg):
     """Train a model on aligned feature groups and one-hot targets.
 
@@ -296,6 +334,13 @@ def fit(groups, targets, cfg):
     (all of them when chunk_size is None), which must contain every class,
     and then folds each later chunk in through partial_fit, the last one
     possibly short.
+
+    A batch fit whose combined feature has more rows D than the stacked
+    inputs have plus one (k) never forms it: the classifier is fitted on
+    the thin factor H = F P' (see _readout_factor and fit_classifier),
+    which replaces the D x M feature, its D x D Gram and inverse with one
+    M x k QR, the SVD of a D x k matrix and a k x k inverse.  Which path
+    is taken depends on shapes only.
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
@@ -310,12 +355,17 @@ def fit(groups, targets, cfg):
     head = tm[:, :boot]
     if not batch:
         _require_all_classes(head, "the initial sequential chunk")
-    extractors, features = _fit_extractors([m[:, :boot] for m in mats], head, cfg)
-    combined = combine(features, spec)
-    # The per-node features are not needed past combination; release them
-    # before the readout forms its Gram.
+    boot_mats = [m[:, :boot] for m in mats]
+    extractors, features = _fit_extractors(boot_mats, head, cfg)
+    factored = batch and _feature_rows(cfg, len(mats)) > sum(m.shape[0] for m in mats) + 1
+    combined = None if factored else combine(features, spec)
+    # The per-node features are not needed past this point; release them
+    # before the readout's QR or Gram.
     del features
-    if batch:
+    if factored:
+        f, p = _readout_factor(boot_mats, extractors, spec)
+        readout = fit_classifier(f, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps, p)
+    elif batch:
         readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     else:
         readout = os_boot(combined, head, cfg.coeff)
@@ -573,8 +623,7 @@ def _load(data):
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise FormatError(f"model header group_names must list group names, got {names!r}")
     batch = cfg.mode == "batch"
-    # Row count of the combined feature the readout consumes.
-    dim = cfg.subspace_dim * (cfg.node_count * len(names) if cfg.operator == "concat" else 1)
+    dim = _feature_rows(cfg, len(names))
     version = header["format_version"]
     if version == 1:
         _drop_v1_copies(header, meta, cfg, dim)

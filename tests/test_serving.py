@@ -205,6 +205,21 @@ def test_sequential_requests_skip_projection_and_combiner(calls):
     assert updated.readout.seen == 2 * targets.shape[1]
 
 
+@pytest.mark.parametrize("operator", ["plus", "concat"])
+def test_sequential_requests_validate_once_per_group(calls, operator):
+    """predict validates each group once; partial_fit adds the targets.  The
+    readout takes the pipeline's own H without checking it again."""
+    groups, targets = _two_group_data()
+    cfg = PipelineConfig(node_count=2, subspace_dim=6, mode="sequential", operator=operator)
+    model = fit(groups, targets, cfg)
+    calls.clear()
+    predict(model, groups)
+    assert calls["as_matrix"] == len(groups)
+    calls.clear()
+    partial_fit(model, groups, targets)
+    assert calls["as_matrix"] == len(groups) + 1
+
+
 def test_replaced_batch_readout_rebuilds_maps():
     groups, targets = _two_group_data()
     model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
