@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import qr_multiply
 
 from .errors import ShapeError
-from .kernels import as_matrix, mse, normalize_unit, pinv
+from .kernels import as_matrix, augmented_inputs, mse, normalize_unit, pinv
 
 __all__ = [
     "SubnetNode",
@@ -130,10 +130,7 @@ def factor_inputs(x, targets):
         raise ShapeError(
             f"sample counts differ: inputs {xm.shape[1]}, targets {tm.shape[1]}"
         )
-    # The transpose of a C-ordered stack is Fortran-ordered, so LAPACK can
-    # factor it in place without another M-sized copy.
-    augmented = np.vstack((xm, np.ones((1, xm.shape[1])))).T
-    return qr_multiply(augmented, tm, mode="right", overwrite_a=True)
+    return qr_multiply(augmented_inputs([xm]), tm, mode="right", overwrite_a=True)
 
 
 def ls_readout(node, h, targets, factor):

@@ -3,7 +3,8 @@
 Everything downstream (random-feature networks, the subnetwork extractor,
 the greedy classifier, the sequential readout) is built from the handful of
 operations here: SVD pseudoinverse, ridge-regularized inverse, mean squared
-error, sigmoid / logit, and the (0, 1]-normalization pair.
+error, sigmoid / logit, the (0, 1]-normalization pair, and the stacked
+inputs [x_1; ...; x_G; 1]' that the input-space QR factorizations take.
 
 pinv is the plain SVD reference whose Penrose conditions acceptance
 criterion 1 pins.  Callers keep its inputs small: the extractor factors each
@@ -23,6 +24,7 @@ from .errors import ShapeError
 __all__ = [
     "NormParams",
     "as_matrix",
+    "augmented_inputs",
     "pinv",
     "ridge_inverse",
     "mse",
@@ -43,6 +45,19 @@ def as_matrix(a, name="matrix"):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def augmented_inputs(mats):
+    """[x_1; ...; x_G; 1]' for validated groups sharing M sample columns.
+
+    The M x (sum of group rows + 1) result is written straight into Fortran
+    order, whatever the groups' layout, so LAPACK can factor it in place
+    without another M-sized copy.
+    """
+    samples = mats[0].shape[1]
+    out = np.empty((samples, sum(m.shape[0] for m in mats) + 1), order="F")
+    np.concatenate((*mats, np.ones((1, samples))), out=out.T)
+    return out
 
 
 def pinv(a, rcond=None):

@@ -15,17 +15,22 @@ Extractor nodes are affine (W x + b) and both combiners are linear, so once
 fit returns everything below the readout is one frozen affine map per
 feature group.  Each model derives those maps once (AffineMaps): the
 combined feature is H = sum_g A_g x_g + c for plus and the row stack of
-A_g x_g + a_g for concat.  A batch model also folds its classifier's
-stacked affine half into them, F_g = W_stack A_g, so a request costs one
-matrix product per group followed by the classifier's activation half.
-A sequential model applies the maps to get H for its readout.  The maps
-are derived, never stored in model files.
+A_g x_g + a_g for concat.  Every model folds a left factor of its readout
+into them, so a request costs one matrix product per group.  A batch model
+folds its classifier's stacked affine half, F_g = W_stack A_g, and applies
+the classifier's activation half after it; a sequential model folds U'
+(below) and hands the result to its readout.  The maps are derived, never
+stored in model files.
 
-The same affinity lets a batch fit skip forming H when it is wide.  With
-D combined rows and k = sum of group widths + 1, H = B [x_1; ...; x_G; 1]
-has rank at most k; when D > k the classifier is fitted on a thin factor
+The same affinity bounds the rank of H.  With D combined rows and
+k = sum of group widths + 1, H = B [x_1; ...; x_G; 1] (B is D x k) has rank
+at most k.  A batch fit with D > k fits the classifier on a thin factor
 H = F P' (see _readout_factor), from one QR of the stacked inputs, and
-works on the k x k side.  When D <= k the features are combined as usual.
+works on the k x k side; when D <= k the features are combined as usual.
+A sequential model never forms H: its readout runs recursive least squares
+on Y = U'H, with U an orthonormal D x r basis of the range of B, r =
+min(D, k) (see _readout_basis and hoselm.oselm).  A chunk of m columns
+then costs O(r^2 m) instead of O(D^2 m).
 """
 
 import json
@@ -41,7 +46,7 @@ from .classifier import fit_classifier, stack_nodes
 from .combine import CombineSpec, combine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
-from .kernels import NormParams, as_matrix
+from .kernels import NormParams, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps and no longer call these two, but
@@ -65,7 +70,7 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # What numpy and zipfile raise on a damaged archive member.  RuntimeError
 # covers an encryption flag and, as its subclass NotImplementedError, an
 # unsupported compression method.
@@ -130,29 +135,25 @@ class PipelineConfig:
 class AffineMaps:
     """Frozen layers below the readout as one affine map per feature group.
 
-    apply(mats) is sum_g weights[g] @ mats[g] + offset, or with stacked set
-    the row stack of the weights[g] @ mats[g], plus offset (a column).  For
-    a batch model the classifier's affine half is folded in, so apply gives
-    its stacked pre-activations and stack holds the NodeStack whose
-    activation half turns them into scores; for a sequential model stack is
-    None and apply gives the combined feature.  source is the (extractors,
-    combine spec, batch readout or None) the maps were derived from.
+    apply(mats) is sum_g weights[g] @ mats[g] + offset (a column).  A left
+    factor of the readout is folded into the maps.  For a batch model it is
+    the classifier's affine half, so apply gives its stacked pre-activations
+    and stack holds the NodeStack whose activation half turns them into
+    scores.  For a sequential model it is the transpose of the readout's
+    basis U, so apply gives the basis coordinates U'H the readout works in,
+    and stack is None.  source is the (extractors, combine spec, batch
+    readout or basis) the maps were derived from.
     """
 
     weights: tuple
     offset: np.ndarray
-    stacked: bool
     stack: object
     source: tuple = field(repr=False)
 
     def apply(self, mats):
-        parts = [w @ m for w, m in zip(self.weights, mats)]
-        if self.stacked:
-            out = np.vstack(parts)
-        else:
-            out = parts[0]
-            for part in parts[1:]:
-                out += part
+        out = self.weights[0] @ mats[0]
+        for w, m in zip(self.weights[1:], mats[1:]):
+            out += w @ m
         out += self.offset
         return out
 
@@ -181,21 +182,24 @@ def _input_maps(extractors, spec):
     return weights, np.full((extractors[0][0].subspace_dim, 1), bias), False
 
 
-def _derive_maps(extractors, spec, classifier):
-    """The model's AffineMaps; classifier is the batch readout or None."""
-    source = (extractors, spec, classifier)
+def _derive_maps(extractors, spec, fold):
+    """The model's AffineMaps; fold is the batch readout (a ClassifierModel)
+    or the sequential readout's basis."""
+    source = (extractors, spec, fold)
     weights, offset, stacked = _input_maps(extractors, spec)
-    if classifier is None:
-        return AffineMaps(weights, offset, stacked, None, source)
-    stack = stack_nodes(classifier)
+    if isinstance(fold, ClassifierModel):
+        stack = stack_nodes(fold)
+        left, bias = stack.weights, stack.bias
+    else:
+        stack, left, bias = None, fold.T, 0.0
     if stacked:
         # Each group's rows of the combined feature meet their own columns.
         cuts = np.cumsum([w.shape[0] for w in weights])[:-1]
-        blocks = np.split(stack.weights, cuts, axis=1)
+        blocks = np.split(left, cuts, axis=1)
     else:
-        blocks = [stack.weights] * len(weights)
+        blocks = [left] * len(weights)
     folded = tuple(b @ w for b, w in zip(blocks, weights))
-    return AffineMaps(folded, stack.weights @ offset + stack.bias, False, stack, source)
+    return AffineMaps(folded, left @ offset + bias, stack, source)
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,8 @@ class HOselmModel:
     readout is a ClassifierModel in batch mode or an OselmState in
     sequential mode.  maps is derived from the other fields when the model
     is built (see AffineMaps) and reused as long as the fields it was
-    derived from are the same objects, so partial_fit shares it.
+    derived from are the same objects: partial_fit keeps the readout's
+    basis, so it shares the maps.
     """
 
     extractors: tuple
@@ -218,8 +223,8 @@ class HOselmModel:
     maps: AffineMaps = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        classifier = self.readout if self.config.mode == "batch" else None
-        source = (self.extractors, self.combine_spec, classifier)
+        fold = self.readout if self.config.mode == "batch" else self.readout.basis
+        source = (self.extractors, self.combine_spec, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
             object.__setattr__(self, "maps", _derive_maps(*source))
 
@@ -298,13 +303,30 @@ def _feature_rows(cfg, group_count):
     return cfg.subspace_dim * (cfg.node_count * group_count if cfg.operator == "concat" else 1)
 
 
+def _coefficients(extractors, spec):
+    """The D x k coefficient B of the input maps, H = B [x_1; ...; x_G; 1].
+
+    Every extractor node is affine, so the combined feature is this one
+    matrix (k = sum of group widths + 1) applied to the stacked inputs:
+    [A_1 ... A_G, c] for plus, block rows [0 ... A_g ... 0, a_g] for concat.
+    """
+    weights, offset, stacked = _input_maps(extractors, spec)
+    return np.hstack((block_diag(*weights) if stacked else np.hstack(weights), offset))
+
+
+def _readout_basis(extractors, spec):
+    """Orthonormal D x r basis U of the range of B (_coefficients), from its
+    thin SVD, r = min(D, k).  Every combined feature column lies in that
+    range, so the sequential readout works on U'H (see hoselm.oselm); no
+    rank cutoff is taken, and when D <= k U is a D x D rotation."""
+    u, _, _ = svd(_coefficients(extractors, spec), full_matrices=False)
+    return u
+
+
 def _readout_factor(mats, extractors, spec):
     """The combined feature as a thin factor (F, P) with H = F P'.
 
-    Every extractor node is affine, so H = B [x_1; ...; x_G; 1], where B is
-    the D x k coefficient of the input maps (k = sum of group widths + 1):
-    [A_1 ... A_G, c] for plus, block rows [0 ... A_g ... 0, a_g] for
-    concat.  One thin QR
+    H = B [x_1; ...; x_G; 1] (see _coefficients).  One thin QR
     [x_1; ...; x_G; 1]' = Q R gives H = C Q' with C = B R'.  The small C is
     then rotated to its singular vectors, C = U S V', and the factor
     returned is F = U S with the orthonormal basis P = Q V.  F has
@@ -312,24 +334,19 @@ def _readout_factor(mats, extractors, spec):
     rounding and its ridge inverse stays accurate however ill-conditioned H
     is; an unrotated C'C squares H's condition number.
     """
-    weights, offset, stacked = _input_maps(extractors, spec)
-    coeffs = np.hstack((block_diag(*weights) if stacked else np.hstack(weights), offset))
-    # Stacked straight into Fortran order, whatever the groups' layout, so
-    # LAPACK factors it in place; the groups were validated by _checked_groups.
-    samples = mats[0].shape[1]
-    inputs = np.empty((samples, sum(m.shape[0] for m in mats) + 1), order="F")
-    np.concatenate((*mats, np.ones((1, samples))), out=inputs.T)
+    # The groups were validated by _checked_groups.
+    inputs = augmented_inputs(mats)
     q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
-    u, s, vt = svd(coeffs @ r.T, full_matrices=False, check_finite=False)
+    u, s, vt = svd(_coefficients(extractors, spec) @ r.T, full_matrices=False, check_finite=False)
     return u * s, q @ vt.T
 
 
 def fit(groups, targets, cfg):
     """Train a model on aligned feature groups and one-hot targets.
 
-    Both modes boot on a first block: fit the extractors on it, combine
-    their features, and fit the readout (the additive classifier in batch
-    mode, the sequential readout in sequential mode).  Batch mode boots on
+    Both modes boot on a first block: fit the extractors on it, then fit
+    the readout (the additive classifier in batch mode, the sequential
+    readout in sequential mode).  Batch mode boots on
     every column.  Sequential mode boots on the first chunk_size columns
     (all of them when chunk_size is None), which must contain every class,
     and then folds each later chunk in through partial_fit, the last one
@@ -340,7 +357,10 @@ def fit(groups, targets, cfg):
     the thin factor H = F P' (see _readout_factor and fit_classifier),
     which replaces the D x M feature, its D x D Gram and inverse with one
     M x k QR, the SVD of a D x k matrix and a k x k inverse.  Which path
-    is taken depends on shapes only.
+    is taken depends on shapes only.  A sequential fit never forms it
+    either: it takes the readout's basis U from one SVD of the D x k
+    coefficient, derives the maps that give Y = U'H, and boots the readout
+    on the boot chunk's Y.
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
@@ -357,18 +377,21 @@ def fit(groups, targets, cfg):
         _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
     extractors, features = _fit_extractors(boot_mats, head, cfg)
-    factored = batch and _feature_rows(cfg, len(mats)) > sum(m.shape[0] for m in mats) + 1
-    combined = None if factored else combine(features, spec)
+    narrow = _feature_rows(cfg, len(mats)) <= sum(m.shape[0] for m in mats) + 1
+    combined = combine(features, spec) if batch and narrow else None
     # The per-node features are not needed past this point; release them
     # before the readout's QR or Gram.
     del features
-    if factored:
+    maps = None
+    if combined is not None:
+        readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+    elif batch:
         f, p = _readout_factor(boot_mats, extractors, spec)
         readout = fit_classifier(f, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps, p)
-    elif batch:
-        readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     else:
-        readout = os_boot(combined, head, cfg.coeff)
+        basis = _readout_basis(extractors, spec)
+        maps = _derive_maps(extractors, spec, basis)
+        readout = os_boot(maps.apply(boot_mats), head, cfg.coeff, basis)
     model = HOselmModel(
         extractors=extractors,
         group_names=tuple(g.name for g in groups),
@@ -376,6 +399,7 @@ def fit(groups, targets, cfg):
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
+        maps=maps,
     )
     # Later chunks have the boot chunk's length; batch mode has none.
     for lo in range(boot, samples, boot):
@@ -470,14 +494,15 @@ def evaluate(model, groups, targets):
 def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
-    Format v2 stores each fact once.  The header holds the full config
+    Format v3 stores each fact once.  The header holds the full config
     (which also fixes the combiner and the readout's ridge coefficient),
     the group names, the class count, and the batch readout's node count or
     the sequential readout's sample count.  Arrays: per group g,
     extractor_{g}_weights (nodes x dim x inputs) and extractor_{g}_biases;
     batch readouts add stacked classifier node arrays, sequential readouts
-    their accumulator and weight matrices.  See the README for the full
-    layout and for what format v1 stored besides.
+    their r x r accumulator (in the readout's basis, which the extractors
+    fix and load_model derives again) and D x classes weights.  See the
+    README for the full layout and for what formats v1 and v2 stored.
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
@@ -533,7 +558,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if version not in (1, _FORMAT_VERSION):
+    if version not in (1, 2, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -631,19 +656,32 @@ def _load(data):
     if list(meta) != [key]:
         raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
     extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
+    spec = CombineSpec(operator=cfg.operator, gamma=cfg.gamma)
     if batch:
         readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
     else:
+        try:
+            basis = _readout_basis(extractors, spec)
+        except ValueError as exc:  # numpy's LinAlgError included
+            raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
+        if version < 3:
+            # Formats v1 and v2 stored the D x D accumulator U P U' + c (I - U U').
+            p = _array(data, "readout_p", (dim, dim))
+            p = basis.T @ p @ basis
+            p = (p + p.T) / 2.0
+        else:
+            p = _array(data, "readout_p", (basis.shape[1],) * 2)
         readout = OselmState(
-            p=_array(data, "readout_p", (dim, dim)),
+            p=p,
             beta=_array(data, "readout_beta", (dim, classes)),
             seen=_count(meta[key], "readout seen"),
             coeff=float(cfg.coeff),
+            basis=basis,
         )
     return HOselmModel(
         extractors=extractors,
         group_names=tuple(names),
-        combine_spec=CombineSpec(operator=cfg.operator, gamma=cfg.gamma),
+        combine_spec=spec,
         readout=readout,
         config=cfg,
         class_count=classes,
@@ -651,12 +689,14 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v1 or v2.
+    """Read back a model written by save_model, in format v1, v2 or v3.
 
     Every array is checked against the header before the model is built:
     presence, shape, node and group counts, and finiteness; a v1 file's
-    duplicated facts must agree with the copies v2 keeps.  A file that
-    fails a check, or is not a readable NPZ archive, raises FormatError.
+    duplicated facts must agree with the copies later formats keep.  A v1
+    or v2 sequential file holds the D x D accumulator P_D; it is read back
+    in the readout's basis U as U' P_D U.  A file that fails a check, or is
+    not a readable NPZ archive, raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

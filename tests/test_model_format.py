@@ -1,10 +1,14 @@
-"""Model files: format v1 compatibility and damaged archives.
+"""Model files: format v1 and v2 compatibility and damaged archives.
 
 tests/data holds two tiny format-v1 files written by the v1 save_model: a
 batch model (plus combiner) and a sequential one (concat, chunk_size 9),
 each over two feature groups "a" (3 rows) and "b" (2 rows) and 3 classes.
 model_v1_labels.json holds a fixed 12-column input and the labels each
-model predicted for it when it was written.
+model predicted for it when it was written.  The format-v2 files, written
+by the v2 save_model, are a batch model (concat, 16 combined rows, so its
+classifier was fitted on the thin factor) and a sequential one (plus, 5
+combined rows, chunk_size 12) over the same two groups;
+model_v2_labels.json holds the same input and their labels.
 """
 
 import json
@@ -21,12 +25,17 @@ from hoselm.pipeline import FeatureGroup, HOselmModel, load_model, predict, save
 
 DATA = Path(__file__).resolve().parent / "data"
 EXPECTED = json.loads((DATA / "model_v1_labels.json").read_text())
+EXPECTED_V2 = json.loads((DATA / "model_v2_labels.json").read_text())
 REQUEST = [FeatureGroup(x=np.array(rows), name=name) for name, rows in EXPECTED["inputs"].items()]
 MODES = ("batch", "sequential")
 
 
 def v1_path(mode):
     return DATA / f"model_v1_{mode}.npz"
+
+
+def v2_path(mode):
+    return DATA / f"model_v2_{mode}.npz"
 
 
 def v1_arrays(mode):
@@ -52,12 +61,33 @@ def test_v1_files_load_and_predict_their_labels(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_v1_file_resaved_as_v2_predicts_the_same(tmp_path, mode):
+def test_v1_file_resaved_as_v3_predicts_the_same(tmp_path, mode):
     path = tmp_path / "model.npz"
     save_model(load_model(v1_path(mode)), path)
     model = load_model(path)
-    assert json.loads(str(np.load(path)["header"]))["format_version"] == 2
+    assert json.loads(str(np.load(path)["header"]))["format_version"] == 3
     assert predict(model, REQUEST).tolist() == EXPECTED[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_v2_files_load_and_predict_their_labels(tmp_path, mode):
+    """A v2 file loads and predicts its labels, and so does its v3 resave.
+    A sequential v2 file stored the D x D accumulator; it is read back in
+    the readout's basis."""
+    with np.load(v2_path(mode)) as data:
+        assert json.loads(str(data["header"]))["format_version"] == 2
+    assert EXPECTED_V2["inputs"] == EXPECTED["inputs"]
+    model = load_model(v2_path(mode))
+    assert model.config.mode == mode
+    assert predict(model, REQUEST).tolist() == EXPECTED_V2[mode]
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    resaved = load_model(path)
+    assert predict(resaved, REQUEST).tolist() == EXPECTED_V2[mode]
+    if mode == "sequential":
+        rank = model.readout.basis.shape[1]
+        assert resaved.readout.p.shape == (rank, rank)
+        assert np.array_equal(resaved.readout.p, model.readout.p)
 
 
 def _shift_norm_out(arrays):
@@ -163,9 +193,9 @@ def test_member_that_is_not_npy_raises_format_error(tmp_path):
         load_model(path)
 
 
-def _v2_bytes(mode, tmp_dir):
-    path = Path(tmp_dir) / f"v2_{mode}.npz"
-    save_model(load_model(v1_path(mode)), path)
+def _v3_bytes(source, tmp_dir):
+    path = Path(tmp_dir) / f"v3_{source.name}"
+    save_model(load_model(source), path)
     return path.read_bytes()
 
 
@@ -176,7 +206,8 @@ def model_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def model_files(model_dir):
-    return [v1_path(m).read_bytes() for m in MODES] + [_v2_bytes(m, model_dir) for m in MODES]
+    old = [path(m) for path in (v1_path, v2_path) for m in MODES]
+    return [p.read_bytes() for p in old] + [_v3_bytes(p, model_dir) for p in old]
 
 
 @st.composite
@@ -203,3 +234,13 @@ def test_damaged_model_files_raise_only_format_error(model_files, model_dir, dat
     except FormatError:
         return
     assert isinstance(model, HOselmModel)
+
+
+def test_extractor_weights_that_overflow_raise_format_error(tmp_path):
+    """Finite extractor weights whose plus-combined sum overflows leave the
+    sequential readout without a basis: FormatError, not a LAPACK error."""
+    with np.load(v2_path("sequential")) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["extractor_0_weights"] = np.full_like(arrays["extractor_0_weights"], 1.7e308)
+    with pytest.raises(FormatError, match="basis"):
+        load_model(write(tmp_path / "model.npz", arrays))

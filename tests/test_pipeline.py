@@ -342,14 +342,14 @@ def test_saved_header_holds_the_full_config(tmp_path):
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_saved_model_stores_each_fact_once(tmp_path, mode):
-    """Format v2 keeps no copy of what the config or the array shapes fix."""
+    """Format v3 keeps no copy of what the config or the array shapes fix."""
     groups, targets, _ = toy_blobs(seed=6)
     path = tmp_path / "model.npz"
     save_model(fit(groups, targets, small_cfg(mode=mode, chunk_size=20)), path)
     with np.load(path) as data:
         header = json.loads(str(data["header"]))
         files = set(data.files)
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     assert set(header) == {"format_version", "config", "group_names", "class_count", "readout"}
     assert header["readout"] == ({"node_count": 6} if mode == "batch" else {"seen": 60})
     assert "classifier_norm_out" not in files
@@ -428,7 +428,7 @@ CORRUPTIONS = {
     "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
     "future format version": (
         "batch",
-        _header_edit(lambda h: h.update(format_version=3)),
+        _header_edit(lambda h: h.update(format_version=4)),
         "version",
     ),
     "config with an unknown key": (
