@@ -27,7 +27,8 @@ one vectorized sigmoid, denormalization and step-weighted sum for the
 activation half.  The pipeline folds the affine half into its frozen
 input maps and calls activate on the result.
 
-This layer is deterministic: no randomness enters anywhere.
+The fitting functions take arrays the pipeline validated and check shapes
+only.  This layer is deterministic: no randomness enters anywhere.
 """
 
 from dataclasses import dataclass
@@ -196,19 +197,18 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4, basis=None):
     classes x D.
 
     Starts from the targets themselves and deflates; stops early if a node
-    degenerates (determinism would only reproduce it).
+    degenerates (determinism would only reproduce it).  Callers pass
+    validated float arrays; only shapes are checked here.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    hm = as_matrix(h, "combined features")
-    tm = as_matrix(targets, "targets")
-    rows, cols = hm.shape
-    gram_inv = ridge_inverse(hm @ hm.T if rows <= cols else hm.T @ hm, coeff)
-    e = tm
+    rows, cols = h.shape
+    gram_inv = ridge_inverse(h @ h.T if rows <= cols else h.T @ h, coeff)
+    e = targets
     nodes = []
     for _ in range(node_count):
         try:
-            node, e = fit_node(hm, e, gram_inv, eps, basis)
+            node, e = fit_node(h, e, gram_inv, eps, basis)
         except DegenerateNodeError:
             break
         nodes.append(node)
@@ -216,7 +216,7 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4, basis=None):
         nodes=tuple(nodes),
         coeff=float(coeff),
         feature_dim=rows,
-        class_count=tm.shape[0],
+        class_count=targets.shape[0],
     )
 
 

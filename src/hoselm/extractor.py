@@ -16,8 +16,10 @@ pseudoinverse in place of the d x M one, with the same singular values and
 the same cutoff.  Likewise pinv(X X') is taken once per layer and shared by
 every node's refinement.
 
-Everything here is deterministic given the config seed and free of shared
-state, so layers may be built concurrently.
+The pipeline validates every group and the targets where they enter the
+package, so the functions here check shapes only.  Everything here is
+deterministic given the config seed and free of shared state, so layers may
+be built concurrently.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,8 @@ import numpy as np
 from scipy.linalg import qr_multiply
 
 from .errors import ShapeError
-from .kernels import as_matrix, augmented_inputs, mse, normalize_unit, pinv
+from .kernels import augmented_inputs, mse, normalize_unit, pinv
+from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 __all__ = [
     "SubnetNode",
@@ -109,13 +112,13 @@ def spawn_node(input_dim, subspace_dim, seed):
 
 
 def project(node, x):
-    """Subspace feature weights @ X + bias; linear, no activation."""
-    xm = as_matrix(x, "inputs")
-    if xm.shape[0] != node.input_dim:
+    """Subspace feature weights @ X + bias; linear, no activation.  Callers
+    pass validated float arrays; only shapes are checked here."""
+    if x.shape[0] != node.input_dim:
         raise ShapeError(
-            f"inputs have {xm.shape[0]} rows, node expects {node.input_dim}"
+            f"inputs have {x.shape[0]} rows, node expects {node.input_dim}"
         )
-    return node.weights @ xm + node.bias
+    return node.weights @ x + node.bias
 
 
 def factor_inputs(x, targets):
@@ -123,14 +126,13 @@ def factor_inputs(x, targets):
 
     Takes the thin QR [x; 1]' = Q R and returns (T Q, R); Q itself is never
     built.  T Q is t x k and R is k x (n+1), with k = min(M, n+1).
+    Callers pass validated float arrays; only shapes are checked here.
     """
-    xm = as_matrix(x, "inputs")
-    tm = as_matrix(targets, "targets")
-    if xm.shape[1] != tm.shape[1]:
+    if x.shape[1] != targets.shape[1]:
         raise ShapeError(
-            f"sample counts differ: inputs {xm.shape[1]}, targets {tm.shape[1]}"
+            f"sample counts differ: inputs {x.shape[1]}, targets {targets.shape[1]}"
         )
-    return qr_multiply(augmented_inputs([xm]), tm, mode="right", overwrite_a=True)
+    return qr_multiply(augmented_inputs([x]), targets, mode="right", overwrite_a=True)
 
 
 def ls_readout(node, h, targets, factor):
@@ -140,36 +142,34 @@ def ls_readout(node, h, targets, factor):
     Since h = [W, b] R' Q' and Q has orthonormal columns,
     Y pinv(h) = (T Q) pinv([W, b] R'): the pseudoinverse is taken in
     (n+1)-space, with the cutoff the d x M one would use.  The bias records
-    the root-mean-square of the unbiased residual.
+    the root-mean-square of the unbiased residual.  Callers pass validated
+    float arrays; only shapes are checked here.
     """
-    hm = as_matrix(h, "subspace feature")
-    tm = as_matrix(targets, "targets")
     tq, r = factor
-    if hm.shape[1] != tm.shape[1]:
+    if h.shape[1] != targets.shape[1]:
         raise ShapeError(
-            f"sample counts differ: feature {hm.shape[1]}, targets {tm.shape[1]}"
+            f"sample counts differ: feature {h.shape[1]}, targets {targets.shape[1]}"
         )
-    if r.shape[1] != node.input_dim + 1 or tq.shape != (tm.shape[0], r.shape[0]):
+    if r.shape[1] != node.input_dim + 1 or tq.shape != (targets.shape[0], r.shape[0]):
         raise ShapeError(
             f"factor shapes {tq.shape} and {r.shape} do not match the node's "
-            f"{node.input_dim} inputs and the {tm.shape[0]} target rows"
+            f"{node.input_dim} inputs and the {targets.shape[0]} target rows"
         )
     coeffs = np.column_stack((node.weights, np.full(node.subspace_dim, node.bias))) @ r.T
-    weights = tq @ pinv(coeffs, rcond=np.finfo(np.float64).eps * max(hm.shape))
-    bias = float(np.sqrt(mse(weights @ hm - tm)))
+    weights = tq @ pinv(coeffs, rcond=np.finfo(np.float64).eps * max(h.shape))
+    bias = float(np.sqrt(mse(weights @ h - targets)))
     return LsReadout(weights=weights, bias=bias)
 
 
 def residual(h, readout, targets):
-    """Readout error e = Y - (weights @ h + bias)."""
-    hm = as_matrix(h, "subspace feature")
-    tm = as_matrix(targets, "targets")
-    pred = readout.weights @ hm + readout.bias
-    if pred.shape != tm.shape:
+    """Readout error e = Y - (weights @ h + bias).  Callers pass validated
+    float arrays; only shapes are checked here."""
+    pred = readout.weights @ h + readout.bias
+    if pred.shape != targets.shape:
         raise ShapeError(
-            f"readout output shape {pred.shape} does not match targets {tm.shape}"
+            f"readout output shape {pred.shape} does not match targets {targets.shape}"
         )
-    return tm - pred
+    return targets - pred
 
 
 def error_feedback(e, readout, h, norm_eps):
@@ -177,16 +177,15 @@ def error_feedback(e, readout, h, norm_eps):
 
     pinv(readout.weights) @ e lands in the subspace (d x M); adding the
     current feature and renormalizing to (0, 1] gives the target the refined
-    projection should reproduce.
+    projection should reproduce.  Callers pass validated float arrays; only
+    shapes are checked here.
     """
-    em = as_matrix(e, "residual")
-    hm = as_matrix(h, "subspace feature")
-    pulled = pinv(readout.weights) @ em
-    if pulled.shape != hm.shape:
+    pulled = pinv(readout.weights) @ e
+    if pulled.shape != h.shape:
         raise ShapeError(
-            f"pulled-back residual shape {pulled.shape} does not match feature {hm.shape}"
+            f"pulled-back residual shape {pulled.shape} does not match feature {h.shape}"
         )
-    values, _ = normalize_unit(pulled + hm, norm_eps)
+    values, _ = normalize_unit(pulled + h, norm_eps)
     return values
 
 
@@ -198,27 +197,26 @@ def refine_node(node, x, feedback, damping, gram_pinv):
     a layer.  The update extrapolates past a_temp by `damping` times the
     step from the old weights.  The new bias is the root-mean-square misfit
     of the refined projection.  Returns the refined node and its feature,
-    equal to project(refined, x).
+    equal to project(refined, x).  Callers pass validated float arrays; only
+    shapes are checked here.
     """
-    xm = as_matrix(x, "inputs")
-    fm = as_matrix(feedback, "feedback target")
-    if xm.shape[0] != node.input_dim:
+    if x.shape[0] != node.input_dim:
         raise ShapeError(
-            f"inputs have {xm.shape[0]} rows, node expects {node.input_dim}"
+            f"inputs have {x.shape[0]} rows, node expects {node.input_dim}"
         )
-    if fm.shape != (node.subspace_dim, xm.shape[1]):
+    if feedback.shape != (node.subspace_dim, x.shape[1]):
         raise ShapeError(
-            f"feedback shape {fm.shape} does not match "
-            f"({node.subspace_dim}, {xm.shape[1]})"
+            f"feedback shape {feedback.shape} does not match "
+            f"({node.subspace_dim}, {x.shape[1]})"
         )
     if gram_pinv.shape != (node.input_dim, node.input_dim):
         raise ShapeError(
             f"pinv(X X') shape {gram_pinv.shape} does not match {node.input_dim} inputs"
         )
-    a_temp = fm @ xm.T @ gram_pinv
+    a_temp = feedback @ x.T @ gram_pinv
     weights = a_temp + damping * (a_temp - node.weights)
-    wx = weights @ xm
-    bias = float(np.sqrt(mse(wx - fm)))
+    wx = weights @ x
+    bias = float(np.sqrt(mse(wx - feedback)))
     return SubnetNode(weights=weights, bias=bias), wx + bias
 
 
@@ -229,22 +227,21 @@ def extract_features(x, targets, cfg):
     spawn from a seed derived from cfg.seed, project, fit the readout,
     compute the residual, form the feedback target, and refine once.
     Returns the refined nodes and their subspace features, each
-    cfg.subspace_dim x M.
+    cfg.subspace_dim x M.  Callers pass validated float arrays; only shapes
+    are checked here.
     """
-    xm = as_matrix(x, "inputs")
-    tm = as_matrix(targets, "targets")
-    factor = factor_inputs(xm, tm)
-    gram_pinv = pinv(xm @ xm.T)
+    factor = factor_inputs(x, targets)
+    gram_pinv = pinv(x @ x.T)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.node_count)
     nodes = []
     features = []
     for node_seed in seeds:
-        node = spawn_node(xm.shape[0], cfg.subspace_dim, node_seed)
-        h = project(node, xm)
-        readout = ls_readout(node, h, tm, factor)
-        e = residual(h, readout, tm)
+        node = spawn_node(x.shape[0], cfg.subspace_dim, node_seed)
+        h = project(node, x)
+        readout = ls_readout(node, h, targets, factor)
+        e = residual(h, readout, targets)
         feedback = error_feedback(e, readout, h, cfg.norm_eps)
-        refined, feature = refine_node(node, xm, feedback, cfg.damping, gram_pinv)
+        refined, feature = refine_node(node, x, feedback, cfg.damping, gram_pinv)
         nodes.append(refined)
         features.append(feature)
     return nodes, features

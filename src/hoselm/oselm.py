@@ -30,11 +30,7 @@ import numpy as np
 from scipy.linalg import qr_multiply, svd
 
 from .errors import ShapeError
-
-# Inputs arrive validated and the boot solves through an SVD, so nothing here
-# calls these two; perfbench/tracing.py still wraps both as attributes of this
-# module by name.
-from .kernels import as_matrix, ridge_inverse  # noqa: F401
+from .kernels import as_matrix, ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 __all__ = ["OselmState", "os_boot", "os_update", "os_predict"]
 

@@ -49,8 +49,7 @@ from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import NormParams, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
-# Requests go through the affine maps and no longer call these two, but
-# perfbench/tracing.py wraps them as attributes of this module by name.
+# Requests go through the affine maps; these two stay for perfbench/tracing.py.
 from .classifier import score as classifier_score  # noqa: F401
 from .extractor import project  # noqa: F401
 
@@ -141,8 +140,8 @@ class AffineMaps:
     and stack holds the NodeStack whose activation half turns them into
     scores.  For a sequential model it is the transpose of the readout's
     basis U, so apply gives the basis coordinates U'H the readout works in,
-    and stack is None.  source is the (extractors, combine spec, batch
-    readout or basis) the maps were derived from.
+    and stack is None.  source is the (extractors, config, batch readout or
+    basis) the maps were derived from.
     """
 
     weights: tuple
@@ -158,10 +157,10 @@ class AffineMaps:
         return out
 
 
-def _input_maps(extractors, spec):
+def _input_maps(extractors, cfg):
     """Weights, offset and stacked flag of the maps whose apply() equals
-    combine() of every node's projection of its group."""
-    if spec.operator == "concat":
+    combine() of every node's projection of its group, with cfg's combiner."""
+    if cfg.operator == "concat":
         weights = tuple(np.vstack([n.weights for n in nodes]) for nodes in extractors)
         offset = np.concatenate(
             [np.full(n.subspace_dim, n.bias) for nodes in extractors for n in nodes]
@@ -170,7 +169,7 @@ def _input_maps(extractors, spec):
 
     def gain(g, k):
         # plus weights every operand after the very first by gamma.
-        return 1.0 if g == k == 0 else spec.gamma
+        return 1.0 if g == k == 0 else cfg.gamma
 
     weights = tuple(
         sum(gain(g, k) * n.weights for k, n in enumerate(nodes))
@@ -182,11 +181,11 @@ def _input_maps(extractors, spec):
     return weights, np.full((extractors[0][0].subspace_dim, 1), bias), False
 
 
-def _derive_maps(extractors, spec, fold):
+def _derive_maps(extractors, cfg, fold):
     """The model's AffineMaps; fold is the batch readout (a ClassifierModel)
     or the sequential readout's basis."""
-    source = (extractors, spec, fold)
-    weights, offset, stacked = _input_maps(extractors, spec)
+    source = (extractors, cfg, fold)
+    weights, offset, stacked = _input_maps(extractors, cfg)
     if isinstance(fold, ClassifierModel):
         stack = stack_nodes(fold)
         left, bias = stack.weights, stack.bias
@@ -210,13 +209,12 @@ class HOselmModel:
     readout is a ClassifierModel in batch mode or an OselmState in
     sequential mode.  maps is derived from the other fields when the model
     is built (see AffineMaps) and reused as long as the fields it was
-    derived from are the same objects: partial_fit keeps the readout's
-    basis, so it shares the maps.
+    derived from are the same objects: partial_fit keeps the config and the
+    readout's basis, so it shares the maps.
     """
 
     extractors: tuple
     group_names: tuple
-    combine_spec: CombineSpec
     readout: object
     config: PipelineConfig
     class_count: int
@@ -224,9 +222,14 @@ class HOselmModel:
 
     def __post_init__(self):
         fold = self.readout if self.config.mode == "batch" else self.readout.basis
-        source = (self.extractors, self.combine_spec, fold)
+        source = (self.extractors, self.config, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
             object.__setattr__(self, "maps", _derive_maps(*source))
+
+    @property
+    def combine_spec(self):
+        """The combiner the config selects."""
+        return CombineSpec(operator=self.config.operator, gamma=self.config.gamma)
 
 
 @dataclass(frozen=True)
@@ -303,27 +306,27 @@ def _feature_rows(cfg, group_count):
     return cfg.subspace_dim * (cfg.node_count * group_count if cfg.operator == "concat" else 1)
 
 
-def _coefficients(extractors, spec):
+def _coefficients(extractors, cfg):
     """The D x k coefficient B of the input maps, H = B [x_1; ...; x_G; 1].
 
     Every extractor node is affine, so the combined feature is this one
     matrix (k = sum of group widths + 1) applied to the stacked inputs:
     [A_1 ... A_G, c] for plus, block rows [0 ... A_g ... 0, a_g] for concat.
     """
-    weights, offset, stacked = _input_maps(extractors, spec)
+    weights, offset, stacked = _input_maps(extractors, cfg)
     return np.hstack((block_diag(*weights) if stacked else np.hstack(weights), offset))
 
 
-def _readout_basis(extractors, spec):
+def _readout_basis(extractors, cfg):
     """Orthonormal D x r basis U of the range of B (_coefficients), from its
     thin SVD, r = min(D, k).  Every combined feature column lies in that
     range, so the sequential readout works on U'H (see hoselm.oselm); no
     rank cutoff is taken, and when D <= k U is a D x D rotation."""
-    u, _, _ = svd(_coefficients(extractors, spec), full_matrices=False)
+    u, _, _ = svd(_coefficients(extractors, cfg), full_matrices=False)
     return u
 
 
-def _readout_factor(mats, extractors, spec):
+def _readout_factor(mats, extractors, cfg):
     """The combined feature as a thin factor (F, P) with H = F P'.
 
     H = B [x_1; ...; x_G; 1] (see _coefficients).  One thin QR
@@ -334,10 +337,9 @@ def _readout_factor(mats, extractors, spec):
     rounding and its ridge inverse stays accurate however ill-conditioned H
     is; an unrotated C'C squares H's condition number.
     """
-    # The groups were validated by _checked_groups.
     inputs = augmented_inputs(mats)
     q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
-    u, s, vt = svd(_coefficients(extractors, spec) @ r.T, full_matrices=False, check_finite=False)
+    u, s, vt = svd(_coefficients(extractors, cfg) @ r.T, full_matrices=False, check_finite=False)
     return u * s, q @ vt.T
 
 
@@ -346,11 +348,10 @@ def fit(groups, targets, cfg):
 
     Both modes boot on a first block: fit the extractors on it, then fit
     the readout (the additive classifier in batch mode, the sequential
-    readout in sequential mode).  Batch mode boots on
-    every column.  Sequential mode boots on the first chunk_size columns
-    (all of them when chunk_size is None), which must contain every class,
-    and then folds each later chunk in through partial_fit, the last one
-    possibly short.
+    readout in sequential mode).  Batch mode boots on every column.
+    Sequential mode boots on the first chunk_size columns (all of them when
+    chunk_size is None), which must contain every class, and then folds
+    each later chunk in through partial_fit, the last one possibly short.
 
     A batch fit whose combined feature has more rows D than the stacked
     inputs have plus one (k) never forms it: the classifier is fitted on
@@ -369,7 +370,6 @@ def fit(groups, targets, cfg):
     samples = mats[0].shape[1]
     if tm.shape[1] != samples:
         raise ShapeError(f"targets have {tm.shape[1]} columns, groups have {samples}")
-    spec = CombineSpec(operator=cfg.operator, gamma=cfg.gamma)
     batch = cfg.mode == "batch"
     boot = samples if batch else min(cfg.chunk_size or samples, samples)
     head = tm[:, :boot]
@@ -378,7 +378,7 @@ def fit(groups, targets, cfg):
     boot_mats = [m[:, :boot] for m in mats]
     extractors, features = _fit_extractors(boot_mats, head, cfg)
     narrow = _feature_rows(cfg, len(mats)) <= sum(m.shape[0] for m in mats) + 1
-    combined = combine(features, spec) if batch and narrow else None
+    combined = combine(features, CombineSpec(cfg.operator, cfg.gamma)) if batch and narrow else None
     # The per-node features are not needed past this point; release them
     # before the readout's QR or Gram.
     del features
@@ -386,16 +386,15 @@ def fit(groups, targets, cfg):
     if combined is not None:
         readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     elif batch:
-        f, p = _readout_factor(boot_mats, extractors, spec)
+        f, p = _readout_factor(boot_mats, extractors, cfg)
         readout = fit_classifier(f, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps, p)
     else:
-        basis = _readout_basis(extractors, spec)
-        maps = _derive_maps(extractors, spec, basis)
+        basis = _readout_basis(extractors, cfg)
+        maps = _derive_maps(extractors, cfg, basis)
         readout = os_boot(maps.apply(boot_mats), head, cfg.coeff, basis)
     model = HOselmModel(
         extractors=extractors,
         group_names=tuple(g.name for g in groups),
-        combine_spec=spec,
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
@@ -558,7 +557,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if version not in (1, 2, _FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (1, 2, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -656,44 +655,50 @@ def _load(data):
     if list(meta) != [key]:
         raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
     extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
-    spec = CombineSpec(operator=cfg.operator, gamma=cfg.gamma)
-    if batch:
-        readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
-    else:
-        try:
-            basis = _readout_basis(extractors, spec)
-        except ValueError as exc:  # numpy's LinAlgError included
-            raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
-        if version < 3:
-            # Formats v1 and v2 stored the D x D accumulator U P U' + c (I - U U').
-            p = _array(data, "readout_p", (dim, dim))
-            p = basis.T @ p @ basis
-            p = (p + p.T) / 2.0
+    # Finite arrays can still overflow the maps; that is checked below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if batch:
+            readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
         else:
-            p = _array(data, "readout_p", (basis.shape[1],) * 2)
-        readout = OselmState(
-            p=p,
-            beta=_array(data, "readout_beta", (dim, classes)),
-            seen=_count(meta[key], "readout seen"),
-            coeff=float(cfg.coeff),
-            basis=basis,
+            try:
+                basis = _readout_basis(extractors, cfg)
+            except ValueError as exc:  # numpy's LinAlgError included
+                raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
+            if version < 3:
+                # Formats v1 and v2 stored the D x D accumulator U P U' + c (I - U U').
+                p = _array(data, "readout_p", (dim, dim))
+                p = basis.T @ p @ basis
+                p = (p + p.T) / 2.0
+            else:
+                p = _array(data, "readout_p", (basis.shape[1],) * 2)
+            readout = OselmState(
+                p=p,
+                beta=_array(data, "readout_beta", (dim, classes)),
+                seen=_count(meta[key], "readout seen"),
+                coeff=float(cfg.coeff),
+                basis=basis,
+            )
+        model = HOselmModel(
+            extractors=extractors,
+            group_names=tuple(names),
+            readout=readout,
+            config=cfg,
+            class_count=classes,
         )
-    return HOselmModel(
-        extractors=extractors,
-        group_names=tuple(names),
-        combine_spec=spec,
-        readout=readout,
-        config=cfg,
-        class_count=classes,
-    )
+    maps = model.maps
+    derived = (*maps.weights, maps.offset) + ((maps.stack.span,) if batch else ())
+    if not all(np.isfinite(a).all() for a in derived):
+        raise FormatError("model arrays overflow the input maps derived from them")
+    return model
 
 
 def load_model(path):
     """Read back a model written by save_model, in format v1, v2 or v3.
 
     Every array is checked against the header before the model is built:
-    presence, shape, node and group counts, and finiteness; a v1 file's
-    duplicated facts must agree with the copies later formats keep.  A v1
+    presence, shape, node and group counts, and finiteness, which the maps
+    derived from them must keep; a v1 file's duplicated facts must agree
+    with the copies later formats keep.  A v1
     or v2 sequential file holds the D x D accumulator P_D; it is read back
     in the readout's basis U as U' P_D U.  A file that fails a check, or is
     not a readable NPZ archive, raises FormatError.

@@ -244,3 +244,24 @@ def test_extractor_weights_that_overflow_raise_format_error(tmp_path):
     arrays["extractor_0_weights"] = np.full_like(arrays["extractor_0_weights"], 1.7e308)
     with pytest.raises(FormatError, match="basis"):
         load_model(write(tmp_path / "model.npz", arrays))
+
+
+def _widest_range(norms):
+    return np.column_stack((np.full(len(norms), -1e308), np.full(len(norms), 1e308), norms[:, 2]))
+
+
+@pytest.mark.parametrize(
+    "member, edit",
+    [
+        ("extractor_0_weights", lambda a: np.full_like(a, 1.7e308)),
+        ("classifier_norm_in", _widest_range),
+    ],
+)
+def test_batch_arrays_that_overflow_their_maps_raise_format_error(tmp_path, member, edit):
+    """Finite batch arrays whose folded maps or normalization span overflow
+    would serve inf scores: FormatError at load."""
+    with np.load(v2_path("batch")) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[member] = edit(arrays[member])
+    with pytest.raises(FormatError, match="overflow"):
+        load_model(write(tmp_path / "model.npz", arrays))

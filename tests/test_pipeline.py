@@ -431,6 +431,11 @@ CORRUPTIONS = {
         _header_edit(lambda h: h.update(format_version=4)),
         "version",
     ),
+    "format version true": (
+        "sequential",
+        _header_edit(lambda h: h.update(format_version=True)),
+        "version",
+    ),
     "config with an unknown key": (
         "batch",
         _header_edit(lambda h: h["config"].update(layers=4)),

@@ -22,6 +22,7 @@ from hoselm.pipeline import (
     FeatureGroup,
     HOselmModel,
     PipelineConfig,
+    evaluate,
     fit,
     partial_fit,
     predict,
@@ -31,7 +32,6 @@ from hoselm.pipeline import (
 # The package re-exports the function combine under the submodule's name.
 combine_module = importlib.import_module("hoselm.combine")
 combine = combine_module.combine
-CombineSpec = combine_module.CombineSpec
 
 
 def loop_score(model, h):
@@ -91,7 +91,6 @@ def served_models(draw):
     model = HOselmModel(
         extractors=extractors,
         group_names=tuple(f"g{i}" for i in range(len(widths))),
-        combine_spec=CombineSpec(operator=operator, gamma=gamma),
         readout=readout,
         config=PipelineConfig(
             node_count=node_count,
@@ -152,7 +151,9 @@ def _two_group_data(seed=0):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of project, combine and as_matrix wherever they are looked up."""
+    """Counts calls of project, combine and as_matrix wherever they are looked
+    up: in total under the function's name, and per module under
+    (module name, function name)."""
     counts = Counter()
 
     def count(module, name):
@@ -160,6 +161,7 @@ def calls(monkeypatch):
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            counts[module.__name__, name] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -218,6 +220,70 @@ def test_sequential_requests_validate_once_per_group(calls, operator):
     calls.clear()
     partial_fit(model, groups, targets)
     assert calls["as_matrix"] == len(groups) + 1
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+@pytest.mark.parametrize("operator", ["plus", "concat"])
+def test_fit_validates_only_at_the_pipeline_boundary(calls, operator, mode):
+    """The layers below the pipeline trust their caller: no as_matrix call
+    through them while fitting.  The pipeline checks each group and the
+    targets once per fit and once per partial_fit chunk; a sequential fit
+    of 60 columns in chunks of 20 is one boot and two partial_fit chunks.
+    Batch plus fits the classifier on the combined feature, batch concat on
+    its thin factor."""
+    groups, targets = _two_group_data()
+    cfg = PipelineConfig(
+        node_count=2, subspace_dim=6, classifier_nodes=4, operator=operator, mode=mode,
+        chunk_size=20,
+    )
+    inner = ("hoselm.extractor", "hoselm.combine", "hoselm.classifier", "hoselm.oselm")
+    model = fit(groups, targets, cfg)
+    assert [calls[module, "as_matrix"] for module in inner] == [0] * len(inner)
+    chunks = 1 if mode == "batch" else 3
+    assert calls["hoselm.pipeline", "as_matrix"] == (len(groups) + 1) * chunks
+    if mode == "sequential":
+        calls.clear()
+        partial_fit(model, groups, targets)
+        assert [calls[module, "as_matrix"] for module in inner] == [0] * len(inner)
+        assert calls["hoselm.pipeline", "as_matrix"] == len(groups) + 1
+
+
+def _poisoned(groups, targets, where, value):
+    groups = [FeatureGroup(x=g.x.copy(), name=g.name) for g in groups]
+    targets = targets.copy()
+    if where == "targets":
+        targets[1, 7] = value
+    else:
+        groups[where].x[2, 7] = value
+    return groups, targets
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, -1, "targets"])
+def test_non_finite_inputs_are_rejected_where_they_enter(monkeypatch, where, value):
+    """NaN or Inf in the first group, the last group or the targets raises
+    ValueError naming it from fit, partial_fit, predict and evaluate; fit
+    raises before any extractor is fitted."""
+    groups, targets = _two_group_data()
+    batch = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
+    sequential = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, mode="sequential"))
+    bad_groups, bad_targets = _poisoned(groups, targets, where, value)
+    name = "targets" if where == "targets" else f"group {groups[where].name}"
+    match = f"{name} contains NaN or Inf"
+    extracted = []
+    monkeypatch.setattr(hoselm.pipeline, "extract_features", lambda *a: extracted.append(a))
+    for mode in ("batch", "sequential"):
+        with pytest.raises(ValueError, match=match):
+            fit(bad_groups, bad_targets, PipelineConfig(node_count=2, subspace_dim=6, mode=mode))
+    assert extracted == []
+    with pytest.raises(ValueError, match=match):
+        partial_fit(sequential, bad_groups, bad_targets)
+    for model in (batch, sequential):
+        if where != "targets":
+            with pytest.raises(ValueError, match=match):
+                predict(model, bad_groups)
+        with pytest.raises(ValueError, match=match):
+            evaluate(model, bad_groups, bad_targets)
 
 
 def test_replaced_batch_readout_rebuilds_maps():
