@@ -8,17 +8,9 @@ activation from the residual.  Because the step size is the exact 1-D
 least-squares minimizer, the residual norm never increases, and the model's
 score plus the final residual reconstructs the training targets exactly.
 The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
-computes it once and every node reuses it.
-
-The features may also be given factored, H = C Q' with Q an M x k matrix
-of orthonormal columns and k < D.  The ridge solve then moves to the k x k
-side through the push-through identity H'(I/c + H H')^-1 = Q (I/c + C'C)^-1 C'
-(the Gram inverted is the smaller of C C' and C'C), and each node meets H
-only through products with C and Q.  The pipeline fits a batch readout
-this way when the combined feature is wider than its inputs (see
-pipeline.fit), with a C of orthogonal columns, so that C'C is diagonal up
-to rounding and its inverse stays accurate.  Node weights are classes x D
-either way.
+computes it once and every node reuses it.  Nothing here needs H to be
+the combined feature itself: a wide batch fit passes its rotated
+coordinates U'H instead and maps the weights back (see pipeline.fit).
 
 For scoring, the nodes are stacked row-wise into one NodeStack: one
 (nodes * classes) x D weight matrix with per-row bias, normalization and
@@ -134,19 +126,15 @@ def activate(stack, z):
     return (stack.step * v).reshape(-1, stack.class_count, z.shape[1]).sum(axis=0)
 
 
-def fit_node(h, e_prev, gram_inv, eps=1e-4, basis=None):
+def fit_node(h, e_prev, gram_inv, eps=1e-4):
     """Fit one node against the current residual; return (node, next residual).
 
-    The features are h (D x M) when basis is None, and h @ basis.T
-    otherwise, with basis an M x k matrix of orthonormal columns (see
-    fit_classifier).  The residual is normalized into (0, 1], pulled back
-    through the logit, and ridge-solved against the features through
-    gram_inv, the ridge inverse shared by every node of a fit; its shape
-    says which Gram it inverts: (I/c + h h')^-1 when it has h's row count,
-    else (I/c + h'h)^-1, applied through the push-through identity
-    h'(I/c + h h')^-1 = (I/c + h'h)^-1 h'.  The scalar bias centers the fit.
-    The sigmoid activation is rescaled to the residual's range and removed
-    from the residual with the least-squares step size.
+    The residual is normalized into (0, 1], pulled back through the logit,
+    and ridge-solved against the features h (D x M) through gram_inv =
+    (I/c + h h')^-1, the ridge inverse shared by every node of a fit.  The
+    scalar bias centers the fit.  The sigmoid activation is rescaled to the
+    residual's range and removed from the residual with the least-squares
+    step size.
 
     Callers pass validated float arrays; only shapes are checked here.
 
@@ -155,27 +143,14 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4, basis=None):
     make progress; this layer is deterministic, so retrying cannot help.
     """
     rows, cols = h.shape
-    if basis is not None and basis.shape[1] != cols:
-        raise ShapeError(f"basis has {basis.shape[1]} columns, features have {cols}")
-    samples = cols if basis is None else basis.shape[0]
-    if e_prev.shape[1] != samples:
-        raise ShapeError(
-            f"sample counts differ: features {samples}, residual {e_prev.shape[1]}"
-        )
-    if gram_inv.shape not in ((rows, rows), (cols, cols)):
-        raise ShapeError(
-            f"ridge inverse shape {gram_inv.shape} matches neither {rows} nor {cols}"
-        )
+    if e_prev.shape[1] != cols:
+        raise ShapeError(f"sample counts differ: features {cols}, residual {e_prev.shape[1]}")
+    if gram_inv.shape != (rows, rows):
+        raise ShapeError(f"ridge inverse shape {gram_inv.shape}, features have {rows} rows")
     scaled, norm_in = normalize_unit(e_prev, eps)
     z = logit_map(scaled)
-    zq = z if basis is None else z @ basis
-    if gram_inv.shape[0] == rows:
-        weights = zq @ h.T @ gram_inv
-    else:
-        weights = zq @ gram_inv @ h.T
+    weights = z @ h.T @ gram_inv
     pre = weights @ h
-    if basis is not None:
-        pre = pre @ basis.T
     bias = float(np.mean(z - pre))
     v = denormalize_unit(sigmoid_map(pre + bias), norm_in)
     v_sq = float(np.sum(v * v))
@@ -186,36 +161,29 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4, basis=None):
     return node, e_prev - step * v
 
 
-def fit_classifier(h, targets, node_count, coeff, eps=1e-4, basis=None):
+def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
     """Fit up to node_count nodes greedily, threading the residual.
 
-    The features are h (D x M) when basis is None.  Otherwise they are
-    h @ basis.T, given as a D x k factor h and an M x k basis with
-    orthonormal columns; the features are never formed.  The ridge inverse
-    is taken once, of the smaller Gram: h h' (D x D) when h has at most as
-    many rows as columns, else h'h.  Either way the node weights are
-    classes x D.
-
-    Starts from the targets themselves and deflates; stops early if a node
-    degenerates (determinism would only reproduce it).  Callers pass
-    validated float arrays; only shapes are checked here.
+    The ridge inverse of the D x D Gram h h' is taken once and shared by
+    every node.  Starts from the targets themselves and deflates; stops
+    early if a node degenerates (determinism would only reproduce it).
+    Callers pass validated float arrays; only shapes are checked here.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    rows, cols = h.shape
-    gram_inv = ridge_inverse(h @ h.T if rows <= cols else h.T @ h, coeff)
+    gram_inv = ridge_inverse(h @ h.T, coeff)
     e = targets
     nodes = []
     for _ in range(node_count):
         try:
-            node, e = fit_node(h, e, gram_inv, eps, basis)
+            node, e = fit_node(h, e, gram_inv, eps)
         except DegenerateNodeError:
             break
         nodes.append(node)
     return ClassifierModel(
         nodes=tuple(nodes),
         coeff=float(coeff),
-        feature_dim=rows,
+        feature_dim=h.shape[0],
         class_count=targets.shape[0],
     )
 

@@ -129,34 +129,29 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     labels = np.asarray(labels, dtype=int)
     total = labels.size
     rng = np.random.default_rng(seed)
+    per_class = fraction = None
     if isinstance(train_size, (int, np.integer)):
         per_class = int(train_size)
         if per_class < 1:
             raise ValueError(f"per-class train count must be >= 1, got {per_class}")
-        train_idx = []
-        for k in np.unique(labels):
-            members = np.flatnonzero(labels == k)
-            if per_class > members.size:
-                raise ValueError(
-                    f"class {k} has only {members.size} samples, "
-                    f"cannot reserve {per_class} for training"
-                )
-            train_idx.append(rng.permutation(members)[:per_class])
-        train_idx = np.concatenate(train_idx)
     else:
         fraction = float(train_size)
         if not 0 < fraction < 1:
             raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-        if stratified:
-            train_idx = []
-            for k in np.unique(labels):
-                members = np.flatnonzero(labels == k)
-                count = int(round(fraction * members.size))
-                train_idx.append(rng.permutation(members)[:count])
-            train_idx = np.concatenate(train_idx)
-        else:
-            count = int(round(fraction * total))
-            train_idx = rng.permutation(total)[:count]
+    if per_class or stratified:
+        train_idx = []
+        for k in np.unique(labels):
+            members = np.flatnonzero(labels == k)
+            count = per_class or int(round(fraction * members.size))
+            if count > members.size:
+                raise ValueError(
+                    f"class {k} has only {members.size} samples, "
+                    f"cannot reserve {count} for training"
+                )
+            train_idx.append(rng.permutation(members)[:count])
+        train_idx = np.concatenate(train_idx)
+    else:
+        train_idx = rng.permutation(total)[: int(round(fraction * total))]
     mask = np.zeros(total, dtype=bool)
     mask[train_idx] = True
     test_idx = np.flatnonzero(~mask)

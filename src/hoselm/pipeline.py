@@ -24,13 +24,15 @@ stored in model files.
 
 The same affinity bounds the rank of H.  With D combined rows and
 k = sum of group widths + 1, H = B [x_1; ...; x_G; 1] (B is D x k) has rank
-at most k.  A batch fit with D > k fits the classifier on a thin factor
-H = F P' (see _readout_factor), from one QR of the stacked inputs, and
-works on the k x k side; when D <= k the features are combined as usual.
-A sequential model never forms H: its readout runs recursive least squares
-on Y = U'H, with U an orthonormal D x r basis of the range of B, r =
-min(D, k) (see _readout_basis and hoselm.oselm).  A chunk of m columns
-then costs O(r^2 m) instead of O(D^2 m).
+at most k.  A batch fit on M columns with D > min(k, M) fits the
+classifier on the coordinates Y = U'H of H in an orthonormal basis U of
+its columns (see _readout_factor), from one QR of the stacked inputs, and
+maps the weights back; when D <= min(k, M) the features are combined as
+usual.  Either way the classifier inverts the Gram of at most min(D, k, M)
+rows.  A sequential model never forms H: its readout runs recursive least
+squares on Y = U'H, with U an orthonormal D x r basis of the range of B,
+r = min(D, k) (see _readout_basis and hoselm.oselm).  A chunk of m
+columns then costs O(r^2 m) instead of O(D^2 m).
 """
 
 import json
@@ -258,7 +260,7 @@ def _checked_groups(groups):
     cols = {m.shape[1] for m in mats}
     if len(cols) > 1:
         raise ShapeError(f"groups disagree on sample count: {sorted(cols)}")
-    return mats
+    return mats, tuple(g.name for g in groups)
 
 
 def _check_layout(model, mats):
@@ -327,20 +329,21 @@ def _readout_basis(extractors, cfg):
 
 
 def _readout_factor(mats, extractors, cfg):
-    """The combined feature as a thin factor (F, P) with H = F P'.
+    """The combined feature as coordinates in an orthonormal basis:
+    (Y, U) with H = U Y.
 
     H = B [x_1; ...; x_G; 1] (see _coefficients).  One thin QR
-    [x_1; ...; x_G; 1]' = Q R gives H = C Q' with C = B R'.  The small C is
-    then rotated to its singular vectors, C = U S V', and the factor
-    returned is F = U S with the orthonormal basis P = Q V.  F has
-    orthogonal columns, so the classifier's k x k Gram F'F is diagonal up to
-    rounding and its ridge inverse stays accurate however ill-conditioned H
-    is; an unrotated C'C squares H's condition number.
+    [x_1; ...; x_G; 1]' = Q R gives H = B R' Q', and the SVD of the small
+    B R' = U S V' gives H = U Y with Y = (Q V S)' = U'H.  U is D x r and Y
+    is r x M, r = min(D, k, M).  Y has orthogonal rows, so the classifier's
+    r x r Gram Y Y' is S^2, diagonal up to rounding, and its ridge inverse
+    stays accurate however ill-conditioned H is; H H' squares H's condition
+    number.
     """
     inputs = augmented_inputs(mats)
     q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
     u, s, vt = svd(_coefficients(extractors, cfg) @ r.T, full_matrices=False, check_finite=False)
-    return u * s, q @ vt.T
+    return (s[:, None] * vt) @ q.T, u
 
 
 def fit(groups, targets, cfg):
@@ -351,21 +354,23 @@ def fit(groups, targets, cfg):
     readout in sequential mode).  Batch mode boots on every column.
     Sequential mode boots on the first chunk_size columns (all of them when
     chunk_size is None), which must contain every class, and then folds
-    each later chunk in through partial_fit, the last one possibly short.
+    each later chunk into the readout as partial_fit does, the last one
+    possibly short.
 
-    A batch fit whose combined feature has more rows D than the stacked
-    inputs have plus one (k) never forms it: the classifier is fitted on
-    the thin factor H = F P' (see _readout_factor and fit_classifier),
-    which replaces the D x M feature, its D x D Gram and inverse with one
-    M x k QR, the SVD of a D x k matrix and a k x k inverse.  Which path
-    is taken depends on shapes only.  A sequential fit never forms it
-    either: it takes the readout's basis U from one SVD of the D x k
-    coefficient, derives the maps that give Y = U'H, and boots the readout
-    on the boot chunk's Y.
+    A batch fit whose combined feature has more rows D than min(k, M), k
+    the stacked inputs' rows plus one and M the columns, never forms it:
+    the classifier is fitted on the coordinates Y = U'H (see
+    _readout_factor), and each node's weights W_Y map back to W_Y U'.
+    Since (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are
+    the ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
+    step are those of the formed fit.  One M x k QR, the SVD of a D x k
+    matrix and an r x r inverse replace the D x M feature and its Gram.
+    Which path is taken depends on shapes only.  A sequential fit never
+    forms H either: it takes the readout's basis U from one SVD of the
+    D x k coefficient, derives the maps that give Y = U'H, and boots the
+    readout on the boot chunk's Y.
     """
-    if isinstance(groups, FeatureGroup):
-        groups = [groups]
-    mats = _checked_groups(groups)
+    mats, names = _checked_groups(groups)
     tm = as_matrix(targets, "targets")
     samples = mats[0].shape[1]
     if tm.shape[1] != samples:
@@ -377,7 +382,8 @@ def fit(groups, targets, cfg):
         _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
     extractors, features = _fit_extractors(boot_mats, head, cfg)
-    narrow = _feature_rows(cfg, len(mats)) <= sum(m.shape[0] for m in mats) + 1
+    rows = _feature_rows(cfg, len(mats))
+    narrow = rows <= min(sum(m.shape[0] for m in mats) + 1, boot)
     combined = combine(features, CombineSpec(cfg.operator, cfg.gamma)) if batch and narrow else None
     # The per-node features are not needed past this point; release them
     # before the readout's QR or Gram.
@@ -386,15 +392,17 @@ def fit(groups, targets, cfg):
     if combined is not None:
         readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     elif batch:
-        f, p = _readout_factor(boot_mats, extractors, cfg)
-        readout = fit_classifier(f, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps, p)
+        y, u = _readout_factor(boot_mats, extractors, cfg)
+        readout = fit_classifier(y, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+        nodes = tuple(replace(n, weights=n.weights @ u.T) for n in readout.nodes)
+        readout = replace(readout, nodes=nodes, feature_dim=rows)
     else:
         basis = _readout_basis(extractors, cfg)
         maps = _derive_maps(extractors, cfg, basis)
         readout = os_boot(maps.apply(boot_mats), head, cfg.coeff, basis)
     model = HOselmModel(
         extractors=extractors,
-        group_names=tuple(g.name for g in groups),
+        group_names=names,
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
@@ -402,9 +410,14 @@ def fit(groups, targets, cfg):
     )
     # Later chunks have the boot chunk's length; batch mode has none.
     for lo in range(boot, samples, boot):
-        chunk = [FeatureGroup(x=m[:, lo : lo + boot]) for m in mats]
-        model = partial_fit(model, chunk, tm[:, lo : lo + boot])
+        model = _advance(model, [m[:, lo : lo + boot] for m in mats], tm[:, lo : lo + boot])
     return model
+
+
+def _advance(model, mats, targets):
+    """Fold one validated chunk into a sequential model's readout."""
+    readout = os_update(model.readout, model.maps.apply(mats), targets)
+    return replace(model, readout=readout)
 
 
 def partial_fit(model, groups, targets):
@@ -415,16 +428,14 @@ def partial_fit(model, groups, targets):
     """
     if model.config.mode != "sequential":
         raise ModeError("partial_fit requires a sequential-mode model")
-    mats = _checked_groups(groups)
+    mats, _ = _checked_groups(groups)
     _check_layout(model, mats)
-    tm = as_matrix(targets, "targets")
-    readout = os_update(model.readout, model.maps.apply(mats), tm)
-    return replace(model, readout=readout)
+    return _advance(model, mats, as_matrix(targets, "targets"))
 
 
 def scores(model, groups):
     """Raw readout scores (classes x samples) for aligned groups."""
-    mats = _checked_groups(groups)
+    mats, _ = _checked_groups(groups)
     _check_layout(model, mats)
     z = model.maps.apply(mats)
     if model.config.mode == "batch":

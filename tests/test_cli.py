@@ -250,16 +250,31 @@ def test_train_size_parsing(tmp_path, dataset, capsys):
     assert confusion.sum() == 120 - 3 * 20
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_bench_report_bytes_are_unchanged(tmp_path, fmt):
+GOLDEN_REPORTS = {
+    "": ("bench_both_modes_chunk40_seed5", ["--chunk-size", "40"]),
+    "narrow-": ("bench_narrow_both_modes_seed5", ["--hidden", "10"]),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, golden, flags",
+    [
+        pytest.param(fmt, golden, flags, id=prefix + fmt)
+        for prefix, (golden, flags) in GOLDEN_REPORTS.items()
+        for fmt in ("json", "csv")
+    ],
+)
+def test_bench_report_bytes_are_unchanged(tmp_path, fmt, golden, flags):
     """The fixed-seed, untimed report of the default synthetic run in both
     modes equals the committed one byte for byte, so a change meant to keep
-    behaviour can show that it does."""
+    behaviour can show that it does.  The default batch readout has more
+    combined rows (100) than inputs plus one (17), so it is fitted on
+    rotated coordinates; with --hidden 10 it is fitted on the formed
+    feature."""
     out = tmp_path / f"report.{fmt}"
-    args = ["bench", "--both-modes", "--no-timing", "--chunk-size", "40", "--seed", "5"]
+    args = ["bench", "--both-modes", "--no-timing", *flags, "--seed", "5"]
     assert main([*args, "--format", fmt, "--out", str(out)]) == 0
-    golden = DATA / f"bench_both_modes_chunk40_seed5.{fmt}"
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == (DATA / f"{golden}.{fmt}").read_bytes()
 
 
 def test_option_defaults_are_the_config_defaults():

@@ -1,9 +1,10 @@
-"""Batch readout fitted on a thin factor of the combined feature.
+"""Batch readout fitted on rotated coordinates of the combined feature.
 
-When the combined feature H (D x M) has more rows than the stacked inputs
-plus one (k), pipeline.fit fits the classifier on H = C Q' with Q an M x k
-orthonormal basis and never forms H.  These tests hold that route to an
-independent SVD reference and pin when it is taken.
+When the combined feature H (D x M) has more rows than min(k, M), with k
+the stacked inputs' rows plus one, pipeline.fit fits the classifier on the
+coordinates Y = U'H in an orthonormal basis U of H's columns and never
+forms H.  These tests hold that route to an independent SVD reference and
+pin when it is taken.
 """
 
 import importlib
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 
 import hoselm.classifier
 import hoselm.pipeline
-from hoselm.classifier import decode_labels, fit_classifier, fit_node, score
-from hoselm.errors import ShapeError
+from hoselm.classifier import decode_labels, fit_classifier, score
 from hoselm.extractor import project
 from hoselm.kernels import logit_map, normalize_unit, ridge_inverse
 from hoselm.pipeline import FeatureGroup, PipelineConfig, fit, predict
@@ -45,8 +45,9 @@ def svd_ridge_weights(h, z, coeff):
 
 @st.composite
 def wide_fits(draw):
-    """Groups, one-hot targets and a batch config whose combined feature is
-    wider than the stacked inputs plus one.
+    """Groups, one-hot targets and a batch config whose combined feature has
+    more rows than min(k, M): the stacked inputs' rows plus one, or the
+    sample count.
 
     Inputs may share a row across groups, hold a constant row, carry an
     offset up to 1e3, and have fewer samples than k, so [x_1; ...; 1] is
@@ -57,9 +58,9 @@ def wide_fits(draw):
     operator = draw(st.sampled_from(["plus", "concat"]))
     node_count = draw(st.integers(1, 3))
     subspace_dim = draw(st.integers(1, 12))
-    rows = subspace_dim * (node_count * len(widths) if operator == "concat" else 1)
-    assume(rows > sum(widths) + 1)
     samples = draw(st.integers(1, 30))
+    rows = subspace_dim * (node_count * len(widths) if operator == "concat" else 1)
+    assume(rows > min(sum(widths) + 1, samples))
     offset = draw(st.floats(0.0, 1e3))
     xs = [rng.standard_normal((n, samples)) + offset for n in widths]
     if len(xs) > 1 and draw(st.booleans()):
@@ -173,50 +174,3 @@ def test_factored_concat_labels_equal_the_formed_readout():
     want = decode_labels(score(formed, h))
     assert np.array_equal(predict(model, groups), want)
     assert np.mean(want == labels) > 0.9
-
-
-def random_factor(rng, rows=12, width=5, samples=30):
-    c = rng.standard_normal((rows, width))
-    q, _ = np.linalg.qr(rng.standard_normal((samples, width)))
-    return c, q
-
-
-def test_fit_classifier_on_a_factor_matches_the_formed_features(readout_calls):
-    rng = np.random.default_rng(31)
-    c, q = random_factor(rng)
-    targets = np.eye(3)[:, rng.integers(0, 3, q.shape[0])]
-    got = fit_classifier(c, targets, 4, 100.0, basis=q)
-    want = fit_classifier(c @ q.T, targets, 4, 100.0)
-    assert readout_calls["ridge_inverse"] == [(5, 5), (12, 12)]
-    assert got.feature_dim == want.feature_dim == 12
-    assert len(got.nodes) == len(want.nodes) == 4
-    for a, b in zip(got.nodes, want.nodes):
-        assert np.allclose(a.weights, b.weights, rtol=1e-9, atol=1e-9)
-        assert np.isclose(a.step, b.step, rtol=1e-9)
-    assert np.allclose(score(got, c @ q.T), score(want, c @ q.T), atol=1e-9)
-
-
-def test_fit_classifier_inverts_the_sample_gram_when_features_are_wide(readout_calls):
-    """With more feature rows than samples, the M x M Gram is inverted; the
-    node equals the one fitted through the D x D inverse."""
-    rng = np.random.default_rng(37)
-    h = rng.standard_normal((15, 8))
-    targets = np.eye(2)[:, rng.integers(0, 2, 8)]
-    (got,) = fit_classifier(h, targets, 1, 100.0).nodes
-    assert readout_calls["ridge_inverse"] == [(8, 8)]
-    want, _ = fit_node(h, targets, ridge_inverse(h @ h.T, 100.0))
-    assert np.allclose(got.weights, want.weights, rtol=1e-9, atol=1e-12)
-
-
-def test_factored_node_shape_errors():
-    rng = np.random.default_rng(41)
-    c, q = random_factor(rng)
-    e = rng.standard_normal((2, q.shape[0]))
-    gram_inv = ridge_inverse(c.T @ c, 100.0)
-    fit_node(c, e, gram_inv, basis=q)
-    with pytest.raises(ShapeError):
-        fit_node(c, e, gram_inv, basis=q[:, :4])
-    with pytest.raises(ShapeError):
-        fit_node(c, e[:, :-1], gram_inv, basis=q)
-    with pytest.raises(ShapeError):
-        fit_node(c, e, np.eye(7), basis=q)

@@ -227,10 +227,10 @@ def test_sequential_requests_validate_once_per_group(calls, operator):
 def test_fit_validates_only_at_the_pipeline_boundary(calls, operator, mode):
     """The layers below the pipeline trust their caller: no as_matrix call
     through them while fitting.  The pipeline checks each group and the
-    targets once per fit and once per partial_fit chunk; a sequential fit
-    of 60 columns in chunks of 20 is one boot and two partial_fit chunks.
+    targets once per fit, however many chunks a sequential fit of 60
+    columns in chunks of 20 folds in, and once per partial_fit call.
     Batch plus fits the classifier on the combined feature, batch concat on
-    its thin factor."""
+    its rotated coordinates."""
     groups, targets = _two_group_data()
     cfg = PipelineConfig(
         node_count=2, subspace_dim=6, classifier_nodes=4, operator=operator, mode=mode,
@@ -239,8 +239,7 @@ def test_fit_validates_only_at_the_pipeline_boundary(calls, operator, mode):
     inner = ("hoselm.extractor", "hoselm.combine", "hoselm.classifier", "hoselm.oselm")
     model = fit(groups, targets, cfg)
     assert [calls[module, "as_matrix"] for module in inner] == [0] * len(inner)
-    chunks = 1 if mode == "batch" else 3
-    assert calls["hoselm.pipeline", "as_matrix"] == (len(groups) + 1) * chunks
+    assert calls["hoselm.pipeline", "as_matrix"] == len(groups) + 1
     if mode == "sequential":
         calls.clear()
         partial_fit(model, groups, targets)
