@@ -55,6 +55,8 @@ def load_csv(path, group_ranges=None, label_col=-1):
         labels = None
         label_cols = set()
     else:
+        if not -width <= label_col < width:
+            raise ValueError(f"label column {label_col} is out of range for width {width}")
         label_col = label_col % width
         label_cols = {label_col}
         raw_labels = table[:, label_col]

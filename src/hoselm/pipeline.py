@@ -11,28 +11,27 @@ chunk and frozen; later chunks only advance the readout, so the model can
 consume a stream without retaining any of it.  Fitted models are immutable;
 partial_fit returns a new model sharing the frozen extractors.
 
-Extractor nodes are affine (W x + b) and both combiners are linear, so once
-fit returns everything below the readout is one frozen affine map per
-feature group.  Each model derives those maps once (AffineMaps): the
-combined feature is H = sum_g A_g x_g + c for plus and the row stack of
-A_g x_g + a_g for concat.  Every model folds a left factor of its readout
-into them, so a request costs one matrix product per group.  A batch model
-folds its classifier's stacked affine half, F_g = W_stack A_g, and applies
-the classifier's activation half after it; a sequential model folds U'
-(below) and hands the result to its readout.  The maps are derived, never
-stored in model files.
+Extractor nodes are affine (W x + b) and both combiners are linear, so
+once fit returns, the combined feature is H = B [x_1; ...; x_G; 1] with one
+D x k coefficient B, D combined rows and k = sum of group widths + 1.
+hoselm.combine.combine_affine builds B; the combiner's layout is written
+nowhere else.  Each model derives its serving maps once (AffineMaps) by
+folding a left factor L of its readout into B: the columns of L B split
+into one weight per group and an offset, so a request costs one matrix
+product per group.  A batch model folds its classifier's stacked affine
+half, L = W_stack, and applies the classifier's activation half after it;
+a sequential model folds L = U' (below) and hands the result to its
+readout.  The maps are derived, never stored in model files.
 
-The same affinity bounds the rank of H.  With D combined rows and
-k = sum of group widths + 1, H = B [x_1; ...; x_G; 1] (B is D x k) has rank
-at most k.  A batch fit on M columns with D > min(k, M) fits the
-classifier on the coordinates Y = U'H of H in an orthonormal basis U of
-its columns (see _readout_factor), from one QR of the stacked inputs, and
-maps the weights back; when D <= min(k, M) the features are combined as
-usual.  Either way the classifier inverts the Gram of at most min(D, k, M)
-rows.  A sequential model never forms H: its readout runs recursive least
-squares on Y = U'H, with U an orthonormal D x r basis of the range of B,
-r = min(D, k) (see _readout_basis and hoselm.oselm).  A chunk of m
-columns then costs O(r^2 m) instead of O(D^2 m).
+The same affinity bounds the rank of H by k.  A batch fit on M columns with
+D > min(k, M) fits the classifier on the coordinates Y = U'H of H in an
+orthonormal basis U of its columns (see _readout_factor), from one QR of
+the stacked inputs, and maps the weights back; when D <= min(k, M) the
+features are combined as usual.  Either way the classifier inverts the Gram
+of at most min(D, k, M) rows.  A sequential model never forms H: its
+readout runs recursive least squares on Y = U'H, with U an orthonormal
+D x r basis of the range of B, r = min(D, k) (see _readout_basis and
+hoselm.oselm).  A chunk of m columns then costs O(r^2 m), not O(D^2 m).
 """
 
 import json
@@ -41,11 +40,11 @@ import zipfile
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag, qr, svd
+from scipy.linalg import qr, svd
 
 from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
 from .classifier import fit_classifier, stack_nodes
-from .combine import CombineSpec, combine
+from .combine import CombineSpec, combine, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import NormParams, as_matrix, augmented_inputs
@@ -129,7 +128,12 @@ class PipelineConfig:
         # normalize_unit maps into [eps, 1 - eps], which needs eps < 1/2.
         if not 0 < self.norm_eps < 0.5:
             raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
-        CombineSpec(operator=self.operator, gamma=self.gamma)  # a known operator, finite gamma
+        self.combine_spec  # a known operator, finite gamma
+
+    @property
+    def combine_spec(self):
+        """The combiner operator and gamma select."""
+        return CombineSpec(operator=self.operator, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -159,48 +163,21 @@ class AffineMaps:
         return out
 
 
-def _input_maps(extractors, cfg):
-    """Weights, offset and stacked flag of the maps whose apply() equals
-    combine() of every node's projection of its group, with cfg's combiner."""
-    if cfg.operator == "concat":
-        weights = tuple(np.vstack([n.weights for n in nodes]) for nodes in extractors)
-        offset = np.concatenate(
-            [np.full(n.subspace_dim, n.bias) for nodes in extractors for n in nodes]
-        )
-        return weights, offset[:, None], True
-
-    def gain(g, k):
-        # plus weights every operand after the very first by gamma.
-        return 1.0 if g == k == 0 else cfg.gamma
-
-    weights = tuple(
-        sum(gain(g, k) * n.weights for k, n in enumerate(nodes))
-        for g, nodes in enumerate(extractors)
-    )
-    bias = sum(
-        gain(g, k) * n.bias for g, nodes in enumerate(extractors) for k, n in enumerate(nodes)
-    )
-    return weights, np.full((extractors[0][0].subspace_dim, 1), bias), False
-
-
 def _derive_maps(extractors, cfg, fold):
     """The model's AffineMaps; fold is the batch readout (a ClassifierModel)
-    or the sequential readout's basis."""
+    or the sequential readout's basis.  Its left factor meets the frozen
+    layers' coefficient B (hoselm.combine.combine_affine) in one product,
+    whose columns split into the groups' weights and the offset."""
     source = (extractors, cfg, fold)
-    weights, offset, stacked = _input_maps(extractors, cfg)
     if isinstance(fold, ClassifierModel):
         stack = stack_nodes(fold)
         left, bias = stack.weights, stack.bias
     else:
         stack, left, bias = None, fold.T, 0.0
-    if stacked:
-        # Each group's rows of the combined feature meet their own columns.
-        cuts = np.cumsum([w.shape[0] for w in weights])[:-1]
-        blocks = np.split(left, cuts, axis=1)
-    else:
-        blocks = [left] * len(weights)
-    folded = tuple(b @ w for b, w in zip(blocks, weights))
-    return AffineMaps(folded, left @ offset + bias, stack, source)
+    folded = left @ combine_affine(extractors, cfg.combine_spec)
+    cuts = np.cumsum([nodes[0].input_dim for nodes in extractors])
+    *weights, offset = np.split(folded, cuts, axis=1)
+    return AffineMaps(tuple(map(np.ascontiguousarray, weights)), offset + bias, stack, source)
 
 
 @dataclass(frozen=True)
@@ -231,7 +208,7 @@ class HOselmModel:
     @property
     def combine_spec(self):
         """The combiner the config selects."""
-        return CombineSpec(operator=self.config.operator, gamma=self.config.gamma)
+        return self.config.combine_spec
 
 
 @dataclass(frozen=True)
@@ -308,23 +285,13 @@ def _feature_rows(cfg, group_count):
     return cfg.subspace_dim * (cfg.node_count * group_count if cfg.operator == "concat" else 1)
 
 
-def _coefficients(extractors, cfg):
-    """The D x k coefficient B of the input maps, H = B [x_1; ...; x_G; 1].
-
-    Every extractor node is affine, so the combined feature is this one
-    matrix (k = sum of group widths + 1) applied to the stacked inputs:
-    [A_1 ... A_G, c] for plus, block rows [0 ... A_g ... 0, a_g] for concat.
-    """
-    weights, offset, stacked = _input_maps(extractors, cfg)
-    return np.hstack((block_diag(*weights) if stacked else np.hstack(weights), offset))
-
-
 def _readout_basis(extractors, cfg):
-    """Orthonormal D x r basis U of the range of B (_coefficients), from its
-    thin SVD, r = min(D, k).  Every combined feature column lies in that
-    range, so the sequential readout works on U'H (see hoselm.oselm); no
-    rank cutoff is taken, and when D <= k U is a D x D rotation."""
-    u, _, _ = svd(_coefficients(extractors, cfg), full_matrices=False)
+    """Orthonormal D x r basis U of the range of the frozen layers'
+    coefficient B (hoselm.combine.combine_affine), from its thin SVD,
+    r = min(D, k).  Every combined feature column lies in that range, so
+    the sequential readout works on U'H (see hoselm.oselm); no rank cutoff
+    is taken, and when D <= k U is a D x D rotation."""
+    u, _, _ = svd(combine_affine(extractors, cfg.combine_spec), full_matrices=False)
     return u
 
 
@@ -332,7 +299,7 @@ def _readout_factor(mats, extractors, cfg):
     """The combined feature as coordinates in an orthonormal basis:
     (Y, U) with H = U Y.
 
-    H = B [x_1; ...; x_G; 1] (see _coefficients).  One thin QR
+    H = B [x_1; ...; x_G; 1] (B from hoselm.combine.combine_affine).  A thin QR
     [x_1; ...; x_G; 1]' = Q R gives H = B R' Q', and the SVD of the small
     B R' = U S V' gives H = U Y with Y = (Q V S)' = U'H.  U is D x r and Y
     is r x M, r = min(D, k, M).  Y has orthogonal rows, so the classifier's
@@ -342,7 +309,8 @@ def _readout_factor(mats, extractors, cfg):
     """
     inputs = augmented_inputs(mats)
     q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
-    u, s, vt = svd(_coefficients(extractors, cfg) @ r.T, full_matrices=False, check_finite=False)
+    br = combine_affine(extractors, cfg.combine_spec) @ r.T
+    u, s, vt = svd(br, full_matrices=False, check_finite=False)
     return (s[:, None] * vt) @ q.T, u
 
 
@@ -384,7 +352,7 @@ def fit(groups, targets, cfg):
     extractors, features = _fit_extractors(boot_mats, head, cfg)
     rows = _feature_rows(cfg, len(mats))
     narrow = rows <= min(sum(m.shape[0] for m in mats) + 1, boot)
-    combined = combine(features, CombineSpec(cfg.operator, cfg.gamma)) if batch and narrow else None
+    combined = combine(features, cfg.combine_spec) if batch and narrow else None
     # The per-node features are not needed past this point; release them
     # before the readout's QR or Gram.
     del features
@@ -460,6 +428,10 @@ def classification_metrics(true_labels, predicted_labels, class_count):
         raise ShapeError(
             f"label shapes differ: {true_labels.shape} vs {predicted_labels.shape}"
         )
+    for what, labels in (("true", true_labels), ("predicted", predicted_labels)):
+        if labels.size and not 0 <= labels.min() <= labels.max() < class_count:
+            span = f"[{labels.min()}, {labels.max()}]"
+            raise ValueError(f"{what} labels span {span}, outside [0, {class_count})")
     confusion = np.zeros((class_count, class_count), dtype=int)
     np.add.at(confusion, (true_labels, predicted_labels), 1)
     row_totals = confusion.sum(axis=1)

@@ -215,6 +215,29 @@ def test_predict_reports_a_damaged_model_file(tmp_path, dataset, capsys):
     assert "'header' is unreadable" in capsys.readouterr().err
 
 
+def test_predict_rejects_labels_outside_the_model_classes(tmp_path, dataset, capsys):
+    model_path = tmp_path / "model.npz"
+    main(["train", "--data", str(dataset), "--out", str(model_path), *small_flags()])
+    capsys.readouterr()
+    rows = [line.rsplit(",", 1) for line in dataset.read_text().strip().split("\n")]
+    for bad in ("-1", "3"):
+        relabelled = tmp_path / f"relabelled{bad}.csv"
+        relabelled.write_text(
+            "".join(f"{x},{bad if y == '2' else y}\n" for x, y in rows)
+        )
+        assert main(["predict", "--model", str(model_path), "--data", str(relabelled)]) == 2
+        assert "true labels span" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_label_column_past_the_row(tmp_path, dataset, capsys):
+    model_path = tmp_path / "model.npz"
+    main(["train", "--data", str(dataset), "--out", str(model_path), *small_flags()])
+    capsys.readouterr()
+    args = ["predict", "--model", str(model_path), "--data", str(dataset)]
+    assert main([*args, "--label-col", "9"]) == 2
+    assert "label column 9 is out of range for width 9" in capsys.readouterr().err
+
+
 def test_subprocess_entry_point(tmp_path):
     data = tmp_path / "d.csv"
     synth = run_cli(
@@ -275,6 +298,48 @@ def test_bench_report_bytes_are_unchanged(tmp_path, fmt, golden, flags):
     args = ["bench", "--both-modes", "--no-timing", *flags, "--seed", "5"]
     assert main([*args, "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{golden}.{fmt}").read_bytes()
+
+
+def bench_model_arrays(monkeypatch, tmp_path):
+    """The fitted numbers of every model the golden bench runs train, keyed
+    "<golden>.<mode>.<array>": the batch classifier's node weights, biases
+    and steps, and the sequential readout's beta and P."""
+    models = []
+    real_fit = hoselm.bench.fit
+
+    def spy(*args):
+        models.append(real_fit(*args))
+        return models[-1]
+
+    monkeypatch.setattr(hoselm.bench, "fit", spy)
+    arrays = {}
+    for golden, flags in GOLDEN_REPORTS.values():
+        models.clear()
+        args = ["bench", "--both-modes", "--no-timing", *flags, "--seed", "5"]
+        assert main([*args, "--out", str(tmp_path / "report.json")]) == 0
+        for model in models:
+            prefix = f"{golden}.{model.config.mode}."
+            readout = model.readout
+            if model.config.mode == "batch":
+                arrays[prefix + "weights"] = np.stack([n.weights for n in readout.nodes])
+                arrays[prefix + "biases"] = np.array([n.bias for n in readout.nodes])
+                arrays[prefix + "steps"] = np.array([n.step for n in readout.nodes])
+            else:
+                arrays[prefix + "beta"] = readout.beta
+                arrays[prefix + "p"] = readout.p
+    return arrays
+
+
+def test_bench_models_are_unchanged(monkeypatch, tmp_path):
+    """The golden bench runs fit the same numbers, not only the same labels:
+    a readout change that moves no held-out label still fails here.  The
+    reference file holds bench_model_arrays of the commit that introduced
+    it, saved with np.savez."""
+    got = bench_model_arrays(monkeypatch, tmp_path)
+    with np.load(DATA / "bench_models_seed5.npz") as want:
+        assert sorted(got) == sorted(want.files)
+        for key in want.files:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=0, err_msg=key)
 
 
 def test_option_defaults_are_the_config_defaults():

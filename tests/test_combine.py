@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoselm.combine import CombineSpec, combine, combined_dim
+from hoselm.combine import CombineSpec, combine, combine_affine, combined_dim
 from hoselm.errors import ShapeError
+from hoselm.extractor import SubnetNode, project
 
 A = np.array([[1.0, 2.0], [3.0, 4.0]])
 B = np.array([[10.0, 20.0], [30.0, 40.0]])
@@ -111,3 +114,42 @@ def test_combine_does_not_mutate_inputs():
     b = B.copy()
     combine([a, b], CombineSpec("plus", gamma=2.0))
     assert np.array_equal(a, A) and np.array_equal(b, B)
+
+
+@st.composite
+def affine_layouts(draw):
+    """Layers of random affine nodes, their inputs and a combiner: 1-3
+    groups of distinct widths, 1-3 nodes of up to 9 rows (often more than a
+    group's width + 1), and gamma away from 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = CombineSpec(
+        operator=draw(st.sampled_from(["plus", "concat"])),
+        gamma=draw(st.floats(-3.0, 3.0).filter(lambda g: g != 1.0)),
+    )
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    node_count = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 9))
+    samples = draw(st.integers(1, 7))
+    layers = tuple(
+        tuple(
+            SubnetNode(weights=rng.standard_normal((d, n)), bias=float(rng.standard_normal()))
+            for _ in range(node_count)
+        )
+        for n in widths
+    )
+    mats = [rng.standard_normal((n, samples)) for n in widths]
+    return layers, mats, spec
+
+
+@given(affine_layouts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_combine_affine_equals_combined_projections(case):
+    """B [x_1; ...; x_G; 1] equals combine of every node's projection of its
+    group within 1e-12, relative to the largest magnitude the sums reach."""
+    layers, mats, spec = case
+    b = combine_affine(layers, spec)
+    stacked = np.vstack([*mats, np.ones((1, mats[0].shape[1]))])
+    want = combine([project(n, x) for nodes, x in zip(layers, mats) for n in nodes], spec)
+    assert (b @ stacked).shape == want.shape
+    scale = (np.abs(b) @ np.abs(stacked)).max()
+    assert np.all(np.abs(b @ stacked - want) <= 1e-12 * scale)

@@ -82,6 +82,15 @@ def test_load_validates_ranges(tmp_path):
         load_csv(path, group_ranges=[(2, 4)], label_col=3)
 
 
+def test_load_rejects_a_label_column_past_the_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,3,0\n")
+    for col in (4, 9, -5):
+        with pytest.raises(ValueError, match=f"label column {col} is out of range for width 4"):
+            load_csv(path, label_col=col)
+    assert np.array_equal(load_csv(path, label_col=-4)[1], [1])
+
+
 def test_one_hot_examples():
     assert np.array_equal(one_hot([0, 1], 2), np.eye(2))
     t = one_hot([2, 0, 1, 1], 3)

@@ -258,6 +258,15 @@ def test_metrics_absent_class_excluded_and_flagged():
     assert confusion[1].sum() == 0
 
 
+def test_metrics_reject_labels_outside_the_classes():
+    # -1 used to wrap into the last class, and class_count hit an IndexError.
+    with pytest.raises(ValueError, match=r"true labels span \[-1, 1\], outside \[0, 3\)"):
+        classification_metrics([0, -1, 1], [0, 1, 1], 3)
+    with pytest.raises(ValueError, match=r"predicted labels span \[0, 3\], outside \[0, 3\)"):
+        classification_metrics([0, 2, 1], [0, 3, 1], 3)
+    assert classification_metrics([], [], 3)[3] == 0.0
+
+
 def test_metrics_match_counting_oracle():
     rng = np.random.default_rng(44)
     classes = 5
