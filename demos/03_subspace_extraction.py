@@ -55,7 +55,8 @@ def main():
     print()
     print("a full layer of refined nodes:")
     cfg = ExtractorConfig(node_count=4, subspace_dim=8, seed=11)
-    nodes, features = extract_features(x, targets, cfg)
+    nodes = extract_features(x, targets, cfg)
+    features = [project(n, x) for n in nodes]
     print(f"  {len(nodes)} nodes, each emitting a {features[0].shape} subspace feature")
 
     merged = combine(features, CombineSpec(operator="plus", gamma=1.0))

@@ -84,12 +84,13 @@ def combine_affine(layers, spec):
     return _merge(blocks, spec)
 
 
-def combined_dim(features, spec):
-    """Row count of combine(features, spec) without materializing it."""
-    mats = _checked(features)
+def combined_dim(rows, spec):
+    """Row count of the combined feature of nodes with the given per-node
+    row counts: plus needs them equal and keeps one, concat adds them up."""
+    if not rows:
+        raise ValueError("row count list is empty")
     if spec.operator == "plus":
-        rows = {m.shape[0] for m in mats}
-        if len(rows) > 1:
-            raise ShapeError(f"plus needs equal row counts, got {sorted(rows)}")
-        return mats[0].shape[0]
-    return sum(m.shape[0] for m in mats)
+        if len(set(rows)) > 1:
+            raise ShapeError(f"plus needs equal row counts, got {sorted(set(rows))}")
+        return rows[0]
+    return sum(rows)

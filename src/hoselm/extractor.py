@@ -6,15 +6,21 @@ refined exactly once: fit a least-squares readout from its subspace features
 to the targets, pull the readout residual back through the readout's
 pseudoinverse, renormalize that feedback into (0, 1], and re-solve the
 projection against the feedback target with a damped update.  A layer of L
-such nodes yields L subspace features of identical shape d x M, ready for
-elementwise combination.
+such nodes defines L subspace features project(node, x) of identical shape
+d x M, ready for elementwise combination.
 
-The node-independent work is done once per layer.  Every node's feature is
-h = [W, b] [x; 1], so one thin QR [x; 1]' = Q R of the group's inputs
-factors every node's readout: pinv(h) = Q pinv([W, b] R'), a d x (n+1)
-pseudoinverse in place of the d x M one, with the same singular values and
-the same cutoff.  Likewise pinv(X X') is taken once per layer and shared by
-every node's refinement.
+The public chain spawn_node -> project -> ls_readout -> residual ->
+error_feedback -> refine_node states one node's refinement on d x M
+matrices.  extract_features builds the same layer without any of them.
+Every per-node matrix is affine in [x; 1; T]: the feature, the readout
+misfit, the pulled-back feedback, the normalized refine target and the
+refine misfit.  So one R-only thin QR [x; 1; T]' = Q R per layer
+(factor_inputs) turns each into a d x (n+1+t) coefficient on Q'.  The
+root-mean-square biases are Frobenius norms of coefficients, since Q is
+orthonormal.  Each readout takes its pseudoinverse in (n+1)-space, with the
+cutoff the d x M one would use, and every refinement solves a x ~ f through
+one pinv(R11') of the layer's leading n x n triangle.  Only the feedback's
+global range, which its normalization needs, costs a d x n x M product.
 
 The pipeline validates every group and the targets where they enter the
 package, so the functions here check shapes only.  Everything here is
@@ -25,7 +31,7 @@ be built concurrently.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_multiply
+from scipy.linalg import qr
 
 from .errors import ShapeError
 from .kernels import augmented_inputs, mse, normalize_unit, pinv
@@ -44,6 +50,8 @@ __all__ = [
     "refine_node",
     "extract_features",
 ]
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -122,41 +130,55 @@ def project(node, x):
 
 
 def factor_inputs(x, targets):
-    """Factor a group's inputs once for every node's readout.
+    """Factor a group's inputs and targets once for a whole layer.
 
-    Takes the thin QR [x; 1]' = Q R and returns (T Q, R); Q itself is never
-    built.  T Q is t x k and R is k x (n+1), with k = min(M, n+1).
-    Callers pass validated float arrays; only shapes are checked here.
+    Takes the thin QR [x; 1; T]' = Q R and returns R alone, k x (n+1+t) with
+    k = min(M, n+1+t); Q is never built.  Its leading k1 = min(M, n+1) rows
+    hold the blocks every readout needs: [x; 1]' = Q1 R[:k1, :n+1] and
+    T Q1 = R[:k1, n+1:]', with Q1 the first k1 columns of Q.  Callers pass
+    validated float arrays; only shapes are checked here.
     """
     if x.shape[1] != targets.shape[1]:
         raise ShapeError(
             f"sample counts differ: inputs {x.shape[1]}, targets {targets.shape[1]}"
         )
-    return qr_multiply(augmented_inputs([x]), targets, mode="right", overwrite_a=True)
+    _, r = qr(augmented_inputs([x], targets), mode="raw", overwrite_a=True, check_finite=False)
+    return r
+
+
+def _readout_weights(node, r, samples):
+    """Readout weights T pinv(h) from the layer factor r.
+
+    Since h = [W, b] [x; 1] and Q1 has orthonormal columns,
+    T pinv(h) = (T Q1) pinv([W, b] R[:k1, :n+1]'): the pseudoinverse is
+    taken in (n+1)-space, with the cutoff the d x M one would use.
+    """
+    n1 = node.input_dim + 1
+    k1 = min(r.shape[0], n1)
+    wb = np.column_stack((node.weights, np.full(node.subspace_dim, node.bias)))
+    rcond = _EPS * max(node.subspace_dim, samples)
+    return r[:k1, n1:].T @ pinv(wb @ r[:k1, :n1].T, rcond=rcond)
 
 
 def ls_readout(node, h, targets, factor):
     """Minimum-norm least-squares readout weights = Y @ pinv(h).
 
-    h = project(node, x), and factor = factor_inputs(x, targets) = (T Q, R).
-    Since h = [W, b] R' Q' and Q has orthonormal columns,
-    Y pinv(h) = (T Q) pinv([W, b] R'): the pseudoinverse is taken in
-    (n+1)-space, with the cutoff the d x M one would use.  The bias records
-    the root-mean-square of the unbiased residual.  Callers pass validated
-    float arrays; only shapes are checked here.
+    h = project(node, x), and factor = factor_inputs(x, targets) = R; the
+    weights come from R's blocks alone (see factor_inputs).  The bias
+    records the root-mean-square of the unbiased residual.  Callers pass
+    validated float arrays; only shapes are checked here.
     """
-    tq, r = factor
     if h.shape[1] != targets.shape[1]:
         raise ShapeError(
             f"sample counts differ: feature {h.shape[1]}, targets {targets.shape[1]}"
         )
-    if r.shape[1] != node.input_dim + 1 or tq.shape != (targets.shape[0], r.shape[0]):
+    width = node.input_dim + 1 + targets.shape[0]
+    if factor.shape != (min(h.shape[1], width), width):
         raise ShapeError(
-            f"factor shapes {tq.shape} and {r.shape} do not match the node's "
-            f"{node.input_dim} inputs and the {targets.shape[0]} target rows"
+            f"factor shape {factor.shape} does not match the node's {node.input_dim} "
+            f"inputs, the {targets.shape[0]} target rows and {h.shape[1]} samples"
         )
-    coeffs = np.column_stack((node.weights, np.full(node.subspace_dim, node.bias))) @ r.T
-    weights = tq @ pinv(coeffs, rcond=np.finfo(np.float64).eps * max(h.shape))
+    weights = _readout_weights(node, factor, h.shape[1])
     bias = float(np.sqrt(mse(weights @ h - targets)))
     return LsReadout(weights=weights, bias=bias)
 
@@ -220,28 +242,67 @@ def refine_node(node, x, feedback, damping, gram_pinv):
     return SubnetNode(weights=weights, bias=bias), wx + bias
 
 
-def extract_features(x, targets, cfg):
-    """Build a layer of cfg.node_count refined nodes and their features.
+def _rms(coeff, samples):
+    """Root-mean-square entry of a matrix with M = samples columns, from its
+    coefficient on Q' (Q has orthonormal columns, so norms carry over)."""
+    return float(np.linalg.norm(coeff) / np.sqrt(coeff.shape[0] * samples))
 
-    The group is factored once (factor_inputs and pinv(X X')).  Per node:
-    spawn from a seed derived from cfg.seed, project, fit the readout,
-    compute the residual, form the feedback target, and refine once.
-    Returns the refined nodes and their subspace features, each
-    cfg.subspace_dim x M.  Callers pass validated float arrays; only shapes
-    are checked here.
+
+def _refine(node, x, targets, r, refine_pinv, cfg):
+    """readout -> residual -> feedback -> refine for one spawned node, with
+    every d x M matrix carried as a coefficient on [x; 1; T] or on Q'.
+
+    Only the global range of the feedback needs M-sized work: one product
+    (I - pinv(w) w) W x + pinv(w) T, whose rows then shift by a constant.
     """
-    factor = factor_inputs(x, targets)
-    gram_pinv = pinv(x @ x.T)
+    n, samples = x.shape
+    readout = _readout_weights(node, r, samples)
+    # The feature h = W x + b and the unbiased readout misfit T - w h.
+    c_h = np.zeros((node.subspace_dim, r.shape[1]))
+    c_h[:, :n] = node.weights
+    c_h[:, n] = node.bias
+    c_e = -(readout @ c_h)
+    c_e[:, n + 1 :] += np.eye(targets.shape[0])
+    c_e[:, n] -= _rms(c_e @ r.T, samples)  # the readout's bias
+    # The feedback pinv(w) e + h, normalized into [eps, 1] by its range.
+    c_g = pinv(readout) @ c_e + c_h
+    g = c_g[:, :n] @ x
+    g += c_g[:, n + 1 :] @ targets
+    lo = float(np.min(g.min(axis=1) + c_g[:, n]))
+    hi = float(np.max(g.max(axis=1) + c_g[:, n]))
+    eps = cfg.norm_eps
+    if hi == lo:
+        c_f = np.zeros_like(c_g)
+        c_f[:, n] = 1.0
+    else:
+        scale = (1.0 - eps) / (hi - lo)
+        c_f = scale * c_g
+        c_f[:, n] = eps + scale * (c_g[:, n] - lo)
+    # Solve a x ~ f on Q' and extrapolate past it by the damping.
+    g_f = c_f @ r.T
+    a_temp = g_f[:, : refine_pinv.shape[0]] @ refine_pinv
+    weights = a_temp + cfg.damping * (a_temp - node.weights)
+    return SubnetNode(weights=weights, bias=_rms(weights @ r[:, :n].T - g_f, samples))
+
+
+def extract_features(x, targets, cfg):
+    """Build a layer of cfg.node_count refined nodes.
+
+    Each node runs the chain spawn_node -> project -> ls_readout ->
+    residual -> error_feedback -> refine_node (with pinv(X X')), from a seed
+    derived from cfg.seed, but in coefficient space: the group is factored
+    once, [x; 1; T]' = Q R (factor_inputs), and the least squares a x ~ f
+    of every refinement is solved through one pinv(R11') of the leading
+    n x n triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff
+    (rcond sqrt(eps n) on R11 is eps n on its square).  Returns the refined
+    nodes; their features are project(node, x).  Callers pass validated
+    float arrays; only shapes are checked here.
+    """
+    n = x.shape[0]
+    r = factor_inputs(x, targets)
+    refine_pinv = pinv(r[: min(r.shape[0], n), :n].T, rcond=np.sqrt(_EPS * n))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.node_count)
-    nodes = []
-    features = []
-    for node_seed in seeds:
-        node = spawn_node(x.shape[0], cfg.subspace_dim, node_seed)
-        h = project(node, x)
-        readout = ls_readout(node, h, targets, factor)
-        e = residual(h, readout, targets)
-        feedback = error_feedback(e, readout, h, cfg.norm_eps)
-        refined, feature = refine_node(node, x, feedback, cfg.damping, gram_pinv)
-        nodes.append(refined)
-        features.append(feature)
-    return nodes, features
+    return [
+        _refine(spawn_node(n, cfg.subspace_dim, s), x, targets, r, refine_pinv, cfg)
+        for s in seeds
+    ]

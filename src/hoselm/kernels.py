@@ -4,7 +4,8 @@ Everything downstream (random-feature networks, the subnetwork extractor,
 the greedy classifier, the sequential readout) is built from the handful of
 operations here: SVD pseudoinverse, ridge-regularized inverse, mean squared
 error, sigmoid / logit, the (0, 1]-normalization pair, and the stacked
-inputs [x_1; ...; x_G; 1]' that the input-space QR factorizations take.
+inputs [x_1; ...; x_G; 1]' (with the targets' rows appended for the
+extractor) that the input-space QR factorizations take.
 
 pinv is the plain SVD reference whose Penrose conditions acceptance
 criterion 1 pins.  Callers keep its inputs small: the extractor factors each
@@ -47,16 +48,19 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def augmented_inputs(mats):
-    """[x_1; ...; x_G; 1]' for validated groups sharing M sample columns.
+def augmented_inputs(mats, targets=None):
+    """[x_1; ...; x_G; 1]' for validated groups sharing M sample columns,
+    or [x_1; ...; x_G; 1; T]' when targets T are given.
 
-    The M x (sum of group rows + 1) result is written straight into Fortran
-    order, whatever the groups' layout, so LAPACK can factor it in place
-    without another M-sized copy.
+    The M x (sum of group rows + 1 + target rows) result is written straight
+    into Fortran order, whatever the operands' layout, so LAPACK can factor
+    it in place without another M-sized copy.
     """
     samples = mats[0].shape[1]
-    out = np.empty((samples, sum(m.shape[0] for m in mats) + 1), order="F")
-    np.concatenate((*mats, np.ones((1, samples))), out=out.T)
+    tail = () if targets is None else (targets,)
+    parts = (*mats, np.ones((1, samples)), *tail)
+    out = np.empty((samples, sum(m.shape[0] for m in parts)), order="F")
+    np.concatenate(parts, out=out.T)
     return out
 
 

@@ -26,9 +26,10 @@ readout.  The maps are derived, never stored in model files.
 The same affinity bounds the rank of H by k.  A batch fit on M columns with
 D > min(k, M) fits the classifier on the coordinates Y = U'H of H in an
 orthonormal basis U of its columns (see _readout_factor), from one QR of
-the stacked inputs, and maps the weights back; when D <= min(k, M) the
-features are combined as usual.  Either way the classifier inverts the Gram
-of at most min(D, k, M) rows.  A sequential model never forms H: its
+the stacked inputs, and maps the weights back; when D <= min(k, M) it
+forms H = B [x_1; ...; x_G; 1] with one product per group, as the maps
+do, and builds no node's own feature.  Either way the classifier inverts
+the Gram of at most min(D, k, M) rows.  A sequential model never forms H: its
 readout runs recursive least squares on Y = U'H, with U an orthonormal
 D x r basis of the range of B, r = min(D, k) (see _readout_basis and
 hoselm.oselm).  A chunk of m columns then costs O(r^2 m), not O(D^2 m).
@@ -44,14 +45,15 @@ from scipy.linalg import qr, svd
 
 from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
 from .classifier import fit_classifier, stack_nodes
-from .combine import CombineSpec, combine, combine_affine
+from .combine import CombineSpec, combine_affine, combined_dim
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import NormParams, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
-# Requests go through the affine maps; these two stay for perfbench/tracing.py.
+# Requests go through the affine maps; these three stay for perfbench/tracing.py.
 from .classifier import score as classifier_score  # noqa: F401
+from .combine import combine  # noqa: F401
 from .extractor import project  # noqa: F401
 
 __all__ = [
@@ -156,11 +158,24 @@ class AffineMaps:
     source: tuple = field(repr=False)
 
     def apply(self, mats):
-        out = self.weights[0] @ mats[0]
-        for w, m in zip(self.weights[1:], mats[1:]):
-            out += w @ m
-        out += self.offset
-        return out
+        return _apply(self.weights, self.offset, mats)
+
+
+def _apply(weights, offset, mats):
+    """sum_g weights[g] @ mats[g] + offset, one product per group."""
+    out = weights[0] @ mats[0]
+    for w, m in zip(weights[1:], mats[1:]):
+        out += w @ m
+    out += offset
+    return out
+
+
+def _split_maps(extractors, folded):
+    """Split the columns of a folded coefficient L B into one weight per
+    group and the offset column."""
+    cuts = np.cumsum([nodes[0].input_dim for nodes in extractors])
+    *weights, offset = np.split(folded, cuts, axis=1)
+    return tuple(map(np.ascontiguousarray, weights)), offset
 
 
 def _derive_maps(extractors, cfg, fold):
@@ -174,10 +189,8 @@ def _derive_maps(extractors, cfg, fold):
         left, bias = stack.weights, stack.bias
     else:
         stack, left, bias = None, fold.T, 0.0
-    folded = left @ combine_affine(extractors, cfg.combine_spec)
-    cuts = np.cumsum([nodes[0].input_dim for nodes in extractors])
-    *weights, offset = np.split(folded, cuts, axis=1)
-    return AffineMaps(tuple(map(np.ascontiguousarray, weights)), offset + bias, stack, source)
+    weights, offset = _split_maps(extractors, left @ combine_affine(extractors, cfg.combine_spec))
+    return AffineMaps(weights, offset + bias, stack, source)
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,6 @@ def _require_all_classes(targets, what):
 def _fit_extractors(mats, targets, cfg):
     group_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(mats))
     extractors = []
-    features = []
     for m, group_seed in zip(mats, group_seeds):
         ecfg = ExtractorConfig(
             node_count=cfg.node_count,
@@ -274,15 +286,13 @@ def _fit_extractors(mats, targets, cfg):
             norm_eps=cfg.norm_eps,
             seed=int(group_seed),
         )
-        nodes, feats = extract_features(m, targets, ecfg)
-        extractors.append(tuple(nodes))
-        features.extend(feats)
-    return tuple(extractors), features
+        extractors.append(tuple(extract_features(m, targets, ecfg)))
+    return tuple(extractors)
 
 
 def _feature_rows(cfg, group_count):
     """Row count D of the combined feature the readout consumes."""
-    return cfg.subspace_dim * (cfg.node_count * group_count if cfg.operator == "concat" else 1)
+    return combined_dim([cfg.subspace_dim] * (cfg.node_count * group_count), cfg.combine_spec)
 
 
 def _readout_basis(extractors, cfg):
@@ -333,6 +343,8 @@ def fit(groups, targets, cfg):
     the ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
     step are those of the formed fit.  One M x k QR, the SVD of a D x k
     matrix and an r x r inverse replace the D x M feature and its Gram.
+    Otherwise H = B [x_1; ...; x_G; 1] is formed from the frozen layers'
+    coefficient, one product per group, and the classifier fits on it.
     Which path is taken depends on shapes only.  A sequential fit never
     forms H either: it takes the readout's basis U from one SVD of the
     D x k coefficient, derives the maps that give Y = U'H, and boots the
@@ -349,15 +361,13 @@ def fit(groups, targets, cfg):
     if not batch:
         _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
-    extractors, features = _fit_extractors(boot_mats, head, cfg)
+    extractors = _fit_extractors(boot_mats, head, cfg)
     rows = _feature_rows(cfg, len(mats))
     narrow = rows <= min(sum(m.shape[0] for m in mats) + 1, boot)
-    combined = combine(features, cfg.combine_spec) if batch and narrow else None
-    # The per-node features are not needed past this point; release them
-    # before the readout's QR or Gram.
-    del features
     maps = None
-    if combined is not None:
+    if batch and narrow:
+        b = combine_affine(extractors, cfg.combine_spec)
+        combined = _apply(*_split_maps(extractors, b), boot_mats)
         readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
     elif batch:
         y, u = _readout_factor(boot_mats, extractors, cfg)

@@ -66,6 +66,8 @@ def test_sample_count_preserved():
 
 
 def test_combined_dim_matches_materialized():
+    """The row rule on row counts matches the rows combine and
+    combine_affine build."""
     rng = np.random.default_rng(2)
     plus_feats = [rng.standard_normal((4, 5)) for _ in range(3)]
     concat_feats = [rng.standard_normal((r, 5)) for r in (3, 4, 2)]
@@ -73,13 +75,15 @@ def test_combined_dim_matches_materialized():
         (plus_feats, CombineSpec("plus")),
         (concat_feats, CombineSpec("concat")),
     ]:
-        assert combined_dim(feats, spec) == combine(feats, spec).shape[0]
+        rows = [f.shape[0] for f in feats]
+        assert combined_dim(rows, spec) == combine(feats, spec).shape[0]
+        layers = [[SubnetNode(weights=np.ones((r, 2)), bias=0.0) for r in rows]]
+        assert combined_dim(rows, spec) == combine_affine(layers, spec).shape[0]
 
 
 def test_combined_dim_examples():
-    feats = [np.ones((4, 6))] * 3
-    assert combined_dim(feats, CombineSpec("plus")) == 4
-    assert combined_dim([np.ones((3, 2)), np.ones((4, 2))], CombineSpec("concat")) == 7
+    assert combined_dim([4, 4, 4], CombineSpec("plus")) == 4
+    assert combined_dim([3, 4], CombineSpec("concat")) == 7
 
 
 def test_empty_list_rejected():
@@ -94,7 +98,7 @@ def test_plus_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         combine([np.ones((2, 3)), np.ones((3, 3))], CombineSpec("plus"))
     with pytest.raises(ShapeError):
-        combined_dim([np.ones((2, 3)), np.ones((3, 3))], CombineSpec("plus"))
+        combined_dim([2, 3], CombineSpec("plus"))
 
 
 def test_sample_count_mismatch_rejected():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoselm.extractor
+import hoselm.kernels
 from hoselm.errors import ShapeError
 from hoselm.extractor import (
     ExtractorConfig,
@@ -288,12 +289,12 @@ def test_extract_single_node_and_determinism():
     x = rng.standard_normal((5, 16))
     y = rng.standard_normal((2, 16))
     cfg = ExtractorConfig(node_count=1, subspace_dim=3, seed=11)
-    nodes, feats = extract_features(x, y, cfg)
-    assert len(nodes) == 1 and len(feats) == 1
-    assert feats[0].shape == (3, 16)
-    nodes2, feats2 = extract_features(x, y, cfg)
+    nodes = extract_features(x, y, cfg)
+    assert len(nodes) == 1
+    assert nodes[0].weights.shape == (3, 5)
+    nodes2 = extract_features(x, y, cfg)
     assert np.array_equal(nodes[0].weights, nodes2[0].weights)
-    assert np.array_equal(feats[0], feats2[0])
+    assert nodes[0].bias == nodes2[0].bias
 
 
 def test_extract_features_share_shape():
@@ -301,17 +302,17 @@ def test_extract_features_share_shape():
     x = rng.standard_normal((6, 20))
     y = rng.standard_normal((3, 20))
     cfg = ExtractorConfig(node_count=4, subspace_dim=5, seed=1)
-    nodes, feats = extract_features(x, y, cfg)
-    assert len(nodes) == len(feats) == 4
-    assert all(f.shape == (5, 20) for f in feats)
+    nodes = extract_features(x, y, cfg)
+    assert len(nodes) == 4
+    assert all(n.weights.shape == (5, 6) and np.isscalar(n.bias) for n in nodes)
     # Independent seeds per node: the layer is not L copies of one node.
     assert not np.array_equal(nodes[0].weights, nodes[1].weights)
 
 
 @pytest.mark.parametrize("subspace_dim", [3, 12])
-def test_layer_factors_once_and_features_are_projections(monkeypatch, subspace_dim):
+def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     # subspace_dim 12 > input_dim + 1 is the rank-deficient regime.
-    calls = {"pinv": 0, "project": 0}
+    calls = {"qr": 0, "pinv": 0, "project": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -320,18 +321,157 @@ def test_layer_factors_once_and_features_are_projections(monkeypatch, subspace_d
 
         return wrapper
 
-    monkeypatch.setattr(hoselm.extractor, "pinv", counted("pinv", hoselm.extractor.pinv))
-    monkeypatch.setattr(hoselm.extractor, "project", counted("project", project))
+    for name in calls:
+        monkeypatch.setattr(hoselm.extractor, name, counted(name, getattr(hoselm.extractor, name)))
     rng = np.random.default_rng(31)
     x = rng.standard_normal((6, 40)) + 2.0
     y = rng.standard_normal((3, 40))
     cfg = ExtractorConfig(node_count=3, subspace_dim=subspace_dim, seed=4)
-    nodes, feats = extract_features(x, y, cfg)
-    # Per node: one readout and one feedback pseudoinverse, one projection;
-    # pinv(X X') once for the layer.
-    assert calls == {"pinv": 2 * 3 + 1, "project": 3}
-    for node, feat in zip(nodes, feats):
-        assert np.array_equal(feat, project(node, x))
+    nodes = extract_features(x, y, cfg)
+    # One QR of [x; 1; T]' and one pinv(R11') for the layer; per node one
+    # readout and one feedback pseudoinverse, and no d x M feature.
+    assert calls == {"qr": 1, "pinv": 2 * 3 + 1, "project": 0}
+    assert len(nodes) == 3
+
+
+def test_layer_scans_no_sample_sized_matrix(monkeypatch):
+    """Every matrix the layer validates (the pseudoinverses' inputs) is
+    sized by the inputs, the targets and the subspace, never by the M
+    samples: no mse or normalize_unit pass over a d x M matrix."""
+    shapes = []
+    as_matrix = hoselm.kernels.as_matrix
+
+    def spy(a, name="matrix"):
+        shapes.append(np.shape(a))
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(hoselm.kernels, "as_matrix", spy)
+    rng = np.random.default_rng(12)
+    samples = 97
+    x = rng.standard_normal((7, samples)) + 3.0
+    y = np.eye(4)[:, rng.integers(0, 4, samples)]
+    extract_features(x, y, ExtractorConfig(node_count=3, subspace_dim=20, seed=2))
+    assert len(shapes) == 2 * 3 + 1
+    assert all(samples not in shape for shape in shapes)
+
+
+def node_by_node(x, targets, cfg):
+    """The layer as the public chain builds it, one d x M feature per node:
+    spawn, project, readout, residual, feedback, and the refinement's
+    least squares through pinv(X X').  Returns the refined nodes and the
+    readouts' weights."""
+    factor = factor_inputs(x, targets)
+    gram_pinv = pinv(x @ x.T)
+    nodes, readouts = [], []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.node_count):
+        node = spawn_node(x.shape[0], cfg.subspace_dim, seed)
+        h = project(node, x)
+        readout = ls_readout(node, h, targets, factor)
+        e = residual(h, readout, targets)
+        feedback = error_feedback(e, readout, h, cfg.norm_eps)
+        refined, _ = refine_node(node, x, feedback, cfg.damping, gram_pinv)
+        nodes.append(refined)
+        readouts.append(readout.weights)
+    return nodes, readouts
+
+
+def kept_condition(a, rcond):
+    """Condition number of a over the singular values a pinv at rcond keeps."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[0] / s[s > rcond * s[0]][-1]
+
+
+@st.composite
+def layer_problems(draw):
+    """Inputs, targets and a layer config.  x may hold a duplicated row, a
+    constant row and an offset up to 1e3; d may exceed n + 1 and M may be
+    smaller than n + 1 + t, so both [x; 1] and [x; 1; T] are often rank
+    deficient."""
+    n = draw(st.integers(1, 10))
+    samples = draw(st.integers(1, 60))
+    offset = draw(st.floats(0.0, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, samples)) + offset
+    if n > 1 and draw(st.booleans()):
+        x[-1] = x[0]
+    if draw(st.booleans()):
+        x[0] = offset + 1.0
+    targets = rng.standard_normal((draw(st.integers(1, 4)), samples))
+    cfg = ExtractorConfig(
+        node_count=draw(st.integers(1, 3)),
+        subspace_dim=draw(st.integers(1, 30)),
+        damping=draw(st.floats(0.1, 1.0)),
+        seed=draw(st.integers(0, 100)),
+    )
+    return x, targets, cfg
+
+
+# Both sides round differently, and two steps amplify that by the
+# conditioning of the problem, u the machine epsilon:
+# - the chain forms X X', which squares the condition number kx of x (over
+#   the singular values pinv(X X') keeps), so it lands up to about u kx^2
+#   from the exact chain.  At M = n and an offset of 1e3 that reaches 1e-6,
+#   while extract_features stays within 2e-12 of a 50-digit evaluation
+#   (see the next test);
+# - the pulled-back residual pinv(w) e cancels large terms when the
+#   readout w is ill-conditioned, which both sides do in a different order.
+# The gate adds 2 u (kx^2 + kw) to its 1e-9.  Over 14355 nodes of random
+# draws the largest distance was 0.27 of that bound; 66 of 11015 nodes
+# missed 1e-9 alone.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(layer_problems())
+def test_extract_features_equals_the_node_by_node_chain(problem):
+    x, targets, cfg = problem
+    got = extract_features(x, targets, cfg)
+    want, readouts = node_by_node(x, targets, cfg)
+    assert len(got) == len(want) == cfg.node_count
+    kx = kept_condition(x, np.sqrt(EPS * x.shape[0]))
+    for g, w, readout in zip(got, want, readouts):
+        kw = kept_condition(readout, EPS * max(readout.shape))
+        tol = 1e-9 + 2 * EPS * (kx**2 + kw)
+        assert relative(g.weights, w.weights) <= tol
+        assert abs(g.bias - w.bias) <= tol * abs(w.bias)
+
+
+def chain_to_50_digits(x, targets, cfg, mp):
+    """The chain for a one-node layer whose h, readout and x have full row
+    rank, in 50-digit arithmetic; every pseudoinverse is a' (a a')^-1."""
+    with mp.workdps(50):
+        (n, samples), classes = x.shape, targets.shape[0]
+        xm, tm = mp.matrix(x.tolist()), mp.matrix(targets.tolist())
+        node = spawn_node(n, cfg.subspace_dim, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        w0 = mp.matrix(node.weights.tolist())
+        h = w0 * xm + node.bias * mp.ones(cfg.subspace_dim, samples)
+        readout = tm * h.T * mp.inverse(h * h.T)
+
+        def rms(a):
+            return mp.sqrt(mp.fsum(v**2 for v in a) / (a.rows * a.cols))
+
+        e = tm - readout * h
+        e -= rms(e) * mp.ones(classes, samples)
+        g = readout.T * mp.inverse(readout * readout.T) * e + h
+        lo, hi = min(g), max(g)
+        f = g.apply(lambda v: cfg.norm_eps + (1 - cfg.norm_eps) * (v - lo) / (hi - lo))
+        a = f * xm.T * mp.inverse(xm * xm.T)
+        weights = a + cfg.damping * (a - w0)
+        return np.array(weights.tolist(), dtype=float), float(rms(weights * xm - f))
+
+
+def test_refine_solve_keeps_the_digits_the_gram_loses():
+    """x offset by 1e3 with M = n = 10, so cond(x) is about 5e5: the chain's
+    pinv(X X') misses a 50-digit evaluation by more than 1e-7, the layer's
+    solve through R11 by less than 1e-11."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((10, 10)) + 1e3
+    targets = rng.standard_normal((4, 10))
+    cfg = ExtractorConfig(node_count=1, subspace_dim=4, seed=0)
+    weights, bias = chain_to_50_digits(x, targets, cfg, mp)
+    (got,) = extract_features(x, targets, cfg)
+    (chain,), _ = node_by_node(x, targets, cfg)
+    assert relative(got.weights, weights) < 1e-11
+    assert abs(got.bias - bias) < 1e-11 * bias
+    assert relative(chain.weights, weights) > 1e-7
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.5])

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hoselm.classifier
+import hoselm.extractor
 import hoselm.pipeline
 from hoselm.classifier import decode_labels, fit_classifier, score
 from hoselm.extractor import project
@@ -157,12 +158,30 @@ def test_wide_batch_fit_takes_the_factored_path(readout_calls):
 
 
 @pytest.mark.parametrize("subspace_dim", [10, 19])
-def test_narrow_batch_fit_combines_the_features(readout_calls, subspace_dim):
+def test_narrow_batch_fit_combines_the_features(monkeypatch, readout_calls, subspace_dim):
+    """With D <= min(k, M) the fit forms H = B [x_1; ...; x_G; 1] from the
+    frozen layers' coefficient, one product per group, without projecting
+    a node or calling combine, and inverts one (D, D) Gram."""
+    fitted, projected = [], []
+
+    def fit_spy(h, *args):
+        fitted.append(h)
+        return fit_classifier(h, *args)
+
+    def project_spy(node, x):
+        projected.append(node)
+        return project(node, x)
+
+    monkeypatch.setattr(hoselm.pipeline, "fit_classifier", fit_spy)
+    for module in (hoselm.extractor, hoselm.pipeline):
+        monkeypatch.setattr(module, "project", project_spy)
     groups, targets, _ = three_groups()
     cfg = PipelineConfig(node_count=3, subspace_dim=subspace_dim, classifier_nodes=6)
-    fit(groups, targets, cfg)
-    assert readout_calls["combine"] == 1
+    model = fit(groups, targets, cfg)
+    assert readout_calls["combine"] == 0 and projected == []
     assert readout_calls["ridge_inverse"] == [(subspace_dim, subspace_dim)]
+    (h,) = fitted
+    assert rel_err(h, combined_feature(model, groups)) < 1e-12
 
 
 def test_factored_concat_labels_equal_the_formed_readout():

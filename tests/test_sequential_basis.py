@@ -237,22 +237,22 @@ def test_long_stream_stays_on_the_batch_ridge_solution(chunk):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_factor_inputs_hands_lapack_a_fortran_buffer(monkeypatch, order):
-    """factor_inputs stacks [x; 1]' straight into Fortran order whatever the
-    group's layout, so qr_multiply factors it in place; the factor equals the
+    """factor_inputs stacks [x; 1; T]' straight into Fortran order whatever
+    the group's layout, so the QR factors it in place; the factor equals the
     one from the plain C-ordered stack bit for bit."""
     rng = np.random.default_rng(8)
     x = np.asarray(rng.standard_normal((6, 40)), order=order)
     targets = np.eye(2)[:, np.arange(40) % 2]
     seen = []
-    qr_multiply = hoselm.extractor.qr_multiply
+    qr = hoselm.extractor.qr
 
     def spy(a, *args, **kwargs):
         seen.append(a.flags.f_contiguous)
-        return qr_multiply(a, *args, **kwargs)
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(hoselm.extractor, "qr_multiply", spy)
-    tq, r = factor_inputs(x, targets)
+    monkeypatch.setattr(hoselm.extractor, "qr", spy)
+    r = factor_inputs(x, targets)
     assert seen == [True]
-    plain = np.ascontiguousarray(np.vstack((x, np.ones((1, 40)))).T)
-    want_tq, want_r = qr_multiply(plain, targets, mode="right")
-    assert np.array_equal(tq, want_tq) and np.array_equal(r, want_r)
+    plain = np.ascontiguousarray(np.vstack((x, np.ones((1, 40)), targets)).T)
+    _, want = qr(plain, mode="raw")
+    assert np.array_equal(r, want)
