@@ -55,7 +55,7 @@ def main():
     print()
     print("a full layer of refined nodes:")
     cfg = ExtractorConfig(node_count=4, subspace_dim=8, seed=11)
-    nodes = extract_features(x, targets, cfg)
+    nodes = extract_features(x, targets, cfg, factor_inputs(x, targets))
     features = [project(n, x) for n in nodes]
     print(f"  {len(nodes)} nodes, each emitting a {features[0].shape} subspace feature")
 

@@ -9,8 +9,8 @@ least-squares minimizer, the residual norm never increases, and the model's
 score plus the final residual reconstructs the training targets exactly.
 The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
 computes it once and every node reuses it.  Nothing here needs H to be
-the combined feature itself: a wide batch fit passes its rotated
-coordinates U'H instead and maps the weights back (see pipeline.fit).
+the combined feature itself: a batch fit passes its rotated coordinates
+U'H instead and maps the weights back (see pipeline.fit).
 
 For scoring, the nodes are stacked row-wise into one NodeStack: one
 (nodes * classes) x D weight matrix with per-row bias, normalization and
@@ -20,7 +20,9 @@ activation half.  The pipeline folds the affine half into its frozen
 input maps and calls activate on the result.
 
 The fitting functions take arrays the pipeline validated and check shapes
-only.  This layer is deterministic: no randomness enters anywhere.
+only; every matrix they normalize, map or invert is one they built, so they
+call the kernels' unchecked cores and scan nothing.  This layer is
+deterministic: no randomness enters anywhere.
 """
 
 from dataclasses import dataclass
@@ -28,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodeError, ShapeError
-from .kernels import (
-    NormParams,
-    as_matrix,
-    denormalize_unit,
-    logit_map,
-    normalize_unit,
-    ridge_inverse,
-    sigmoid_map,
-)
+from .kernels import NormParams, as_matrix, sigmoid_map
+
+# The fit builds every matrix it normalizes, maps or inverts, so it calls the
+# kernels' unchecked cores.  The ridge inverse keeps the name
+# perfbench/tracing.py wraps.
+from .kernels import _denormalize_unit, _logit_map, _normalize_unit
+from .kernels import _ridge_inverse as ridge_inverse
 
 __all__ = [
     "ClassifierNode",
@@ -147,12 +147,14 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
         raise ShapeError(f"sample counts differ: features {cols}, residual {e_prev.shape[1]}")
     if gram_inv.shape != (rows, rows):
         raise ShapeError(f"ridge inverse shape {gram_inv.shape}, features have {rows} rows")
-    scaled, norm_in = normalize_unit(e_prev, eps)
-    z = logit_map(scaled)
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    scaled, norm_in = _normalize_unit(e_prev, eps)
+    z = _logit_map(scaled)
     weights = z @ h.T @ gram_inv
     pre = weights @ h
     bias = float(np.mean(z - pre))
-    v = denormalize_unit(sigmoid_map(pre + bias), norm_in)
+    v = _denormalize_unit(sigmoid_map(pre + bias), norm_in)
     v_sq = float(np.sum(v * v))
     if v_sq == 0.0:
         raise DegenerateNodeError("node activation is identically zero")
@@ -171,6 +173,8 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
+    if coeff <= 0:
+        raise ValueError(f"ridge coefficient must be positive, got {coeff}")
     gram_inv = ridge_inverse(h @ h.T, coeff)
     e = targets
     nodes = []

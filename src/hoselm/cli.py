@@ -11,6 +11,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .bench import RunConfig, emit_report, run_benchmark, write_report
 from .data import load_csv, one_hot, synth_blobs, write_csv
 from .pipeline import (
@@ -232,14 +234,16 @@ def _cmd_train(args):
     if not values["out"]:
         raise ValueError("train needs --out for the model file")
     groups, labels = load_csv(values["data"], values["groups"], values["label_col"])
-    class_count = int(labels.max()) + 1
-    targets = one_hot(labels, class_count)
+    # Class k is the k-th smallest label present; the model keeps the values.
+    classes, labels = np.unique(labels, return_inverse=True)
+    targets = one_hot(labels, len(classes))
     model = fit(groups, targets, _pipeline_config(values))
+    model = dataclasses.replace(model, class_labels=tuple(int(c) for c in classes))
     save_model(model, values["out"])
     training = evaluate(model, groups, targets)
     print(
         f"trained {model.config.mode} model on {labels.size} samples, "
-        f"{class_count} classes; training mean per-class rate "
+        f"{len(classes)} classes; training mean per-class rate "
         f"{training.mean_per_class_rate:.4f}; wrote {values['out']}"
     )
     return 0
@@ -251,8 +255,17 @@ def _cmd_predict(args):
         _DATA_DEFAULTS["label_col"] if args.label_col is None else args.label_col
     )
     groups, labels = load_csv(args.data, args.groups, label_col)
+    if labels is not None:
+        index = {c: k for k, c in enumerate(model.class_labels)}
+        unknown = sorted(set(labels.tolist()) - index.keys())
+        if unknown:
+            raise ValueError(
+                f"true labels span [{labels.min()}, {labels.max()}]; labels {unknown} "
+                f"are not among the model's classes {list(model.class_labels)}"
+            )
+        truth = [index[c] for c in labels.tolist()]
     predicted = predict(model, groups)
-    lines = "".join(f"{p}\n" for p in predicted)
+    lines = "".join(f"{model.class_labels[p]}\n" for p in predicted)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(lines)
@@ -260,7 +273,7 @@ def _cmd_predict(args):
         sys.stdout.write(lines)
     if labels is not None:
         _, _, mean_rate, accuracy, _ = classification_metrics(
-            labels, predicted, model.class_count
+            truth, predicted, model.class_count
         )
         print(
             f"mean per-class rate {mean_rate:.4f}, accuracy {accuracy:.4f} "

@@ -14,8 +14,9 @@ error_feedback -> refine_node states one node's refinement on d x M
 matrices.  extract_features builds the same layer without any of them.
 Every per-node matrix is affine in [x; 1; T]: the feature, the readout
 misfit, the pulled-back feedback, the normalized refine target and the
-refine misfit.  So one R-only thin QR [x; 1; T]' = Q R per layer
-(factor_inputs) turns each into a d x (n+1+t) coefficient on Q'.  The
+refine misfit.  So the R of one thin QR [x; 1; T]' = Q R turns each into
+a d x (n+1+t) coefficient on Q'; the caller takes that QR (pipeline.fit
+slices each layer's R from one QR of all groups, factor_inputs).  The
 root-mean-square biases are Frobenius norms of coefficients, since Q is
 orthonormal.  Each readout takes its pseudoinverse in (n+1)-space, with the
 cutoff the d x M one would use, and every refinement solves a x ~ f through
@@ -129,21 +130,35 @@ def project(node, x):
     return node.weights @ x + node.bias
 
 
-def factor_inputs(x, targets):
-    """Factor a group's inputs and targets once for a whole layer.
+def factor_inputs(mats, targets):
+    """Factor feature groups and their targets once for a whole fit.
 
-    Takes the thin QR [x; 1; T]' = Q R and returns R alone, k x (n+1+t) with
-    k = min(M, n+1+t); Q is never built.  Its leading k1 = min(M, n+1) rows
-    hold the blocks every readout needs: [x; 1]' = Q1 R[:k1, :n+1] and
+    mats is a list of groups x_g sharing M sample columns, or a lone
+    group.  Takes the thin QR [x_1; ...; x_G; 1; T]' = Q R and returns R
+    alone, k x K with K the stack's rows and k = min(M, K); Q is never
+    built.  For a lone group x its leading k1 = min(M, n+1) rows hold the
+    blocks every readout needs: [x; 1]' = Q1 R[:k1, :n+1] and
     T Q1 = R[:k1, n+1:]', with Q1 the first k1 columns of Q.  Callers pass
     validated float arrays; only shapes are checked here.
     """
-    if x.shape[1] != targets.shape[1]:
+    if isinstance(mats, np.ndarray):
+        mats = [mats]
+    if mats[0].shape[1] != targets.shape[1]:
         raise ShapeError(
-            f"sample counts differ: inputs {x.shape[1]}, targets {targets.shape[1]}"
+            f"sample counts differ: inputs {mats[0].shape[1]}, targets {targets.shape[1]}"
         )
-    _, r = qr(augmented_inputs([x], targets), mode="raw", overwrite_a=True, check_finite=False)
+    _, r = qr(augmented_inputs(mats, targets), mode="raw", overwrite_a=True, check_finite=False)
     return r
+
+
+def _check_factor(factor, inputs, targets):
+    """A layer factor is the R of [x; 1; T]' for x with `inputs` rows."""
+    width = inputs + 1 + targets.shape[0]
+    if factor.shape != (min(targets.shape[1], width), width):
+        raise ShapeError(
+            f"factor shape {factor.shape} does not match {inputs} inputs, "
+            f"{targets.shape[0]} target rows and {targets.shape[1]} samples"
+        )
 
 
 def _readout_weights(node, r, samples):
@@ -172,12 +187,7 @@ def ls_readout(node, h, targets, factor):
         raise ShapeError(
             f"sample counts differ: feature {h.shape[1]}, targets {targets.shape[1]}"
         )
-    width = node.input_dim + 1 + targets.shape[0]
-    if factor.shape != (min(h.shape[1], width), width):
-        raise ShapeError(
-            f"factor shape {factor.shape} does not match the node's {node.input_dim} "
-            f"inputs, the {targets.shape[0]} target rows and {h.shape[1]} samples"
-        )
+    _check_factor(factor, node.input_dim, targets)
     weights = _readout_weights(node, factor, h.shape[1])
     bias = float(np.sqrt(mse(weights @ h - targets)))
     return LsReadout(weights=weights, bias=bias)
@@ -285,24 +295,26 @@ def _refine(node, x, targets, r, refine_pinv, cfg):
     return SubnetNode(weights=weights, bias=_rms(weights @ r[:, :n].T - g_f, samples))
 
 
-def extract_features(x, targets, cfg):
+def extract_features(x, targets, cfg, factor):
     """Build a layer of cfg.node_count refined nodes.
 
     Each node runs the chain spawn_node -> project -> ls_readout ->
     residual -> error_feedback -> refine_node (with pinv(X X')), from a seed
-    derived from cfg.seed, but in coefficient space: the group is factored
-    once, [x; 1; T]' = Q R (factor_inputs), and the least squares a x ~ f
-    of every refinement is solved through one pinv(R11') of the leading
-    n x n triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff
-    (rcond sqrt(eps n) on R11 is eps n on its square).  Returns the refined
-    nodes; their features are project(node, x).  Callers pass validated
-    float arrays; only shapes are checked here.
+    derived from cfg.seed, but in coefficient space.  factor is the R of a
+    thin QR [x; 1; T]' = Q R, such as factor_inputs(x, targets); any such R
+    serves, since the layer uses it only through products with R' and the
+    triangle's pseudoinverse.  The least squares a x ~ f of every
+    refinement is solved through one pinv(R11') of the leading n x n
+    triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff (rcond
+    sqrt(eps n) on R11 is eps n on its square).  Returns the refined nodes;
+    their features are project(node, x).  Callers pass validated float
+    arrays; only shapes are checked here.
     """
     n = x.shape[0]
-    r = factor_inputs(x, targets)
-    refine_pinv = pinv(r[: min(r.shape[0], n), :n].T, rcond=np.sqrt(_EPS * n))
+    _check_factor(factor, n, targets)
+    refine_pinv = pinv(factor[: min(factor.shape[0], n), :n].T, rcond=np.sqrt(_EPS * n))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.node_count)
     return [
-        _refine(spawn_node(n, cfg.subspace_dim, s), x, targets, r, refine_pinv, cfg)
+        _refine(spawn_node(n, cfg.subspace_dim, s), x, targets, factor, refine_pinv, cfg)
         for s in seeds
     ]

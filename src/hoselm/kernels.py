@@ -8,9 +8,13 @@ inputs [x_1; ...; x_G; 1]' (with the targets' rows appended for the
 extractor) that the input-space QR factorizations take.
 
 pinv is the plain SVD reference whose Penrose conditions acceptance
-criterion 1 pins.  Callers keep its inputs small: the extractor factors each
-feature group once and takes its per-node pseudoinverses in (n+1)-space, and
-the classifier takes one ridge inverse per fit.
+criterion 1 pins.  Callers keep its inputs small: a fit factors its inputs
+once and the extractor takes its per-node pseudoinverses in (n+1)-space,
+and the classifier takes one ridge inverse per fit.
+
+The public helpers validate their inputs.  The ridge inverse, logit and
+normalization pair also have unchecked private cores, which the classifier
+fit calls on the matrices it builds itself.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
@@ -85,7 +89,12 @@ def ridge_inverse(g, c):
         raise ShapeError(f"ridge_inverse needs a square matrix, got {m.shape}")
     if c <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {c}")
-    return np.linalg.inv(np.eye(m.shape[0]) / c + m)
+    return _ridge_inverse(m, c)
+
+
+def _ridge_inverse(g, c):
+    """ridge_inverse without its checks, for callers that built g."""
+    return np.linalg.inv(np.eye(g.shape[0]) / c + g)
 
 
 def mse(r):
@@ -114,7 +123,12 @@ def logit_map(x, clip_eps=1e-7):
     [clip_eps, 1 - clip_eps], so the output is always finite."""
     if not 0.0 < clip_eps < 0.5:
         raise ValueError(f"clip_eps must lie in (0, 0.5), got {clip_eps}")
-    xc = np.clip(as_matrix(x, "logit input"), clip_eps, 1.0 - clip_eps)
+    return _logit_map(as_matrix(x, "logit input"), clip_eps)
+
+
+def _logit_map(x, clip_eps=1e-7):
+    """logit_map without its checks, for callers that built x."""
+    xc = np.clip(x, clip_eps, 1.0 - clip_eps)
     return -np.log(1.0 / xc - 1.0)
 
 
@@ -141,19 +155,27 @@ def normalize_unit(x, eps=1e-4):
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    m = as_matrix(x, "normalize input")
-    lo = float(m.min())
-    hi = float(m.max())
+    return _normalize_unit(as_matrix(x, "normalize input"), eps)
+
+
+def _normalize_unit(x, eps):
+    """normalize_unit without its checks, for callers that built x."""
+    lo = float(x.min())
+    hi = float(x.max())
     p = NormParams(lo=lo, hi=hi, eps=eps)
     if p.degenerate:
-        return np.ones_like(m), p
-    return eps + (1.0 - eps) * (m - lo) / (hi - lo), p
+        return np.ones_like(x), p
+    return eps + (1.0 - eps) * (x - lo) / (hi - lo), p
 
 
 def denormalize_unit(y, params):
     """Exact affine inverse of normalize_unit; degenerate params map
     everything back to the recorded constant."""
-    m = as_matrix(y, "denormalize input")
+    return _denormalize_unit(as_matrix(y, "denormalize input"), params)
+
+
+def _denormalize_unit(y, params):
+    """denormalize_unit without its checks, for callers that built y."""
     if params.degenerate:
-        return np.full_like(m, params.lo)
-    return params.lo + (m - params.eps) * (params.hi - params.lo) / (1.0 - params.eps)
+        return np.full_like(y, params.lo)
+    return params.lo + (y - params.eps) * (params.hi - params.lo) / (1.0 - params.eps)

@@ -91,7 +91,10 @@ def os_boot(y, targets, coeff, basis=None):
         p = V diag(1 / (1/coeff + s^2)) V',  gamma = V diag(s / (1/coeff + s^2)) (T Q W)'
 
     with s padded by zeros to r.  The ridge term removes any rank
-    requirement on the initial block.
+    requirement on the initial block.  Only the Grams Y Y' and Y T' enter,
+    so pipeline.fit passes small factors with the block's Grams instead
+    (see there) and then sets seen, which counts y's columns, to the
+    block's.
     """
     if coeff <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {coeff}")

@@ -23,16 +23,17 @@ half, L = W_stack, and applies the classifier's activation half after it;
 a sequential model folds L = U' (below) and hands the result to its
 readout.  The maps are derived, never stored in model files.
 
-The same affinity bounds the rank of H by k.  A batch fit on M columns with
-D > min(k, M) fits the classifier on the coordinates Y = U'H of H in an
-orthonormal basis U of its columns (see _readout_factor), from one QR of
-the stacked inputs, and maps the weights back; when D <= min(k, M) it
-forms H = B [x_1; ...; x_G; 1] with one product per group, as the maps
-do, and builds no node's own feature.  Either way the classifier inverts
-the Gram of at most min(D, k, M) rows.  A sequential model never forms H: its
-readout runs recursive least squares on Y = U'H, with U an orthonormal
-D x r basis of the range of B, r = min(D, k) (see _readout_basis and
-hoselm.oselm).  A chunk of m columns then costs O(r^2 m), not O(D^2 m).
+The same affinity bounds the rank of H by k.  A fit factors its boot
+block once, with one R-only thin QR [x_1; ...; x_G; 1; T]' = Q R
+(hoselm.extractor.factor_inputs), and every least-squares solve of the fit
+reads that R: each extractor layer takes the R of a QR of its own columns
+[x_g; 1; T] of it, the batch readout takes the basis U of its coordinates
+from the SVD of B R_z' (R_z the stacked inputs' columns of R) and the
+sequential boot runs on R's columns alone (see fit).  Neither mode forms H:
+the classifier is fitted on Y = U'H and the sequential readout runs
+recursive least squares on it, with U an orthonormal D x r basis of H's
+columns, r <= min(D, k) (see hoselm.oselm).  A chunk of m columns then
+costs O(r^2 m), not O(D^2 m).
 """
 
 import json
@@ -47,8 +48,8 @@ from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
 from .classifier import fit_classifier, stack_nodes
 from .combine import CombineSpec, combine_affine, combined_dim
 from .errors import FormatError, ModeError, ShapeError
-from .extractor import ExtractorConfig, SubnetNode, extract_features
-from .kernels import NormParams, as_matrix, augmented_inputs
+from .extractor import ExtractorConfig, SubnetNode, extract_features, factor_inputs
+from .kernels import NormParams, as_matrix
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps; these three stay for perfbench/tracing.py.
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # What numpy and zipfile raise on a damaged archive member.  RuntimeError
 # covers an encryption flag and, as its subclass NotImplementedError, an
 # unsupported compression method.
@@ -199,8 +200,10 @@ class HOselmModel:
 
     extractors holds one tuple of nodes per feature group, in group order;
     readout is a ClassifierModel in batch mode or an OselmState in
-    sequential mode.  maps is derived from the other fields when the model
-    is built (see AffineMaps) and reused as long as the fields it was
+    sequential mode.  class_labels holds the label value of each class
+    index, such as the original labels of a dataset; None means
+    0 .. class_count - 1.  maps is derived from the other fields when the
+    model is built (see AffineMaps) and reused as long as the fields it was
     derived from are the same objects: partial_fit keeps the config and the
     readout's basis, so it shares the maps.
     """
@@ -210,9 +213,12 @@ class HOselmModel:
     readout: object
     config: PipelineConfig
     class_count: int
+    class_labels: tuple = None
     maps: AffineMaps = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.class_labels is None:
+            object.__setattr__(self, "class_labels", tuple(range(self.class_count)))
         fold = self.readout if self.config.mode == "batch" else self.readout.basis
         source = (self.extractors, self.config, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
@@ -275,10 +281,18 @@ def _require_all_classes(targets, what):
         )
 
 
-def _fit_extractors(mats, targets, cfg):
+def _fit_extractors(mats, targets, r, cfg):
+    """One layer per group from the shared factor r of the stacked inputs
+    and targets: the R of a QR of the group's columns [x_g; 1; T] of r,
+    which a lone group takes as it is."""
     group_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(mats))
+    starts = np.cumsum([0] + [m.shape[0] for m in mats])
     extractors = []
-    for m, group_seed in zip(mats, group_seeds):
+    for m, lo, hi, group_seed in zip(mats, starts, starts[1:], group_seeds):
+        factor = r
+        if len(mats) > 1:
+            cols = np.r_[lo:hi, starts[-1] : r.shape[1]]
+            _, factor = qr(r[:, cols], mode="raw", overwrite_a=True, check_finite=False)
         ecfg = ExtractorConfig(
             node_count=cfg.node_count,
             subspace_dim=cfg.subspace_dim,
@@ -286,42 +300,8 @@ def _fit_extractors(mats, targets, cfg):
             norm_eps=cfg.norm_eps,
             seed=int(group_seed),
         )
-        extractors.append(tuple(extract_features(m, targets, ecfg)))
+        extractors.append(tuple(extract_features(m, targets, ecfg, factor)))
     return tuple(extractors)
-
-
-def _feature_rows(cfg, group_count):
-    """Row count D of the combined feature the readout consumes."""
-    return combined_dim([cfg.subspace_dim] * (cfg.node_count * group_count), cfg.combine_spec)
-
-
-def _readout_basis(extractors, cfg):
-    """Orthonormal D x r basis U of the range of the frozen layers'
-    coefficient B (hoselm.combine.combine_affine), from its thin SVD,
-    r = min(D, k).  Every combined feature column lies in that range, so
-    the sequential readout works on U'H (see hoselm.oselm); no rank cutoff
-    is taken, and when D <= k U is a D x D rotation."""
-    u, _, _ = svd(combine_affine(extractors, cfg.combine_spec), full_matrices=False)
-    return u
-
-
-def _readout_factor(mats, extractors, cfg):
-    """The combined feature as coordinates in an orthonormal basis:
-    (Y, U) with H = U Y.
-
-    H = B [x_1; ...; x_G; 1] (B from hoselm.combine.combine_affine).  A thin QR
-    [x_1; ...; x_G; 1]' = Q R gives H = B R' Q', and the SVD of the small
-    B R' = U S V' gives H = U Y with Y = (Q V S)' = U'H.  U is D x r and Y
-    is r x M, r = min(D, k, M).  Y has orthogonal rows, so the classifier's
-    r x r Gram Y Y' is S^2, diagonal up to rounding, and its ridge inverse
-    stays accurate however ill-conditioned H is; H H' squares H's condition
-    number.
-    """
-    inputs = augmented_inputs(mats)
-    q, r = qr(inputs, mode="economic", overwrite_a=True, check_finite=False)
-    br = combine_affine(extractors, cfg.combine_spec) @ r.T
-    u, s, vt = svd(br, full_matrices=False, check_finite=False)
-    return (s[:, None] * vt) @ q.T, u
 
 
 def fit(groups, targets, cfg):
@@ -335,20 +315,24 @@ def fit(groups, targets, cfg):
     each later chunk into the readout as partial_fit does, the last one
     possibly short.
 
-    A batch fit whose combined feature has more rows D than min(k, M), k
-    the stacked inputs' rows plus one and M the columns, never forms it:
-    the classifier is fitted on the coordinates Y = U'H (see
-    _readout_factor), and each node's weights W_Y map back to W_Y U'.
-    Since (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are
-    the ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
-    step are those of the formed fit.  One M x k QR, the SVD of a D x k
-    matrix and an r x r inverse replace the D x M feature and its Gram.
-    Otherwise H = B [x_1; ...; x_G; 1] is formed from the frozen layers'
-    coefficient, one product per group, and the classifier fits on it.
-    Which path is taken depends on shapes only.  A sequential fit never
-    forms H either: it takes the readout's basis U from one SVD of the
-    D x k coefficient, derives the maps that give Y = U'H, and boots the
-    readout on the boot chunk's Y.
+    Every solve reads one R-only thin QR of the boot block,
+    [x_1; ...; x_G; 1; T]' = Q R (factor_inputs), and H = B z with
+    z = [x_1; ...; x_G; 1] (hoselm.combine.combine_affine) is never formed.
+    With R_z the leading min(k, M) rows of R's first k columns (k = rows of
+    z), H = (B R_z') Q_z'.
+
+    Batch: the SVD B R_z' = U S V' gives an orthonormal basis U of H's
+    columns (D x r, r = min(D, k, M)); the classifier is fitted on
+    Y = U'H = (U'B) z, one product per group, whose Gram is S^2 up to
+    rounding, and each node's weights W_Y map back to W_Y U'.  Since
+    (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are the
+    ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
+    step are those of a fit on H.
+
+    Sequential: U comes from the SVD of B alone, since later chunks can
+    leave the range of B R_z' when M < k.  The readout boots on
+    F = U'B R[:, :k]' and G = R[:, k:]', whose Grams F F' and F G' equal
+    Y Y' and Y T' over the boot block.
     """
     mats, names = _checked_groups(groups)
     tm = as_matrix(targets, "targets")
@@ -361,30 +345,26 @@ def fit(groups, targets, cfg):
     if not batch:
         _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
-    extractors = _fit_extractors(boot_mats, head, cfg)
-    rows = _feature_rows(cfg, len(mats))
-    narrow = rows <= min(sum(m.shape[0] for m in mats) + 1, boot)
-    maps = None
-    if batch and narrow:
-        b = combine_affine(extractors, cfg.combine_spec)
-        combined = _apply(*_split_maps(extractors, b), boot_mats)
-        readout = fit_classifier(combined, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
-    elif batch:
-        y, u = _readout_factor(boot_mats, extractors, cfg)
+    r = factor_inputs(boot_mats, head)
+    extractors = _fit_extractors(boot_mats, head, r, cfg)
+    b = combine_affine(extractors, cfg.combine_spec)
+    k = r.shape[1] - tm.shape[0]
+    if batch:
+        u, _, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
+        y = _apply(*_split_maps(extractors, u.T @ b), boot_mats)
         readout = fit_classifier(y, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
         nodes = tuple(replace(n, weights=n.weights @ u.T) for n in readout.nodes)
-        readout = replace(readout, nodes=nodes, feature_dim=rows)
+        readout = replace(readout, nodes=nodes, feature_dim=b.shape[0])
     else:
-        basis = _readout_basis(extractors, cfg)
-        maps = _derive_maps(extractors, cfg, basis)
-        readout = os_boot(maps.apply(boot_mats), head, cfg.coeff, basis)
+        u, _, _ = svd(b, full_matrices=False)
+        readout = os_boot(u.T @ b @ r[:, :k].T, r[:, k:].T, cfg.coeff, u)
+        readout = replace(readout, seen=boot)
     model = HOselmModel(
         extractors=extractors,
         group_names=names,
         readout=readout,
         config=cfg,
         class_count=tm.shape[0],
-        maps=maps,
     )
     # Later chunks have the boot chunk's length; batch mode has none.
     for lo in range(boot, samples, boot):
@@ -486,15 +466,15 @@ def evaluate(model, groups, targets):
 def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
-    Format v3 stores each fact once.  The header holds the full config
+    Format v4 stores each fact once.  The header holds the full config
     (which also fixes the combiner and the readout's ridge coefficient),
-    the group names, the class count, and the batch readout's node count or
-    the sequential readout's sample count.  Arrays: per group g,
+    the group names, the classes' label values, and the batch readout's
+    node count or the sequential readout's sample count.  Arrays: per group g,
     extractor_{g}_weights (nodes x dim x inputs) and extractor_{g}_biases;
     batch readouts add stacked classifier node arrays, sequential readouts
     their r x r accumulator (in the readout's basis, which the extractors
     fix and load_model derives again) and D x classes weights.  See the
-    README for the full layout and for what formats v1 and v2 stored.
+    README for the full layout and for what formats v1 to v3 stored.
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
@@ -504,7 +484,7 @@ def save_model(model, path):
         "format_version": _FORMAT_VERSION,
         "config": asdict(model.config),
         "group_names": list(model.group_names),
-        "class_count": model.class_count,
+        "class_labels": list(model.class_labels),
     }
     arrays = {}
     for g, nodes in enumerate(model.extractors):
@@ -550,7 +530,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version not in (1, 2, _FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (1, 2, 3, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -629,19 +609,29 @@ def _drop_v1_copies(header, meta, cfg, dim):
 
 def _load(data):
     header = _header(data)
+    version = header["format_version"]
     try:
         cfg = PipelineConfig(**header["config"])
         names = header["group_names"]
-        classes = header["class_count"]
+        # Formats v1 to v3 stored the class count; their labels are 0 .. C-1.
+        labels = header["class_labels"] if version == 4 else header["class_count"]
         meta = dict(header["readout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header is malformed: {exc!r}") from exc
-    _count(classes, "class_count", 1)
+    if version < 4:
+        labels = list(range(_count(labels, "class_count", 1)))
+    elif not (
+        isinstance(labels, list)
+        and labels
+        and all(type(v) is int for v in labels)
+        and len(set(labels)) == len(labels)
+    ):
+        raise FormatError(f"model header class_labels must list distinct integers, got {labels!r}")
+    classes = len(labels)
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise FormatError(f"model header group_names must list group names, got {names!r}")
     batch = cfg.mode == "batch"
-    dim = _feature_rows(cfg, len(names))
-    version = header["format_version"]
+    dim = combined_dim([cfg.subspace_dim] * (cfg.node_count * len(names)), cfg.combine_spec)
     if version == 1:
         _drop_v1_copies(header, meta, cfg, dim)
     key = "node_count" if batch else "seen"
@@ -654,7 +644,8 @@ def _load(data):
             readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
         else:
             try:
-                basis = _readout_basis(extractors, cfg)
+                b = combine_affine(extractors, cfg.combine_spec)
+                basis, _, _ = svd(b, full_matrices=False)
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
             if version < 3:
@@ -677,6 +668,7 @@ def _load(data):
             readout=readout,
             config=cfg,
             class_count=classes,
+            class_labels=tuple(labels),
         )
     maps = model.maps
     derived = (*maps.weights, maps.offset) + ((maps.stack.span,) if batch else ())
@@ -686,15 +678,16 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v1, v2 or v3.
+    """Read back a model written by save_model, in format v1 to v4.
 
     Every array is checked against the header before the model is built:
     presence, shape, node and group counts, and finiteness, which the maps
     derived from them must keep; a v1 file's duplicated facts must agree
     with the copies later formats keep.  A v1
     or v2 sequential file holds the D x D accumulator P_D; it is read back
-    in the readout's basis U as U' P_D U.  A file that fails a check, or is
-    not a readable NPZ archive, raises FormatError.
+    in the readout's basis U as U' P_D U.  Files before v4 stored no label
+    values, so their classes read back as 0 .. C-1.  A file that fails a
+    check, or is not a readable NPZ archive, raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hoselm.classifier
+import hoselm.kernels
 from hoselm.classifier import (
     ClassifierModel,
     decode_labels,
@@ -74,6 +75,23 @@ def test_zero_residual_raises_degenerate():
     h = rng.standard_normal((4, 10))
     with pytest.raises(DegenerateNodeError):
         fit_node(h, np.zeros((2, 10)), gram_inverse(h))
+
+
+def test_fit_classifier_scans_nothing_it_built(monkeypatch):
+    """The fit normalizes, maps and inverts only matrices it computed from
+    its validated inputs, so no finiteness scan runs during it."""
+    scanned = []
+    as_matrix = hoselm.kernels.as_matrix
+
+    def spy(a, name="matrix"):
+        scanned.append(name)
+        return as_matrix(a, name)
+
+    monkeypatch.setattr(hoselm.kernels, "as_matrix", spy)
+    h, t, _ = random_problem(np.random.default_rng(6))
+    model = fit_classifier(h, t, 4, 100.0)
+    assert len(model.nodes) == 4
+    assert scanned == []
 
 
 def test_fit_on_zero_targets_is_fixed_point():

@@ -229,6 +229,32 @@ def test_predict_rejects_labels_outside_the_model_classes(tmp_path, dataset, cap
         assert "true labels span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_train_and_predict_keep_the_label_values(tmp_path, dataset, capsys, mode):
+    """Labels {0, 2, 7} train three classes; predict prints and scores the
+    original values, and rejects a label the model has no class for."""
+    relabel = {"0": "7", "1": "0", "2": "2"}
+    rows = [line.rsplit(",", 1) for line in dataset.read_text().strip().split("\n")]
+    data = tmp_path / "relabelled.csv"
+    data.write_text("".join(f"{x},{relabel[y]}\n" for x, y in rows))
+    model_path = tmp_path / "model.npz"
+    args = ["train", "--data", str(data), "--out", str(model_path), "--mode", mode]
+    assert main([*args, "--chunk-size", "40", *small_flags()]) == 0
+    assert "3 classes" in capsys.readouterr().out
+    pred_path = tmp_path / "pred.txt"
+    args = ["predict", "--model", str(model_path), "--data", str(data)]
+    assert main([*args, "--out", str(pred_path)]) == 0
+    predicted = np.array([int(v) for v in pred_path.read_text().split()])
+    truth = np.array([int(relabel[y]) for _, y in rows])
+    assert set(predicted) <= {0, 2, 7}
+    accuracy = np.mean(predicted == truth)
+    assert accuracy > 0.9
+    assert f"accuracy {accuracy:.4f}" in capsys.readouterr().err
+    data.write_text("".join(f"{x},{relabel[y] if i else '1'}\n" for i, (x, y) in enumerate(rows)))
+    assert main(args) == 2
+    assert "labels [1] are not among the model's classes [0, 2, 7]" in capsys.readouterr().err
+
+
 def test_predict_rejects_a_label_column_past_the_row(tmp_path, dataset, capsys):
     model_path = tmp_path / "model.npz"
     main(["train", "--data", str(dataset), "--out", str(model_path), *small_flags()])
@@ -291,9 +317,8 @@ def test_bench_report_bytes_are_unchanged(tmp_path, fmt, golden, flags):
     """The fixed-seed, untimed report of the default synthetic run in both
     modes equals the committed one byte for byte, so a change meant to keep
     behaviour can show that it does.  The default batch readout has more
-    combined rows (100) than inputs plus one (17), so it is fitted on
-    rotated coordinates; with --hidden 10 it is fitted on the formed
-    feature."""
+    combined rows (100) than inputs plus one (17); with --hidden 10 it has
+    fewer, and both are fitted on rotated coordinates."""
     out = tmp_path / f"report.{fmt}"
     args = ["bench", "--both-modes", "--no-timing", *flags, "--seed", "5"]
     assert main([*args, "--format", fmt, "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Extractor tests: projection, readout, feedback, and refinement oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import hoselm.extractor
 import hoselm.kernels
+import hoselm.pipeline
 from hoselm.errors import ShapeError
 from hoselm.extractor import (
     ExtractorConfig,
@@ -22,6 +25,7 @@ from hoselm.extractor import (
     spawn_node,
 )
 from hoselm.kernels import normalize_unit, pinv
+from hoselm.pipeline import FeatureGroup, PipelineConfig, fit
 
 
 EPS = np.finfo(np.float64).eps
@@ -46,6 +50,11 @@ def readout_rms(node, x, targets):
     h = project(node, x)
     r = ls_readout(node, h, targets, factor_inputs(x, targets))
     return np.linalg.norm(r.weights @ h + r.bias - targets)
+
+
+def layer(x, targets, cfg):
+    # A layer fitted on its own group's factor.
+    return extract_features(x, targets, cfg, factor_inputs(x, targets))
 
 
 def refine(node, x, feedback, damping):
@@ -289,10 +298,10 @@ def test_extract_single_node_and_determinism():
     x = rng.standard_normal((5, 16))
     y = rng.standard_normal((2, 16))
     cfg = ExtractorConfig(node_count=1, subspace_dim=3, seed=11)
-    nodes = extract_features(x, y, cfg)
+    nodes = layer(x, y, cfg)
     assert len(nodes) == 1
     assert nodes[0].weights.shape == (3, 5)
-    nodes2 = extract_features(x, y, cfg)
+    nodes2 = layer(x, y, cfg)
     assert np.array_equal(nodes[0].weights, nodes2[0].weights)
     assert nodes[0].bias == nodes2[0].bias
 
@@ -302,7 +311,7 @@ def test_extract_features_share_shape():
     x = rng.standard_normal((6, 20))
     y = rng.standard_normal((3, 20))
     cfg = ExtractorConfig(node_count=4, subspace_dim=5, seed=1)
-    nodes = extract_features(x, y, cfg)
+    nodes = layer(x, y, cfg)
     assert len(nodes) == 4
     assert all(n.weights.shape == (5, 6) and np.isscalar(n.bias) for n in nodes)
     # Independent seeds per node: the layer is not L copies of one node.
@@ -327,9 +336,10 @@ def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     x = rng.standard_normal((6, 40)) + 2.0
     y = rng.standard_normal((3, 40))
     cfg = ExtractorConfig(node_count=3, subspace_dim=subspace_dim, seed=4)
-    nodes = extract_features(x, y, cfg)
-    # One QR of [x; 1; T]' and one pinv(R11') for the layer; per node one
-    # readout and one feedback pseudoinverse, and no d x M feature.
+    nodes = layer(x, y, cfg)
+    # One QR of [x; 1; T]' (factor_inputs) and one pinv(R11') for the layer;
+    # per node one readout and one feedback pseudoinverse, and no d x M
+    # feature.
     assert calls == {"qr": 1, "pinv": 2 * 3 + 1, "project": 0}
     assert len(nodes) == 3
 
@@ -350,7 +360,7 @@ def test_layer_scans_no_sample_sized_matrix(monkeypatch):
     samples = 97
     x = rng.standard_normal((7, samples)) + 3.0
     y = np.eye(4)[:, rng.integers(0, 4, samples)]
-    extract_features(x, y, ExtractorConfig(node_count=3, subspace_dim=20, seed=2))
+    layer(x, y, ExtractorConfig(node_count=3, subspace_dim=20, seed=2))
     assert len(shapes) == 2 * 3 + 1
     assert all(samples not in shape for shape in shapes)
 
@@ -381,6 +391,17 @@ def kept_condition(a, rcond):
     return s[0] / s[s > rcond * s[0]][-1]
 
 
+def draw_group(draw, rng, n, samples, offset):
+    """n x samples inputs offset by `offset`, which may hold a duplicated
+    row and a constant row."""
+    x = rng.standard_normal((n, samples)) + offset
+    if n > 1 and draw(st.booleans()):
+        x[-1] = x[0]
+    if draw(st.booleans()):
+        x[0] = offset + 1.0
+    return x
+
+
 @st.composite
 def layer_problems(draw):
     """Inputs, targets and a layer config.  x may hold a duplicated row, a
@@ -391,11 +412,7 @@ def layer_problems(draw):
     samples = draw(st.integers(1, 60))
     offset = draw(st.floats(0.0, 1e3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((n, samples)) + offset
-    if n > 1 and draw(st.booleans()):
-        x[-1] = x[0]
-    if draw(st.booleans()):
-        x[0] = offset + 1.0
+    x = draw_group(draw, rng, n, samples, offset)
     targets = rng.standard_normal((draw(st.integers(1, 4)), samples))
     cfg = ExtractorConfig(
         node_count=draw(st.integers(1, 3)),
@@ -404,6 +421,17 @@ def layer_problems(draw):
         seed=draw(st.integers(0, 100)),
     )
     return x, targets, cfg
+
+
+def assert_within_the_gate(got, want, x, readouts):
+    """Each node of got equals its node of want within the equivalence
+    gate's bound (see below); readouts are the nodes' readout weights."""
+    kx = kept_condition(x, np.sqrt(EPS * x.shape[0]))
+    for g, w, readout in zip(got, want, readouts):
+        kw = kept_condition(readout, EPS * max(readout.shape))
+        tol = 1e-9 + 2 * EPS * (kx**2 + kw)
+        assert relative(g.weights, w.weights) <= tol
+        assert abs(g.bias - w.bias) <= tol * abs(w.bias)
 
 
 # Both sides round differently, and two steps amplify that by the
@@ -422,15 +450,74 @@ def layer_problems(draw):
 @given(layer_problems())
 def test_extract_features_equals_the_node_by_node_chain(problem):
     x, targets, cfg = problem
-    got = extract_features(x, targets, cfg)
+    got = layer(x, targets, cfg)
     want, readouts = node_by_node(x, targets, cfg)
     assert len(got) == len(want) == cfg.node_count
-    kx = kept_condition(x, np.sqrt(EPS * x.shape[0]))
-    for g, w, readout in zip(got, want, readouts):
-        kw = kept_condition(readout, EPS * max(readout.shape))
-        tol = 1e-9 + 2 * EPS * (kx**2 + kw)
-        assert relative(g.weights, w.weights) <= tol
-        assert abs(g.bias - w.bias) <= tol * abs(w.bias)
+    assert_within_the_gate(got, want, x, readouts)
+
+
+def test_refinement_drops_what_pinv_of_the_gram_drops():
+    """Two rows of x within about 1e-8 relative of each other leave a
+    singular value between the cutoffs eps n and sqrt(eps n) of the
+    largest.  pinv(X X') drops it, and so must the layer's pinv(R11') at
+    rcond sqrt(eps n); keeping it moves the weights by a factor of 1e6 or
+    more."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((5, 40))
+    x[-1] = x[0] * (1.0 + 1e-8 * rng.standard_normal(40))
+    s = np.linalg.svd(x, compute_uv=False)
+    assert EPS * 5 < s[-1] / s[0] < np.sqrt(EPS * 5) / 4
+    targets = rng.standard_normal((3, 40))
+    cfg = ExtractorConfig(node_count=2, subspace_dim=8, seed=0)
+    want, readouts = node_by_node(x, targets, cfg)
+    assert_within_the_gate(layer(x, targets, cfg), want, x, readouts)
+
+
+@st.composite
+def group_problems(draw):
+    """Two or three groups of widths 1 to 6 sharing M columns, each in the
+    regimes of layer_problems, the first rows of the first two groups
+    possibly equal, and a batch config."""
+    samples = draw(st.integers(1, 40))
+    offset = draw(st.floats(0.0, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=3))
+    xs = [draw_group(draw, rng, n, samples, offset) for n in widths]
+    if draw(st.booleans()):
+        xs[1][0] = xs[0][0]
+    targets = rng.standard_normal((draw(st.integers(1, 4)), samples))
+    cfg = PipelineConfig(
+        node_count=draw(st.integers(1, 3)),
+        subspace_dim=draw(st.integers(1, 30)),
+        damping=draw(st.floats(0.1, 1.0)),
+        classifier_nodes=1,
+        seed=draw(st.integers(0, 100)),
+    )
+    return xs, targets, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(group_problems())
+def test_layers_from_the_shared_factor_equal_their_own(problem):
+    """fit factors all groups at once and gives each layer the R of a QR
+    of its columns of that factor.  Each layer must equal the one fitted
+    on the group's own factor_inputs([x_g], T), within the gate's bound."""
+    xs, targets, cfg = problem
+    calls = []
+
+    def spy(x, t, ecfg, factor):
+        calls.append((x, ecfg))
+        return extract_features(x, t, ecfg, factor)
+
+    with mock.patch.object(hoselm.pipeline, "extract_features", spy):
+        model = fit([FeatureGroup(x=x) for x in xs], targets, cfg)
+    assert len(calls) == len(xs)
+    assert all(np.array_equal(x, want) for (x, _), want in zip(calls, xs))
+    for (x, ecfg), got in zip(calls, model.extractors):
+        want = extract_features(x, targets, ecfg, factor_inputs([x], targets))
+        _, readouts = node_by_node(x, targets, ecfg)
+        assert len(got) == len(want) == cfg.node_count
+        assert_within_the_gate(got, want, x, readouts)
 
 
 def chain_to_50_digits(x, targets, cfg, mp):
@@ -467,7 +554,7 @@ def test_refine_solve_keeps_the_digits_the_gram_loses():
     targets = rng.standard_normal((4, 10))
     cfg = ExtractorConfig(node_count=1, subspace_dim=4, seed=0)
     weights, bias = chain_to_50_digits(x, targets, cfg, mp)
-    (got,) = extract_features(x, targets, cfg)
+    (got,) = layer(x, targets, cfg)
     (chain,), _ = node_by_node(x, targets, cfg)
     assert relative(got.weights, weights) < 1e-11
     assert abs(got.bias - bias) < 1e-11 * bias

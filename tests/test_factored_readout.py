@@ -1,17 +1,16 @@
 """Batch readout fitted on rotated coordinates of the combined feature.
 
-When the combined feature H (D x M) has more rows than min(k, M), with k
-the stacked inputs' rows plus one, pipeline.fit fits the classifier on the
-coordinates Y = U'H in an orthonormal basis U of H's columns and never
-forms H.  These tests hold that route to an independent SVD reference and
-pin when it is taken.
+Whatever the shape of the combined feature H (D x M), pipeline.fit fits
+the classifier on the coordinates Y = U'H in an orthonormal basis U of H's
+columns and never forms H.  These tests hold that route to an independent
+SVD reference on every shape and pin what it computes.
 """
 
 import importlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoselm.classifier
@@ -45,10 +44,10 @@ def svd_ridge_weights(h, z, coeff):
 
 
 @st.composite
-def wide_fits(draw):
-    """Groups, one-hot targets and a batch config whose combined feature has
-    more rows than min(k, M): the stacked inputs' rows plus one, or the
-    sample count.
+def batch_fits(draw):
+    """Groups, one-hot targets and a batch config.  The combined feature may
+    have more or fewer rows than min(k, M), k the stacked inputs' rows plus
+    one and M the sample count.
 
     Inputs may share a row across groups, hold a constant row, carry an
     offset up to 1e3, and have fewer samples than k, so [x_1; ...; 1] is
@@ -60,8 +59,6 @@ def wide_fits(draw):
     node_count = draw(st.integers(1, 3))
     subspace_dim = draw(st.integers(1, 12))
     samples = draw(st.integers(1, 30))
-    rows = subspace_dim * (node_count * len(widths) if operator == "concat" else 1)
-    assume(rows > min(sum(widths) + 1, samples))
     offset = draw(st.floats(0.0, 1e3))
     xs = [rng.standard_normal((n, samples)) + offset for n in widths]
     if len(xs) > 1 and draw(st.booleans()):
@@ -82,7 +79,7 @@ def wide_fits(draw):
     return [FeatureGroup(x=x) for x in xs], targets, cfg
 
 
-@given(wide_fits())
+@given(batch_fits())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_factored_readout_equals_svd_reference(case):
     """The first node's ridge weights against the SVD solution on the
@@ -158,10 +155,10 @@ def test_wide_batch_fit_takes_the_factored_path(readout_calls):
 
 
 @pytest.mark.parametrize("subspace_dim", [10, 19])
-def test_narrow_batch_fit_combines_the_features(monkeypatch, readout_calls, subspace_dim):
-    """With D <= min(k, M) the fit forms H = B [x_1; ...; x_G; 1] from the
-    frozen layers' coefficient, one product per group, without projecting
-    a node or calling combine, and inverts one (D, D) Gram."""
+def test_batch_fit_with_few_rows_takes_the_same_route(monkeypatch, readout_calls, subspace_dim):
+    """With D <= min(k, M) the fit still projects no node and calls no
+    combine, and inverts one (D, D) Gram: U is then a D x D rotation, so
+    Y'Y of the coordinates the classifier gets equals H'H."""
     fitted, projected = [], []
 
     def fit_spy(h, *args):
@@ -180,8 +177,9 @@ def test_narrow_batch_fit_combines_the_features(monkeypatch, readout_calls, subs
     model = fit(groups, targets, cfg)
     assert readout_calls["combine"] == 0 and projected == []
     assert readout_calls["ridge_inverse"] == [(subspace_dim, subspace_dim)]
-    (h,) = fitted
-    assert rel_err(h, combined_feature(model, groups)) < 1e-12
+    (y,) = fitted
+    h = combined_feature(model, groups)
+    assert rel_err(y.T @ y, h.T @ h) < 1e-12
 
 
 def test_factored_concat_labels_equal_the_formed_readout():

@@ -61,17 +61,18 @@ def test_v1_files_load_and_predict_their_labels(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_v1_file_resaved_as_v3_predicts_the_same(tmp_path, mode):
+def test_v1_file_resaved_as_v4_predicts_the_same(tmp_path, mode):
     path = tmp_path / "model.npz"
     save_model(load_model(v1_path(mode)), path)
     model = load_model(path)
-    assert json.loads(str(np.load(path)["header"]))["format_version"] == 3
+    assert json.loads(str(np.load(path)["header"]))["format_version"] == 4
+    assert model.class_labels == (0, 1, 2)
     assert predict(model, REQUEST).tolist() == EXPECTED[mode]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_v2_files_load_and_predict_their_labels(tmp_path, mode):
-    """A v2 file loads and predicts its labels, and so does its v3 resave.
+    """A v2 file loads and predicts its labels, and so does its v4 resave.
     A sequential v2 file stored the D x D accumulator; it is read back in
     the readout's basis."""
     with np.load(v2_path(mode)) as data:

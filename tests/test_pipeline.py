@@ -1,10 +1,15 @@
 """Pipeline tests: both training modes, streaming updates, metrics, I/O."""
 
+import importlib
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import hoselm.extractor
 from hoselm.classifier import fit_node
 from hoselm.combine import combine
 from hoselm.errors import FormatError, ModeError, ShapeError
@@ -111,6 +116,62 @@ def test_fit_is_deterministic():
         assert np.array_equal(n1.weights, n2.weights)
     for a, b in zip(m1.readout.nodes, m2.readout.nodes):
         assert np.array_equal(a.weights, b.weights) and a.step == b.step
+
+
+# The package re-exports the function combine under the submodule's name.
+combine_module = importlib.import_module("hoselm.combine")
+
+# Every entry point to a QR, SVD or pseudoinverse the package could reach,
+# and the two functions that form a node's or the combined feature.
+SPIED = {
+    "qr": (scipy.linalg.qr, scipy.linalg.qr_multiply, np.linalg.qr),
+    "svd": (scipy.linalg.svd, np.linalg.svd),
+    "pinv": (scipy.linalg.pinv, np.linalg.pinv),
+    "combine": (combine_module.combine,),
+    "project": (hoselm.extractor.project,),
+}
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """The shapes of the matrices each entry point in SPIED gets,
+    spied on under every name numpy, scipy.linalg or a hoselm module gives
+    it."""
+    seen = {kind: [] for kind in SPIED}
+    hoselm_modules = [m for name, m in sys.modules.items() if name.startswith("hoselm")]
+    for kind, fns in SPIED.items():
+        for fn in fns:
+
+            def spy(a, *args, _fn=fn, _kind=kind, **kwargs):
+                seen[_kind].append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+
+            for module in (scipy.linalg, np.linalg, *hoselm_modules):
+                for name, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("operator", ["plus", "concat"])
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_a_fit_factors_its_boot_block_once(spied, mode, operator):
+    """With more boot columns M than stacked inputs, ones and targets, a
+    fit hands one M-row matrix to a QR, none to an SVD or a pinv, and
+    neither projects a node nor combines features."""
+    rng = np.random.default_rng(3)
+    labels = np.tile(np.arange(4), 60)
+    groups = [
+        FeatureGroup(x=np.eye(n)[:, labels % n] + 0.3 * rng.standard_normal((n, 240)))
+        for n in (4, 6, 8)
+    ]
+    cfg = small_cfg(mode=mode, operator=operator, chunk_size=100, subspace_dim=20)
+    boot = 240 if mode == "batch" else 100
+    assert boot > 4 + 6 + 8 + 1 + 4
+    fit(groups, np.eye(4)[:, labels], cfg)
+    assert Counter(boot in shape for shape in spied["qr"])[True] == 1
+    assert not any(boot in shape for shape in spied["svd"] + spied["pinv"])
+    assert spied["combine"] == spied["project"] == []
 
 
 def test_sequential_single_chunk_equals_boot_only():
@@ -351,15 +412,15 @@ def test_saved_header_holds_the_full_config(tmp_path):
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_saved_model_stores_each_fact_once(tmp_path, mode):
-    """Format v3 keeps no copy of what the config or the array shapes fix."""
+    """Format v4 keeps no copy of what the config or the array shapes fix."""
     groups, targets, _ = toy_blobs(seed=6)
     path = tmp_path / "model.npz"
     save_model(fit(groups, targets, small_cfg(mode=mode, chunk_size=20)), path)
     with np.load(path) as data:
         header = json.loads(str(data["header"]))
         files = set(data.files)
-    assert header["format_version"] == 3
-    assert set(header) == {"format_version", "config", "group_names", "class_count", "readout"}
+    assert header["format_version"] == 4
+    assert set(header) == {"format_version", "config", "group_names", "class_labels", "readout"}
     assert header["readout"] == ({"node_count": 6} if mode == "batch" else {"seen": 60})
     assert "classifier_norm_out" not in files
     assert ("classifier_norm_in" in files) == (mode == "batch")
@@ -437,13 +498,18 @@ CORRUPTIONS = {
     "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
     "future format version": (
         "batch",
-        _header_edit(lambda h: h.update(format_version=4)),
+        _header_edit(lambda h: h.update(format_version=5)),
         "version",
     ),
     "format version true": (
         "sequential",
         _header_edit(lambda h: h.update(format_version=True)),
         "version",
+    ),
+    "repeated class label": (
+        "sequential",
+        _header_edit(lambda h: h.update(class_labels=[0, 2, 2])),
+        "class_labels",
     ),
     "config with an unknown key": (
         "batch",
