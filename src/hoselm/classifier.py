@@ -12,12 +12,12 @@ computes it once and every node reuses it.  Nothing here needs H to be
 the combined feature itself: a batch fit passes its rotated coordinates
 U'H instead and maps the weights back (see pipeline.fit).
 
-For scoring, the nodes are stacked row-wise into one NodeStack: one
-(nodes * classes) x D weight matrix with per-row bias, normalization and
-step columns.  A score is then one matrix product for the affine half and
-one vectorized sigmoid, denormalization and step-weighted sum for the
-activation half.  The pipeline folds the affine half into its frozen
-input maps and calls activate on the result.
+A fitted model holds its nodes stacked: one nodes x classes x D weight
+array, one bias, step and normalization range per node, and the eps every
+node's normalization shares.  A score is then one matrix product for the
+affine half and one broadcast sigmoid, denormalization and step-weighted
+sum for the activation half.  The pipeline folds the affine half into its
+frozen input maps and calls activate on the result.
 
 The fitting functions take arrays the pipeline validated and check shapes
 only; every matrix they normalize, map or invert is one they built, so they
@@ -41,10 +41,8 @@ from .kernels import _ridge_inverse as ridge_inverse
 __all__ = [
     "ClassifierNode",
     "ClassifierModel",
-    "NodeStack",
     "fit_node",
     "fit_classifier",
-    "stack_nodes",
     "activate",
     "score",
     "decode_labels",
@@ -69,61 +67,43 @@ class ClassifierNode:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Ordered additive nodes plus the settings they were fitted under."""
+    """Fitted nodes, stacked in node order.
 
-    nodes: tuple
-    coeff: float
-    feature_dim: int
-    class_count: int
-
-
-@dataclass(frozen=True)
-class NodeStack:
-    """A classifier's nodes stacked row-wise for scoring all at once.
-
-    Rows k*C .. k*C + C - 1 belong to node k (C = class_count).  weights is
-    (nodes * C) x D; bias, lo, span (hi - lo), eps and step are
-    (nodes * C) x 1 columns repeating each node's parameters on its rows.
+    weights is nodes x classes x D; bias, step, lo and hi hold one value
+    per node, lo and hi being the range of the residual the node was fitted
+    on (lo == hi marks the degenerate case); eps is the lower target of
+    every node's normalization.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    lo: np.ndarray
-    span: np.ndarray
-    eps: np.ndarray
     step: np.ndarray
-    class_count: int
+    lo: np.ndarray
+    hi: np.ndarray
+    eps: float
+
+    @property
+    def class_count(self):
+        return self.weights.shape[1]
+
+    @property
+    def feature_dim(self):
+        return self.weights.shape[2]
 
 
-def stack_nodes(model):
-    """Stack a fitted model's nodes into a NodeStack (zero nodes: zero rows)."""
-    nodes = model.nodes
-
-    def rows(values):
-        return np.repeat(np.asarray(values, dtype=np.float64), model.class_count)[:, None]
-
-    weights = [n.weights for n in nodes] or [np.empty((0, model.feature_dim))]
-    return NodeStack(
-        weights=np.vstack(weights),
-        bias=rows([n.bias for n in nodes]),
-        lo=rows([n.norm_in.lo for n in nodes]),
-        span=rows([n.norm_in.hi - n.norm_in.lo for n in nodes]),
-        eps=rows([n.norm_in.eps for n in nodes]),
-        step=rows([n.step for n in nodes]),
-        class_count=model.class_count,
-    )
-
-
-def activate(stack, z):
+def activate(model, z):
     """Scores (classes x samples) from stacked pre-activations z.
 
-    z = stack.weights @ h + stack.bias, however it was computed.  Each row
-    goes through the sigmoid, the inverse of its node's normalization
-    (a zero span maps every entry to lo, the degenerate case), and its
-    node's step; the nodes' rows are then summed per class in node order.
+    z = weights @ h + bias per node, however it was computed, with node k's
+    rows at k*C .. k*C + C - 1 (C = class_count).  Each node's rows go
+    through the sigmoid, the inverse of its normalization (a zero span
+    maps every entry to lo, the degenerate case) and its step; the nodes
+    are then summed per class in node order.
     """
-    v = stack.lo + (sigmoid_map(z) - stack.eps) * stack.span / (1.0 - stack.eps)
-    return (stack.step * v).reshape(-1, stack.class_count, z.shape[1]).sum(axis=0)
+    z = z.reshape(len(model.step), model.class_count, z.shape[-1])
+    lo, hi, step = (a[:, None, None] for a in (model.lo, model.hi, model.step))
+    v = lo + (sigmoid_map(z) - model.eps) * (hi - lo) / (1.0 - model.eps)
+    return (step * v).sum(axis=0)
 
 
 def fit_node(h, e_prev, gram_inv, eps=1e-4):
@@ -168,8 +148,9 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
 
     The ridge inverse of the D x D Gram h h' is taken once and shared by
     every node.  Starts from the targets themselves and deflates; stops
-    early if a node degenerates (determinism would only reproduce it).
-    Callers pass validated float arrays; only shapes are checked here.
+    early if a node degenerates (determinism would only reproduce it), then
+    stacks the fitted nodes once.  Callers pass validated float arrays;
+    only shapes are checked here.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -185,10 +166,12 @@ def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
             break
         nodes.append(node)
     return ClassifierModel(
-        nodes=tuple(nodes),
-        coeff=float(coeff),
-        feature_dim=h.shape[0],
-        class_count=targets.shape[0],
+        weights=np.array([n.weights for n in nodes]).reshape(len(nodes), len(targets), len(h)),
+        bias=np.array([n.bias for n in nodes]),
+        step=np.array([n.step for n in nodes]),
+        lo=np.array([n.norm_in.lo for n in nodes]),
+        hi=np.array([n.norm_in.hi for n in nodes]),
+        eps=float(eps),
     )
 
 
@@ -199,8 +182,7 @@ def score(model, h):
         raise ShapeError(
             f"features have {hm.shape[0]} rows, model expects {model.feature_dim}"
         )
-    stack = stack_nodes(model)
-    return activate(stack, stack.weights @ hm + stack.bias)
+    return activate(model, model.weights @ hm + model.bias[:, None, None])
 
 
 def decode_labels(scores):

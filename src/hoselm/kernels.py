@@ -12,9 +12,10 @@ criterion 1 pins.  Callers keep its inputs small: a fit factors its inputs
 once and the extractor takes its per-node pseudoinverses in (n+1)-space,
 and the classifier takes one ridge inverse per fit.
 
-The public helpers validate their inputs.  The ridge inverse, logit and
-normalization pair also have unchecked private cores, which the classifier
-fit calls on the matrices it builds itself.
+The public helpers validate their inputs.  The pseudoinverse, ridge
+inverse, logit and normalization pair also have unchecked private cores,
+which the extractor and the classifier fit call on the matrices they build
+themselves.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
@@ -75,11 +76,16 @@ def pinv(a, rcond=None):
     Default rcond is machine epsilon times max(rows, cols).
     """
     m = as_matrix(a, "pinv input")
-    if rcond is None:
-        rcond = np.finfo(np.float64).eps * max(m.shape)
-    elif rcond < 0:
+    if rcond is not None and rcond < 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
-    return np.linalg.pinv(m, rcond=rcond)
+    return _pinv(m, rcond)
+
+
+def _pinv(a, rcond=None):
+    """pinv without its checks, for callers that built a."""
+    if rcond is None:
+        rcond = np.finfo(np.float64).eps * max(a.shape)
+    return np.linalg.pinv(a, rcond=rcond)
 
 
 def ridge_inverse(g, c):

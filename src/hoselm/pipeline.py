@@ -39,17 +39,17 @@ costs O(r^2 m), not O(D^2 m).
 import json
 import time
 import zipfile
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import qr, svd
+from scipy.linalg.blas import dgemm
 
-from .classifier import ClassifierModel, ClassifierNode, activate, decode_labels
-from .classifier import fit_classifier, stack_nodes
+from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
 from .combine import CombineSpec, combine_affine, combined_dim
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features, factor_inputs
-from .kernels import NormParams, as_matrix
+from .kernels import as_matrix
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps; these three stay for perfbench/tracing.py.
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # What numpy and zipfile raise on a damaged archive member.  RuntimeError
 # covers an encryption flag and, as its subclass NotImplementedError, an
 # unsupported compression method.
@@ -145,17 +145,16 @@ class AffineMaps:
 
     apply(mats) is sum_g weights[g] @ mats[g] + offset (a column).  A left
     factor of the readout is folded into the maps.  For a batch model it is
-    the classifier's affine half, so apply gives its stacked pre-activations
-    and stack holds the NodeStack whose activation half turns them into
-    scores.  For a sequential model it is the transpose of the readout's
-    basis U, so apply gives the basis coordinates U'H the readout works in,
-    and stack is None.  source is the (extractors, config, batch readout or
-    basis) the maps were derived from.
+    the classifier's affine half, its weights as one (nodes * classes) x D
+    matrix, so apply gives the pre-activations that
+    hoselm.classifier.activate turns into scores.  For a sequential model
+    it is the transpose of the readout's basis U, so apply gives the basis
+    coordinates U'H the readout works in.  source is the (extractors,
+    config, batch readout or basis) the maps were derived from.
     """
 
     weights: tuple
     offset: np.ndarray
-    stack: object
     source: tuple = field(repr=False)
 
     def apply(self, mats):
@@ -163,10 +162,18 @@ class AffineMaps:
 
 
 def _apply(weights, offset, mats):
-    """sum_g weights[g] @ mats[g] + offset, one product per group."""
+    """sum_g weights[g] @ mats[g] + offset, one product per group.
+
+    Each group after the first is accumulated into the output in place,
+    out' += m' w' on the Fortran-ordered out', so no output-sized
+    temporary is made; a Fortran-ordered m is read transposed, not copied.
+    dgemm rejects empty operands, so a map with no rows (a classifier with
+    no nodes) adds nothing.
+    """
     out = weights[0] @ mats[0]
-    for w, m in zip(weights[1:], mats[1:]):
-        out += w @ m
+    for w, m in zip(weights[1:], mats[1:] if out.size else ()):
+        a, trans = (m, 1) if m.flags.f_contiguous else (m.T, 0)
+        out = dgemm(1.0, a, w.T, beta=1.0, c=out.T, overwrite_c=True, trans_a=trans).T
     out += offset
     return out
 
@@ -184,14 +191,13 @@ def _derive_maps(extractors, cfg, fold):
     or the sequential readout's basis.  Its left factor meets the frozen
     layers' coefficient B (hoselm.combine.combine_affine) in one product,
     whose columns split into the groups' weights and the offset."""
-    source = (extractors, cfg, fold)
     if isinstance(fold, ClassifierModel):
-        stack = stack_nodes(fold)
-        left, bias = stack.weights, stack.bias
+        left = fold.weights.reshape(-1, fold.feature_dim)
+        bias = np.repeat(fold.bias, fold.class_count)[:, None]
     else:
-        stack, left, bias = None, fold.T, 0.0
+        left, bias = fold.T, 0.0
     weights, offset = _split_maps(extractors, left @ combine_affine(extractors, cfg.combine_spec))
-    return AffineMaps(weights, offset + bias, stack, source)
+    return AffineMaps(weights, offset + bias, (extractors, cfg, fold))
 
 
 @dataclass(frozen=True)
@@ -201,28 +207,29 @@ class HOselmModel:
     extractors holds one tuple of nodes per feature group, in group order;
     readout is a ClassifierModel in batch mode or an OselmState in
     sequential mode.  class_labels holds the label value of each class
-    index, such as the original labels of a dataset; None means
-    0 .. class_count - 1.  maps is derived from the other fields when the
-    model is built (see AffineMaps) and reused as long as the fields it was
-    derived from are the same objects: partial_fit keeps the config and the
-    readout's basis, so it shares the maps.
+    index, such as the original labels of a dataset (fit gives
+    0 .. C - 1); class_count is its length.  maps is derived from the other
+    fields when the model is built (see AffineMaps) and reused as long as
+    the fields it was derived from are the same objects: partial_fit keeps
+    the config and the readout's basis, so it shares the maps.
     """
 
     extractors: tuple
     group_names: tuple
     readout: object
     config: PipelineConfig
-    class_count: int
-    class_labels: tuple = None
+    class_labels: tuple
     maps: AffineMaps = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.class_labels is None:
-            object.__setattr__(self, "class_labels", tuple(range(self.class_count)))
         fold = self.readout if self.config.mode == "batch" else self.readout.basis
         source = (self.extractors, self.config, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
             object.__setattr__(self, "maps", _derive_maps(*source))
+
+    @property
+    def class_count(self):
+        return len(self.class_labels)
 
     @property
     def combine_spec(self):
@@ -324,9 +331,9 @@ def fit(groups, targets, cfg):
     Batch: the SVD B R_z' = U S V' gives an orthonormal basis U of H's
     columns (D x r, r = min(D, k, M)); the classifier is fitted on
     Y = U'H = (U'B) z, one product per group, whose Gram is S^2 up to
-    rounding, and each node's weights W_Y map back to W_Y U'.  Since
-    (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are the
-    ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
+    rounding, and the stacked weights W_Y map back to W_Y U' at once.
+    Since (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are
+    the ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
     step are those of a fit on H.
 
     Sequential: U comes from the SVD of B alone, since later chunks can
@@ -353,8 +360,7 @@ def fit(groups, targets, cfg):
         u, _, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
         y = _apply(*_split_maps(extractors, u.T @ b), boot_mats)
         readout = fit_classifier(y, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
-        nodes = tuple(replace(n, weights=n.weights @ u.T) for n in readout.nodes)
-        readout = replace(readout, nodes=nodes, feature_dim=b.shape[0])
+        readout = replace(readout, weights=readout.weights @ u.T)
     else:
         u, _, _ = svd(b, full_matrices=False)
         readout = os_boot(u.T @ b @ r[:, :k].T, r[:, k:].T, cfg.coeff, u)
@@ -364,7 +370,7 @@ def fit(groups, targets, cfg):
         group_names=names,
         readout=readout,
         config=cfg,
-        class_count=tm.shape[0],
+        class_labels=tuple(range(tm.shape[0])),
     )
     # Later chunks have the boot chunk's length; batch mode has none.
     for lo in range(boot, samples, boot):
@@ -397,7 +403,7 @@ def scores(model, groups):
     _check_layout(model, mats)
     z = model.maps.apply(mats)
     if model.config.mode == "batch":
-        return activate(model.maps.stack, z)
+        return activate(model.readout, z)
     return os_predict(model.readout, z)
 
 
@@ -466,20 +472,24 @@ def evaluate(model, groups, targets):
 def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
-    Format v4 stores each fact once.  The header holds the full config
-    (which also fixes the combiner and the readout's ridge coefficient),
-    the group names, the classes' label values, and the batch readout's
-    node count or the sequential readout's sample count.  Arrays: per group g,
-    extractor_{g}_weights (nodes x dim x inputs) and extractor_{g}_biases;
-    batch readouts add stacked classifier node arrays, sequential readouts
-    their r x r accumulator (in the readout's basis, which the extractors
-    fix and load_model derives again) and D x classes weights.  See the
-    README for the full layout and for what formats v1 to v3 stored.
+    Format v5 stores each fact once.  The header holds the full config
+    (which also fixes the combiner, the readout's ridge coefficient and the
+    classifier's normalization eps), the group names, the classes' label
+    values, and the batch readout's node count or the sequential readout's
+    sample count.  Arrays: per group g, extractor_{g}_weights (nodes x dim
+    x inputs) and extractor_{g}_biases; batch readouts add the classifier's
+    stacked arrays, sequential readouts their r x r accumulator (in the
+    readout's basis, which the extractors fix and load_model derives again)
+    and D x classes weights.  See the README for the full layout and for
+    what formats v1 to v4 stored.
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
             f"save_model takes (model, path), got {type(model).__name__} first"
         )
+    batch = model.config.mode == "batch"
+    if batch and model.readout.eps != model.config.norm_eps:
+        raise ValueError("the file keeps config.norm_eps as the classifier's eps; they differ")
     header = {
         "format_version": _FORMAT_VERSION,
         "config": asdict(model.config),
@@ -490,14 +500,14 @@ def save_model(model, path):
     for g, nodes in enumerate(model.extractors):
         arrays[f"extractor_{g}_weights"] = np.stack([n.weights for n in nodes])
         arrays[f"extractor_{g}_biases"] = np.array([n.bias for n in nodes])
-    if model.config.mode == "batch":
-        nodes = model.readout.nodes
-        header["readout"] = {"node_count": len(nodes)}
-        if nodes:
-            arrays["classifier_weights"] = np.stack([n.weights for n in nodes])
-            arrays["classifier_biases"] = np.array([n.bias for n in nodes])
-            arrays["classifier_steps"] = np.array([n.step for n in nodes])
-            arrays["classifier_norm_in"] = np.array([astuple(n.norm_in) for n in nodes])
+    if batch:
+        c = model.readout
+        header["readout"] = {"node_count": len(c.step)}
+        if len(c.step):
+            arrays["classifier_weights"] = c.weights
+            arrays["classifier_biases"] = c.bias
+            arrays["classifier_steps"] = c.step
+            arrays["classifier_norm_in"] = np.column_stack((c.lo, c.hi))
     else:
         s = model.readout
         header["readout"] = {"seen": s.seen}
@@ -530,7 +540,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version not in (1, 2, 3, _FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (1, 2, 3, 4, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -562,35 +572,31 @@ def _read_extractor(data, g, cfg):
 
 
 def _read_classifier(data, count, cfg, classes, dim, version):
+    """The batch readout; its eps is the config's norm_eps.  Formats v1 to
+    v4 stored a copy of it on every normalization row, which must agree."""
     count = _count(count, "readout node_count")
     if count > cfg.classifier_nodes:
         raise FormatError(f"readout has {count} nodes, config allows {cfg.classifier_nodes}")
-    nodes = ()
-    if count:
-        weights = _array(data, "classifier_weights", (count, classes, dim))
-        biases = _array(data, "classifier_biases", (count,))
-        steps = _array(data, "classifier_steps", (count,))
-        norms = _array(data, "classifier_norm_in", (count, 3))
-        lo, hi, eps = norms.T
-        # Denormalizing divides by 1 - eps and scales by hi - lo.
-        if np.any(lo > hi) or np.any(eps <= 0) or np.any(eps >= 1):
-            raise FormatError("classifier normalization rows need lo <= hi and 0 < eps < 1")
-        if version == 1 and not np.array_equal(
-            _array(data, "classifier_norm_out", (count, 3)), norms
-        ):
-            raise FormatError("format v1 classifier_norm_out disagrees with classifier_norm_in")
-        nodes = tuple(
-            ClassifierNode(
-                weights=weights[i],
-                bias=float(biases[i]),
-                step=float(steps[i]),
-                norm_in=NormParams(*map(float, norms[i])),
-            )
-            for i in range(count)
+    eps = cfg.norm_eps
+    if not count:
+        empty = np.empty(0)
+        return ClassifierModel(np.empty((0, classes, dim)), empty, empty, empty, empty, eps)
+    weights = _array(data, "classifier_weights", (count, classes, dim))
+    biases = _array(data, "classifier_biases", (count,))
+    steps = _array(data, "classifier_steps", (count,))
+    norms = _array(data, "classifier_norm_in", (count, 2 if version == 5 else 3))
+    if version < 5 and np.any(norms[:, 2] != eps):
+        raise FormatError(
+            f"format v{version} classifier_norm_in eps column disagrees with norm_eps {eps!r}"
         )
-    return ClassifierModel(
-        nodes=nodes, coeff=float(cfg.coeff), feature_dim=dim, class_count=classes
-    )
+    if version == 1 and not np.array_equal(
+        _array(data, "classifier_norm_out", (count, 3)), norms
+    ):
+        raise FormatError("format v1 classifier_norm_out disagrees with classifier_norm_in")
+    lo, hi = norms[:, 0], norms[:, 1]
+    if np.any(lo > hi):
+        raise FormatError("classifier normalization rows need lo <= hi")
+    return ClassifierModel(weights, biases, steps, lo, hi, eps)
 
 
 def _drop_v1_copies(header, meta, cfg, dim):
@@ -614,7 +620,7 @@ def _load(data):
         cfg = PipelineConfig(**header["config"])
         names = header["group_names"]
         # Formats v1 to v3 stored the class count; their labels are 0 .. C-1.
-        labels = header["class_labels"] if version == 4 else header["class_count"]
+        labels = header["class_labels"] if version >= 4 else header["class_count"]
         meta = dict(header["readout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header is malformed: {exc!r}") from exc
@@ -667,27 +673,27 @@ def _load(data):
             group_names=tuple(names),
             readout=readout,
             config=cfg,
-            class_count=classes,
             class_labels=tuple(labels),
         )
-    maps = model.maps
-    derived = (*maps.weights, maps.offset) + ((maps.stack.span,) if batch else ())
+        maps = model.maps
+        derived = (*maps.weights, maps.offset) + ((readout.hi - readout.lo,) if batch else ())
     if not all(np.isfinite(a).all() for a in derived):
         raise FormatError("model arrays overflow the input maps derived from them")
     return model
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v1 to v4.
+    """Read back a model written by save_model, in format v1 to v5.
 
     Every array is checked against the header before the model is built:
     presence, shape, node and group counts, and finiteness, which the maps
-    derived from them must keep; a v1 file's duplicated facts must agree
-    with the copies later formats keep.  A v1
-    or v2 sequential file holds the D x D accumulator P_D; it is read back
-    in the readout's basis U as U' P_D U.  Files before v4 stored no label
-    values, so their classes read back as 0 .. C-1.  A file that fails a
-    check, or is not a readable NPZ archive, raises FormatError.
+    and normalization spans derived from them must keep; a v1 file's
+    duplicated facts, and the per-row classifier eps of files before v5,
+    must agree with the copies later formats keep.  A v1 or v2 sequential
+    file holds the D x D accumulator P_D; it is read back in the readout's
+    basis U as U' P_D U.  Files before v4 stored no label values, so their
+    classes read back as 0 .. C-1.  A file that fails a check, or is not a
+    readable NPZ archive, raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

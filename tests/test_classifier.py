@@ -1,5 +1,7 @@
 """Classifier tests: deflation algebra, step optimality, decoding."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,18 @@ from hoselm.classifier import (
 )
 from hoselm.errors import DegenerateNodeError, ShapeError
 from hoselm.kernels import ridge_inverse
+
+
+def node_slice(model, keep):
+    """The model restricted to the nodes the slice keep selects."""
+    return ClassifierModel(
+        model.weights[keep],
+        model.bias[keep],
+        model.step[keep],
+        model.lo[keep],
+        model.hi[keep],
+        model.eps,
+    )
 
 
 def gram_inverse(h, coeff=100.0):
@@ -90,7 +104,7 @@ def test_fit_classifier_scans_nothing_it_built(monkeypatch):
     monkeypatch.setattr(hoselm.kernels, "as_matrix", spy)
     h, t, _ = random_problem(np.random.default_rng(6))
     model = fit_classifier(h, t, 4, 100.0)
-    assert len(model.nodes) == 4
+    assert len(model.step) == 4
     assert scanned == []
 
 
@@ -100,7 +114,8 @@ def test_fit_on_zero_targets_is_fixed_point():
     rng = np.random.default_rng(4)
     h = rng.standard_normal((4, 10))
     model = fit_classifier(h, np.zeros((2, 10)), 5, 100.0)
-    assert len(model.nodes) == 0
+    assert len(model.step) == 0
+    assert (model.class_count, model.feature_dim) == (2, 4)
     assert np.array_equal(score(model, h), np.zeros((2, 10)))
 
 
@@ -109,9 +124,9 @@ def test_single_node_fit_equals_fit_node():
     h, t, _ = random_problem(rng)
     model = fit_classifier(h, t, 1, 100.0)
     node, _ = fit_node(h, t, gram_inverse(h))
-    assert len(model.nodes) == 1
-    assert np.array_equal(model.nodes[0].weights, node.weights)
-    assert model.nodes[0].step == node.step
+    assert len(model.step) == 1
+    assert np.array_equal(model.weights[0], node.weights)
+    assert model.step[0] == node.step
 
 
 def test_fit_classifier_equals_fit_node_threaded_by_hand():
@@ -120,12 +135,12 @@ def test_fit_classifier_equals_fit_node_threaded_by_hand():
     model = fit_classifier(h, t, 5, 100.0)
     gram_inv = gram_inverse(h)
     e = t
-    assert len(model.nodes) == 5
-    for got in model.nodes:
+    assert len(model.step) == 5
+    for k in range(5):
         want, e = fit_node(h, e, gram_inv)
-        assert np.array_equal(got.weights, want.weights)
-        assert got.bias == want.bias and got.step == want.step
-        assert got.norm_in == want.norm_in
+        assert np.array_equal(model.weights[k], want.weights)
+        assert model.bias[k] == want.bias and model.step[k] == want.step
+        assert (model.lo[k], model.hi[k], model.eps) == astuple(want.norm_in)
 
 
 def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
@@ -138,7 +153,7 @@ def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
     monkeypatch.setattr(hoselm.classifier, "ridge_inverse", counted)
     h, t, _ = random_problem(np.random.default_rng(14))
     model = fit_classifier(h, t, 6, 100.0)
-    assert len(model.nodes) == 6
+    assert len(model.step) == 6
     assert calls == [(10, 10)]
 
 
@@ -147,9 +162,8 @@ def test_fit_is_deterministic():
     h, t, _ = random_problem(rng)
     m1 = fit_classifier(h, t, 4, 100.0)
     m2 = fit_classifier(h, t, 4, 100.0)
-    for n1, n2 in zip(m1.nodes, m2.nodes):
-        assert np.array_equal(n1.weights, n2.weights)
-        assert n1.bias == n2.bias and n1.step == n2.step
+    assert np.array_equal(m1.weights, m2.weights)
+    assert np.array_equal(m1.bias, m2.bias) and np.array_equal(m1.step, m2.step)
 
 
 def test_score_plus_final_residual_reconstructs_targets():
@@ -167,13 +181,8 @@ def test_residual_norm_sequence_non_increasing_through_fit():
     h, t, _ = random_problem(rng)
     model = fit_classifier(h, t, 8, 100.0)
     norms = [np.linalg.norm(t)]
-    for k in range(1, len(model.nodes) + 1):
-        sub = ClassifierModel(
-            nodes=model.nodes[:k],
-            coeff=model.coeff,
-            feature_dim=model.feature_dim,
-            class_count=model.class_count,
-        )
+    for k in range(1, len(model.step) + 1):
+        sub = node_slice(model, slice(k))
         norms.append(np.linalg.norm(t - score(sub, h)))
     assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
@@ -183,21 +192,10 @@ def test_each_node_adds_exactly_its_contribution():
     h, t, _ = random_problem(rng)
     model = fit_classifier(h, t, 4, 100.0)
     prev = np.zeros_like(t)
-    for k in range(1, len(model.nodes) + 1):
-        sub = ClassifierModel(
-            nodes=model.nodes[:k],
-            coeff=model.coeff,
-            feature_dim=model.feature_dim,
-            class_count=model.class_count,
-        )
+    for k in range(1, len(model.step) + 1):
+        sub = node_slice(model, slice(k))
         cur = score(sub, h)
-        node = model.nodes[k - 1]
-        one = ClassifierModel(
-            nodes=(node,),
-            coeff=model.coeff,
-            feature_dim=model.feature_dim,
-            class_count=model.class_count,
-        )
+        one = node_slice(model, slice(k - 1, k))
         assert np.allclose(cur - prev, score(one, h), atol=1e-12)
         prev = cur
 
@@ -210,13 +208,8 @@ def test_training_accuracy_tends_non_decreasing():
         h, t, labels = random_problem(rng, classes=3, dim=12, samples=60)
         model = fit_classifier(h, t, 5, 100.0)
         accs = []
-        for k in range(1, len(model.nodes) + 1):
-            sub = ClassifierModel(
-                nodes=model.nodes[:k],
-                coeff=model.coeff,
-                feature_dim=model.feature_dim,
-                class_count=model.class_count,
-            )
+        for k in range(1, len(model.step) + 1):
+            sub = node_slice(model, slice(k))
             accs.append(np.mean(decode_labels(score(sub, h)) == labels))
         ok += all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
     assert ok >= 27

@@ -346,9 +346,9 @@ def bench_model_arrays(monkeypatch, tmp_path):
             prefix = f"{golden}.{model.config.mode}."
             readout = model.readout
             if model.config.mode == "batch":
-                arrays[prefix + "weights"] = np.stack([n.weights for n in readout.nodes])
-                arrays[prefix + "biases"] = np.array([n.bias for n in readout.nodes])
-                arrays[prefix + "steps"] = np.array([n.step for n in readout.nodes])
+                arrays[prefix + "weights"] = readout.weights
+                arrays[prefix + "biases"] = readout.bias
+                arrays[prefix + "steps"] = readout.step
             else:
                 arrays[prefix + "beta"] = readout.beta
                 arrays[prefix + "p"] = readout.p

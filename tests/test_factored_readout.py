@@ -99,11 +99,11 @@ def test_factored_readout_equals_svd_reference(case):
     h = combined_feature(model, groups)
     z = logit_map(normalize_unit(targets, cfg.norm_eps)[0])
     want = svd_ridge_weights(h, z, cfg.coeff)
-    (node,) = model.readout.nodes
-    assert node.weights.shape == want.shape
-    assert rel_err(node.weights @ h, want @ h) < 1e-9
+    (weights,) = model.readout.weights
+    assert weights.shape == want.shape
+    assert rel_err(weights @ h, want @ h) < 1e-9
     kappa_sq = 1.0 + cfg.coeff * np.linalg.norm(h, 2) ** 2
-    assert rel_err(node.weights, want) < 1e-6 + 10 * np.finfo(np.float64).eps * kappa_sq
+    assert rel_err(weights, want) < 1e-6 + 10 * np.finfo(np.float64).eps * kappa_sq
 
 
 def three_groups(samples=240, classes=4, seed=21):
@@ -151,7 +151,7 @@ def test_wide_batch_fit_takes_the_factored_path(readout_calls):
     assert readout_calls["ridge_inverse"] == [(k, k)]
     h = combined_feature(model, groups)
     formed = fit_classifier(h, targets, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
-    assert len(model.readout.nodes) == len(formed.nodes) == cfg.classifier_nodes
+    assert len(model.readout.step) == len(formed.step) == cfg.classifier_nodes
 
 
 @pytest.mark.parametrize("subspace_dim", [10, 19])

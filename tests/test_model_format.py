@@ -8,7 +8,13 @@ model predicted for it when it was written.  The format-v2 files, written
 by the v2 save_model, are a batch model (concat, 16 combined rows, so its
 classifier was fitted on the thin factor) and a sequential one (plus, 5
 combined rows, chunk_size 12) over the same two groups;
-model_v2_labels.json holds the same input and their labels.
+model_v2_labels.json holds the same input and their labels.  The format-v4
+files, written by the v4 save_model, are a batch model (concat, norm_eps
+1e-3, label values 0, 2, 7) and a sequential one (plus, chunk_size 12, label
+values 5, 1, 3) over the same two groups; every classifier normalization
+row of the batch file ends in a copy of norm_eps.  model_v4_labels.json
+holds the same input, the class indices each model predicted for it and
+the models' label values.
 """
 
 import json
@@ -21,11 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoselm.errors import FormatError
-from hoselm.pipeline import FeatureGroup, HOselmModel, load_model, predict, save_model
+from hoselm.pipeline import FeatureGroup, HOselmModel, load_model, predict, save_model, scores
 
 DATA = Path(__file__).resolve().parent / "data"
 EXPECTED = json.loads((DATA / "model_v1_labels.json").read_text())
 EXPECTED_V2 = json.loads((DATA / "model_v2_labels.json").read_text())
+EXPECTED_V4 = json.loads((DATA / "model_v4_labels.json").read_text())
 REQUEST = [FeatureGroup(x=np.array(rows), name=name) for name, rows in EXPECTED["inputs"].items()]
 MODES = ("batch", "sequential")
 
@@ -61,18 +68,18 @@ def test_v1_files_load_and_predict_their_labels(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_v1_file_resaved_as_v4_predicts_the_same(tmp_path, mode):
+def test_v1_file_resaved_in_the_current_format_predicts_the_same(tmp_path, mode):
     path = tmp_path / "model.npz"
     save_model(load_model(v1_path(mode)), path)
     model = load_model(path)
-    assert json.loads(str(np.load(path)["header"]))["format_version"] == 4
+    assert json.loads(str(np.load(path)["header"]))["format_version"] == 5
     assert model.class_labels == (0, 1, 2)
     assert predict(model, REQUEST).tolist() == EXPECTED[mode]
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_v2_files_load_and_predict_their_labels(tmp_path, mode):
-    """A v2 file loads and predicts its labels, and so does its v4 resave.
+    """A v2 file loads and predicts its labels, and so does its v5 resave.
     A sequential v2 file stored the D x D accumulator; it is read back in
     the readout's basis."""
     with np.load(v2_path(mode)) as data:
@@ -89,6 +96,26 @@ def test_v2_files_load_and_predict_their_labels(tmp_path, mode):
         rank = model.readout.basis.shape[1]
         assert resaved.readout.p.shape == (rank, rank)
         assert np.array_equal(resaved.readout.p, model.readout.p)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_v4_files_load_and_predict_their_labels(tmp_path, mode):
+    """A v4 file loads with its label values and predicts its labels; its
+    v5 resave, which drops the eps column, serves the same scores."""
+    path = DATA / f"model_v4_{mode}.npz"
+    with np.load(path) as data:
+        assert json.loads(str(data["header"]))["format_version"] == 4
+        if mode == "batch":
+            assert data["classifier_norm_in"].shape[1] == 3
+    assert EXPECTED_V4["inputs"] == EXPECTED["inputs"]
+    model = load_model(path)
+    assert model.class_labels == tuple(EXPECTED_V4[f"{mode}_class_labels"])
+    assert predict(model, REQUEST).tolist() == EXPECTED_V4[mode]
+    resaved_path = tmp_path / "model.npz"
+    save_model(model, resaved_path)
+    resaved = load_model(resaved_path)
+    assert resaved.class_labels == model.class_labels
+    assert np.array_equal(scores(resaved, REQUEST), scores(model, REQUEST))
 
 
 def _shift_norm_out(arrays):

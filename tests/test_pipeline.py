@@ -3,13 +3,16 @@
 import importlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import hoselm.extractor
+import hoselm.pipeline
 from hoselm.classifier import fit_node
 from hoselm.combine import combine
 from hoselm.errors import FormatError, ModeError, ShapeError
@@ -76,7 +79,7 @@ def test_batch_training_scores_reconstruct_targets():
     combined = combine(feats, model.combine_spec)
     e = targets
     gram_inv = ridge_inverse(combined @ combined.T, cfg.coeff)
-    for _ in range(len(model.readout.nodes)):
+    for _ in range(len(model.readout.step)):
         _, e = fit_node(combined, e, gram_inv, cfg.norm_eps)
     assert np.allclose(scores(model, groups) + e, targets, atol=1e-9)
 
@@ -114,8 +117,8 @@ def test_fit_is_deterministic():
     m2 = fit(groups, targets, small_cfg())
     for n1, n2 in zip(m1.extractors[0], m2.extractors[0]):
         assert np.array_equal(n1.weights, n2.weights)
-    for a, b in zip(m1.readout.nodes, m2.readout.nodes):
-        assert np.array_equal(a.weights, b.weights) and a.step == b.step
+    assert np.array_equal(m1.readout.weights, m2.readout.weights)
+    assert np.array_equal(m1.readout.step, m2.readout.step)
 
 
 # The package re-exports the function combine under the submodule's name.
@@ -412,18 +415,22 @@ def test_saved_header_holds_the_full_config(tmp_path):
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_saved_model_stores_each_fact_once(tmp_path, mode):
-    """Format v4 keeps no copy of what the config or the array shapes fix."""
+    """Format v5 keeps no copy of what the config or the array shapes fix:
+    the classifier's normalization rows hold lo and hi, not norm_eps."""
     groups, targets, _ = toy_blobs(seed=6)
     path = tmp_path / "model.npz"
     save_model(fit(groups, targets, small_cfg(mode=mode, chunk_size=20)), path)
     with np.load(path) as data:
         header = json.loads(str(data["header"]))
         files = set(data.files)
-    assert header["format_version"] == 4
+        norms = data.get("classifier_norm_in")
+    assert header["format_version"] == 5
     assert set(header) == {"format_version", "config", "group_names", "class_labels", "readout"}
     assert header["readout"] == ({"node_count": 6} if mode == "batch" else {"seen": 60})
     assert "classifier_norm_out" not in files
     assert ("classifier_norm_in" in files) == (mode == "batch")
+    if mode == "batch":
+        assert norms.shape == (6, 2)
 
 
 def _two_group_model_file(tmp_path, mode):
@@ -465,6 +472,15 @@ def _header_edit(change):
     return edit
 
 
+def _v4_eps_one_ulp_off(arrays):
+    """The file as format v4 wrote it, whose normalization rows end in a
+    copy of norm_eps, but with that copy one ulp above norm_eps."""
+    _header_edit(lambda h: h.update(format_version=4))(arrays)
+    eps = json.loads(str(arrays["header"]))["config"]["norm_eps"]
+    lo_hi = arrays["classifier_norm_in"]
+    arrays["classifier_norm_in"] = np.column_stack((lo_hi, np.full(len(lo_hi), np.nextafter(eps, 1))))
+
+
 CORRUPTIONS = {
     "missing classifier array": ("batch", _drop("classifier_steps"), "classifier_steps"),
     "missing extractor array": ("sequential", _drop("extractor_1_biases"), "extractor_1_biases"),
@@ -498,7 +514,7 @@ CORRUPTIONS = {
     "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
     "future format version": (
         "batch",
-        _header_edit(lambda h: h.update(format_version=5)),
+        _header_edit(lambda h: h.update(format_version=6)),
         "version",
     ),
     "format version true": (
@@ -521,6 +537,7 @@ CORRUPTIONS = {
         _header_edit(lambda h: h["group_names"].append("ghost")),
         "extractor_2_weights",
     ),
+    "v4 eps column that is not norm_eps": ("batch", _v4_eps_one_ulp_off, "eps column"),
     "readout kind of the other mode": (
         "batch",
         _header_edit(lambda h: h["readout"].update(kind="sequential")),
@@ -577,3 +594,35 @@ def test_config_validation():
     with pytest.raises(ValueError, match="operator"):
         PipelineConfig(operator="times")
     PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0, norm_eps=0.49)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_affine_maps_accumulate_groups_in_place(order):
+    """_apply adds every group after the first into its r x M output: its
+    tracemalloc peak stays under 1.5 times the output, where one r x M
+    temporary per group would reach 2 times, and the result is
+    sum_g w_g @ m_g + offset within 1e-12."""
+    rng = np.random.default_rng(3)
+    rows, samples, widths = 40, 3000, (5, 7, 9)
+    weights = tuple(rng.standard_normal((rows, n)) for n in widths)
+    mats = [np.asarray(rng.standard_normal((n, samples)), order=order) for n in widths]
+    offset = rng.standard_normal((rows, 1))
+    tracemalloc.start()
+    try:
+        out = hoselm.pipeline._apply(weights, offset, mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes
+    want = sum(w @ m for w, m in zip(weights, mats)) + offset
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_save_model_rejects_a_classifier_eps_the_config_does_not_hold(tmp_path):
+    """Format v5 keeps config.norm_eps in place of the classifier's eps, so a
+    model whose two differ cannot be saved without changing its scores."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg())
+    odd = replace(model, readout=replace(model.readout, eps=2 * model.config.norm_eps))
+    with pytest.raises(ValueError, match="norm_eps"):
+        save_model(odd, tmp_path / "model.npz")

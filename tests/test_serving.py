@@ -1,6 +1,7 @@
 """Request path: frozen affine maps against the layer-by-layer reference."""
 
 import importlib
+import io
 from collections import Counter
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import hoselm.extractor
 import hoselm.kernels
 import hoselm.oselm
 import hoselm.pipeline
-from hoselm.classifier import ClassifierModel, ClassifierNode, fit_classifier, score
+from hoselm.classifier import ClassifierModel, fit_classifier, score
 from hoselm.extractor import SubnetNode, project
 from hoselm.kernels import NormParams, denormalize_unit, sigmoid_map
 from hoselm.oselm import OselmState, os_predict
@@ -24,8 +25,10 @@ from hoselm.pipeline import (
     PipelineConfig,
     evaluate,
     fit,
+    load_model,
     partial_fit,
     predict,
+    save_model,
     scores,
 )
 
@@ -37,24 +40,29 @@ combine = combine_module.combine
 def loop_score(model, h):
     """The classifier score node by node: the reference for the stacked one."""
     out = np.zeros((model.class_count, h.shape[1]))
-    for n in model.nodes:
-        out += n.step * denormalize_unit(sigmoid_map(n.weights @ h + n.bias), n.norm_in)
+    for w, b, step, lo, hi in zip(model.weights, model.bias, model.step, model.lo, model.hi):
+        norm = NormParams(lo=float(lo), hi=float(hi), eps=model.eps)
+        out += step * denormalize_unit(sigmoid_map(w @ h + b), norm)
     return out
 
 
-def _classifier_node(rng, classes, dim, degenerate):
-    lo = float(rng.uniform(-2.0, 2.0))
-    hi = lo if degenerate else lo + float(rng.uniform(0.1, 3.0))
-    return ClassifierNode(
-        weights=rng.standard_normal((classes, dim)),
-        bias=float(rng.uniform(-1.0, 1.0)),
-        step=float(rng.uniform(-2.0, 2.0)),
-        norm_in=NormParams(lo=lo, hi=hi, eps=1e-4),
-    )
+def _classifier(rng, classes, dim, degenerate):
+    """Random classifier nodes, drawn node by node and stacked; node k has a
+    degenerate (hi == lo) normalization when degenerate[k] is set."""
+    count = len(degenerate)
+    weights = np.empty((count, classes, dim))
+    bias, step, lo, hi = np.empty((4, count))
+    for k, flat in enumerate(degenerate):
+        lo[k] = rng.uniform(-2.0, 2.0)
+        hi[k] = lo[k] if flat else lo[k] + rng.uniform(0.1, 3.0)
+        weights[k] = rng.standard_normal((classes, dim))
+        bias[k] = rng.uniform(-1.0, 1.0)
+        step[k] = rng.uniform(-2.0, 2.0)
+    return ClassifierModel(weights, bias, step, lo, hi, eps=1e-4)
 
 
 @st.composite
-def served_models(draw):
+def served_models(draw, modes=("batch", "sequential")):
     """A model with random frozen layers, plus request groups for it.
 
     Widths stay small and subspaces reach past input_dim + 1, so rank
@@ -67,7 +75,7 @@ def served_models(draw):
     widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
     node_count = draw(st.integers(1, 3))
     subspace_dim = draw(st.integers(1, 9))
-    mode = draw(st.sampled_from(["batch", "sequential"]))
+    mode = draw(st.sampled_from(modes))
     classes = draw(st.integers(1, 4))
     samples = draw(st.integers(1, 7))
     extractors = tuple(
@@ -81,9 +89,7 @@ def served_models(draw):
     )
     dim = subspace_dim * (node_count * len(widths) if operator == "concat" else 1)
     if mode == "batch":
-        degenerate = draw(st.lists(st.booleans(), max_size=3))
-        nodes = tuple(_classifier_node(rng, classes, dim, d) for d in degenerate)
-        readout = ClassifierModel(nodes=nodes, coeff=1.0, feature_dim=dim, class_count=classes)
+        readout = _classifier(rng, classes, dim, draw(st.lists(st.booleans(), max_size=3)))
     else:
         readout = OselmState(
             p=np.eye(dim), beta=rng.standard_normal((dim, classes)), seen=1, coeff=1.0
@@ -100,7 +106,7 @@ def served_models(draw):
             classifier_nodes=3,
             mode=mode,
         ),
-        class_count=classes,
+        class_labels=tuple(range(classes)),
     )
     groups = [FeatureGroup(x=rng.uniform(-3.0, 3.0, (n, samples))) for n in widths]
     return model, groups
@@ -125,10 +131,9 @@ def test_scores_equal_layer_by_layer_reference(case):
     ]
     h = combine(feats, model.combine_spec)
     if model.config.mode == "batch":
-        want = loop_score(model.readout, h)
-        scale = sum(
-            abs(n.step) * max(abs(n.norm_in.lo), abs(n.norm_in.hi)) for n in model.readout.nodes
-        )
+        c = model.readout
+        want = loop_score(c, h)
+        scale = np.sum(np.abs(c.step) * np.maximum(np.abs(c.lo), np.abs(c.hi)))
         assert np.max(np.abs(score(model.readout, h) - want)) <= 1e-12 * scale
     else:
         want = os_predict(model.readout, h)
@@ -136,6 +141,20 @@ def test_scores_equal_layer_by_layer_reference(case):
     got = scores(model, groups)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@given(served_models(modes=("batch",)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_saved_batch_models_serve_bit_equal_scores(case):
+    """A batch model saved and loaded again, zero nodes and degenerate
+    normalizations included, serves exactly the scores it served before."""
+    model, groups = case
+    buffer = io.BytesIO()
+    save_model(model, buffer)
+    buffer.seek(0)
+    loaded = load_model(buffer)
+    assert loaded.class_labels == model.class_labels
+    assert np.array_equal(scores(loaded, groups), scores(model, groups))
 
 
 def _two_group_data(seed=0):
