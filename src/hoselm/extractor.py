@@ -20,8 +20,12 @@ slices each layer's R from one QR of all groups, factor_inputs).  The
 root-mean-square biases are Frobenius norms of coefficients, since Q is
 orthonormal.  Each readout takes its pseudoinverse in (n+1)-space, with the
 cutoff the d x M one would use, and every refinement solves a x ~ f through
-one pinv(R11') of the layer's leading n x n triangle.  Only the feedback's
-global range, which its normalization needs, costs a d x n x M product.
+one pinv(R11') of the layer's leading n x n triangle.  Every pseudoinverse
+goes through hoselm.kernels' pinv core: a well-conditioned matrix takes the
+certified QR route (the triangle R11' is inverted as it is), and any other,
+such as a singular R11' or a readout near its cutoff, the SVD.  Only the
+feedback's global range, which its normalization needs, costs a d x n x M
+product.
 
 The pipeline validates every group and the targets where they enter the
 package, so the functions here check shapes only.  Everything here is
@@ -32,10 +36,9 @@ be built concurrently.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import ShapeError
-from .kernels import augmented_inputs, mse, normalize_unit
+from .kernels import _qr_r, augmented_inputs, mse, normalize_unit
 from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The layer takes pseudoinverses only of matrices it built, so it calls the
@@ -57,6 +60,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+# Sample columns per block of the feedback's range.
+_RANGE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -138,10 +143,11 @@ def factor_inputs(mats, targets):
     """Factor feature groups and their targets once for a whole fit.
 
     mats is a list of groups x_g sharing M sample columns, or a lone
-    group.  Takes the thin QR [x_1; ...; x_G; 1; T]' = Q R and returns R
-    alone, k x K with K the stack's rows and k = min(M, K); Q is never
-    built.  For a lone group x its leading k1 = min(M, n+1) rows hold the
-    blocks every readout needs: [x; 1]' = Q1 R[:k1, :n+1] and
+    group.  Takes the thin QR [x_1; ...; x_G; 1; T]' = Q R, factoring the
+    Fortran-ordered stack in place with LAPACK's compact-WY dgeqrt, and
+    returns R alone, k x K with K the stack's rows and k = min(M, K); Q is
+    never built.  For a lone group x its leading k1 = min(M, n+1) rows hold
+    the blocks every readout needs: [x; 1]' = Q1 R[:k1, :n+1] and
     T Q1 = R[:k1, n+1:]', with Q1 the first k1 columns of Q.  Callers pass
     validated float arrays; only shapes are checked here.
     """
@@ -151,8 +157,7 @@ def factor_inputs(mats, targets):
         raise ShapeError(
             f"sample counts differ: inputs {mats[0].shape[1]}, targets {targets.shape[1]}"
         )
-    _, r = qr(augmented_inputs(mats, targets), mode="raw", overwrite_a=True, check_finite=False)
-    return r
+    return _qr_r(augmented_inputs(mats, targets))
 
 
 def _check_factor(factor, inputs, targets):
@@ -267,7 +272,9 @@ def _refine(node, x, targets, r, refine_pinv, cfg):
     every d x M matrix carried as a coefficient on [x; 1; T] or on Q'.
 
     Only the global range of the feedback needs M-sized work: one product
-    (I - pinv(w) w) W x + pinv(w) T, whose rows then shift by a constant.
+    (I - pinv(w) w) W x + pinv(w) T, whose rows then shift by a constant,
+    taken over blocks of _RANGE_BLOCK sample columns so that no d x M
+    matrix is held at once.
     """
     n, samples = x.shape
     readout = _readout_weights(node, r, samples)
@@ -280,10 +287,12 @@ def _refine(node, x, targets, r, refine_pinv, cfg):
     c_e[:, n] -= _rms(c_e @ r.T, samples)  # the readout's bias
     # The feedback pinv(w) e + h, normalized into [eps, 1] by its range.
     c_g = pinv(readout) @ c_e + c_h
-    g = c_g[:, :n] @ x
-    g += c_g[:, n + 1 :] @ targets
-    lo = float(np.min(g.min(axis=1) + c_g[:, n]))
-    hi = float(np.max(g.max(axis=1) + c_g[:, n]))
+    lo, hi = np.inf, -np.inf
+    for c in range(0, samples, _RANGE_BLOCK):
+        g = c_g[:, :n] @ x[:, c : c + _RANGE_BLOCK]
+        g += c_g[:, n + 1 :] @ targets[:, c : c + _RANGE_BLOCK]
+        lo = min(lo, float(np.min(g.min(axis=1) + c_g[:, n])))
+        hi = max(hi, float(np.max(g.max(axis=1) + c_g[:, n])))
     eps = cfg.norm_eps
     if hi == lo:
         c_f = np.zeros_like(c_g)
@@ -310,7 +319,9 @@ def extract_features(x, targets, cfg, factor):
     triangle's pseudoinverse.  The least squares a x ~ f of every
     refinement is solved through one pinv(R11') of the leading n x n
     triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff (rcond
-    sqrt(eps n) on R11 is eps n on its square).  Returns the refined nodes;
+    sqrt(eps n) on R11 is eps n on its square).  A triangle whose condition
+    is certified below that cutoff is inverted directly; any other takes
+    the SVD.  Returns the refined nodes;
     their features are project(node, x).  Callers pass validated float
     arrays; only shapes are checked here.
     """

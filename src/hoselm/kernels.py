@@ -2,15 +2,24 @@
 
 Everything downstream (random-feature networks, the subnetwork extractor,
 the greedy classifier, the sequential readout) is built from the handful of
-operations here: SVD pseudoinverse, ridge-regularized inverse, mean squared
-error, sigmoid / logit, the (0, 1]-normalization pair, and the stacked
-inputs [x_1; ...; x_G; 1]' (with the targets' rows appended for the
-extractor) that the input-space QR factorizations take.
+operations here: pseudoinverse, ridge-regularized inverse, mean squared
+error, sigmoid / logit, the (0, 1]-normalization pair, the stacked inputs
+[x_1; ...; x_G; 1]' (with the targets' rows appended for the extractor)
+and the R of their QR factorization.
 
-pinv is the plain SVD reference whose Penrose conditions acceptance
-criterion 1 pins.  Callers keep its inputs small: a fit factors its inputs
-once and the extractor takes its per-node pseudoinverses in (n+1)-space,
-and the classifier takes one ridge inverse per fit.
+Every QR here is LAPACK's compact-WY Householder QR (dgeqrt), with column
+blocks of min(32, rows, cols).  pinv has two routes to the same
+Moore-Penrose pseudoinverse, whose Penrose conditions acceptance criterion
+1 pins.  The certified route takes the QR of a's tall orientation (a
+triangle is its own R) and the triangle's inverse, and returns R^-1 Q'
+(transposed for a wide a) when ||R||_F ||R^-1||_F rcond < 1/2: that bound
+proves cond_2(a) < 1/rcond, so no singular value reaches the cutoff and
+R^-1 Q' is the pseudoinverse.  Every other input, such as one with
+duplicated rows or a rank below its smaller side, takes the plain SVD
+route, np.linalg.pinv at the same cutoff.  Callers keep the inputs small:
+a fit factors its inputs once and the extractor takes its per-node
+pseudoinverses in (n+1)-space, and the classifier takes one ridge inverse
+per fit.
 
 The public helpers validate their inputs.  The pseudoinverse, ridge
 inverse, logit and normalization pair also have unchecked private cores,
@@ -23,6 +32,7 @@ All matrices are dense float64 numpy arrays, samples as columns.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtri
 from scipy.special import expit
 
 from .errors import ShapeError
@@ -39,6 +49,12 @@ __all__ = [
     "normalize_unit",
     "denormalize_unit",
 ]
+
+_EPS = np.finfo(np.float64).eps
+# Column block of every QR; LAPACK's dgeqrt needs it <= min(rows, cols).
+_QR_BLOCK = 32
+# Sample columns per block of augmented_inputs' transposing copy.
+_COPY_BLOCK = 128
 
 
 def as_matrix(a, name="matrix"):
@@ -59,21 +75,43 @@ def augmented_inputs(mats, targets=None):
 
     The M x (sum of group rows + 1 + target rows) result is written straight
     into Fortran order, whatever the operands' layout, so LAPACK can factor
-    it in place without another M-sized copy.
+    it in place without another M-sized copy.  A C-ordered operand is one
+    straight copy; any other is a transposing copy, made in blocks of
+    _COPY_BLOCK sample columns that stay in cache.
     """
     samples = mats[0].shape[1]
     tail = () if targets is None else (targets,)
     parts = (*mats, np.ones((1, samples)), *tail)
-    out = np.empty((samples, sum(m.shape[0] for m in parts)), order="F")
-    np.concatenate(parts, out=out.T)
+    rows = np.cumsum([0] + [p.shape[0] for p in parts])
+    out = np.empty((samples, rows[-1]), order="F")
+    for p, lo, hi in zip(parts, rows, rows[1:]):
+        step = samples if p.flags.c_contiguous else _COPY_BLOCK
+        for c in range(0, samples, step):
+            out[c : c + step, lo:hi] = p[:, c : c + step].T
     return out
 
 
+def _wy_qr(a, overwrite=False):
+    """Compact-WY Householder QR a = Q R (LAPACK dgeqrt): the reflectors,
+    with R in their upper triangle, and the block reflector factors."""
+    v, t, _ = dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=overwrite)
+    return v, t
+
+
+def _qr_r(a):
+    """R of the thin QR of an M x K Fortran-ordered a, which is factored in
+    place: min(M, K) x K and upper triangular; Q is never built."""
+    v, _ = _wy_qr(a, overwrite=True)
+    return np.triu(v[: min(a.shape)])
+
+
 def pinv(a, rcond=None):
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse.
 
     Singular values at or below ``rcond * s_max`` are treated as zero.
-    Default rcond is machine epsilon times max(rows, cols).
+    Default rcond is machine epsilon times max(rows, cols).  A well
+    conditioned a takes the certified QR route, any other the SVD (see the
+    module docstring).
     """
     m = as_matrix(a, "pinv input")
     if rcond is not None and rcond < 0:
@@ -84,8 +122,39 @@ def pinv(a, rcond=None):
 def _pinv(a, rcond=None):
     """pinv without its checks, for callers that built a."""
     if rcond is None:
-        rcond = np.finfo(np.float64).eps * max(a.shape)
-    return np.linalg.pinv(a, rcond=rcond)
+        rcond = _EPS * max(a.shape)
+    certified = _certified_pinv(a, rcond)
+    return np.linalg.pinv(a, rcond=rcond) if certified is None else certified
+
+
+def _certified_pinv(a, rcond):
+    """R^-1 Q' from the QR of a's tall orientation, transposed back for a
+    wide a, or None unless ||R||_F ||R^-1||_F rcond < 1/2.  A square
+    triangular a is its own R."""
+    rows, cols = a.shape
+    if rows == cols and not np.any(np.tril(a, -1)):
+        return _certified_inverse(a, rcond, lower=False)
+    if rows == cols and not np.any(np.triu(a, 1)):
+        return _certified_inverse(a, rcond, lower=True)
+    tall = rows >= cols
+    v, t = _wy_qr(a if tall else a.T)
+    k = min(rows, cols)
+    r_inv = _certified_inverse(np.triu(v[:k]), rcond, lower=False)
+    if r_inv is None:
+        return None
+    c = np.zeros(v.shape, order="F")
+    c[:k] = r_inv.T
+    q_r_inv, _ = dgemqrt(v, t, c, overwrite_c=True)  # Q R^-T
+    return q_r_inv.T if tall else q_r_inv
+
+
+def _certified_inverse(r, rcond, lower):
+    """The inverse of triangle r (LAPACK dtrtri) if its Frobenius condition
+    times rcond is below 1/2, else None.  A NaN or Inf bound fails the test."""
+    r_inv, info = dtrtri(r, lower=lower)
+    if info == 0 and np.linalg.norm(r) * np.linalg.norm(r_inv) * rcond < 0.5:
+        return r_inv
+    return None
 
 
 def ridge_inverse(g, c):

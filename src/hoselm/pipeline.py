@@ -24,12 +24,13 @@ a sequential model folds L = U' (below) and hands the result to its
 readout.  The maps are derived, never stored in model files.
 
 The same affinity bounds the rank of H by k.  A fit factors its boot
-block once, with one R-only thin QR [x_1; ...; x_G; 1; T]' = Q R
-(hoselm.extractor.factor_inputs), and every least-squares solve of the fit
-reads that R: each extractor layer takes the R of a QR of its own columns
-[x_g; 1; T] of it, the batch readout takes the basis U of its coordinates
-from the SVD of B R_z' (R_z the stacked inputs' columns of R) and the
-sequential boot runs on R's columns alone (see fit).  Neither mode forms H:
+block once, with one R-only thin QR [x_1; ...; x_G; 1; T]' = Q R (the one
+hoselm.extractor.factor_inputs takes), and every least-squares solve of
+the fit reads that R: each extractor layer takes the R of a QR of its own
+columns [x_g; 1; T] of it, the batch readout takes the basis U of its
+coordinates from the SVD of B R_z' (R_z the stacked inputs' columns of R)
+and the sequential boot runs on R's columns alone (see fit).  Neither mode
+forms H:
 the classifier is fitted on Y = U'H and the sequential readout runs
 recursive least squares on it, with U an orthonormal D x r basis of H's
 columns, r <= min(D, k) (see hoselm.oselm).  A chunk of m columns then
@@ -42,14 +43,14 @@ import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import qr, svd
+from scipy.linalg import svd
 from scipy.linalg.blas import dgemm
 
 from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
 from .combine import CombineSpec, combine_affine, combined_dim
 from .errors import FormatError, ModeError, ShapeError
-from .extractor import ExtractorConfig, SubnetNode, extract_features, factor_inputs
-from .kernels import as_matrix
+from .extractor import ExtractorConfig, SubnetNode, extract_features
+from .kernels import _qr_r, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps; these three stay for perfbench/tracing.py.
@@ -161,8 +162,9 @@ class AffineMaps:
         return _apply(self.weights, self.offset, mats)
 
 
-def _apply(weights, offset, mats):
-    """sum_g weights[g] @ mats[g] + offset, one product per group.
+def _apply(weights, offset, mats, out=None):
+    """sum_g weights[g] @ mats[g] + offset, one product per group, written
+    into out (a C-ordered array of the result's shape) when one is given.
 
     Each group after the first is accumulated into the output in place,
     out' += m' w' on the Fortran-ordered out', so no output-sized
@@ -170,7 +172,7 @@ def _apply(weights, offset, mats):
     dgemm rejects empty operands, so a map with no rows (a classifier with
     no nodes) adds nothing.
     """
-    out = weights[0] @ mats[0]
+    out = np.matmul(weights[0], mats[0], out=out)
     for w, m in zip(weights[1:], mats[1:] if out.size else ()):
         a, trans = (m, 1) if m.flags.f_contiguous else (m.T, 0)
         out = dgemm(1.0, a, w.T, beta=1.0, c=out.T, overwrite_c=True, trans_a=trans).T
@@ -208,7 +210,8 @@ class HOselmModel:
     readout is a ClassifierModel in batch mode or an OselmState in
     sequential mode.  class_labels holds the label value of each class
     index, such as the original labels of a dataset (fit gives
-    0 .. C - 1); class_count is its length.  maps is derived from the other
+    0 .. C - 1); class_count is its length, which must equal the readout's
+    class count (ValueError otherwise).  maps is derived from the other
     fields when the model is built (see AffineMaps) and reused as long as
     the fields it was derived from are the same objects: partial_fit keeps
     the config and the readout's basis, so it shares the maps.
@@ -222,7 +225,13 @@ class HOselmModel:
     maps: AffineMaps = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        fold = self.readout if self.config.mode == "batch" else self.readout.basis
+        batch = self.config.mode == "batch"
+        classes = self.readout.class_count if batch else self.readout.beta.shape[1]
+        if len(self.class_labels) != classes:
+            raise ValueError(
+                f"{len(self.class_labels)} class labels for a readout of {classes} classes"
+            )
+        fold = self.readout if batch else self.readout.basis
         source = (self.extractors, self.config, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
             object.__setattr__(self, "maps", _derive_maps(*source))
@@ -291,7 +300,8 @@ def _require_all_classes(targets, what):
 def _fit_extractors(mats, targets, r, cfg):
     """One layer per group from the shared factor r of the stacked inputs
     and targets: the R of a QR of the group's columns [x_g; 1; T] of r,
-    which a lone group takes as it is."""
+    which a lone group takes as it is.  The columns are gathered in Fortran
+    order, so the QR factors them in place."""
     group_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(mats))
     starts = np.cumsum([0] + [m.shape[0] for m in mats])
     extractors = []
@@ -299,7 +309,7 @@ def _fit_extractors(mats, targets, r, cfg):
         factor = r
         if len(mats) > 1:
             cols = np.r_[lo:hi, starts[-1] : r.shape[1]]
-            _, factor = qr(r[:, cols], mode="raw", overwrite_a=True, check_finite=False)
+            factor = _qr_r(r.T[cols].T)
         ecfg = ExtractorConfig(
             node_count=cfg.node_count,
             subspace_dim=cfg.subspace_dim,
@@ -323,10 +333,12 @@ def fit(groups, targets, cfg):
     possibly short.
 
     Every solve reads one R-only thin QR of the boot block,
-    [x_1; ...; x_G; 1; T]' = Q R (factor_inputs), and H = B z with
-    z = [x_1; ...; x_G; 1] (hoselm.combine.combine_affine) is never formed.
-    With R_z the leading min(k, M) rows of R's first k columns (k = rows of
-    z), H = (B R_z') Q_z'.
+    [x_1; ...; x_G; 1; T]' = Q R (as factor_inputs takes it), and H = B z
+    with z = [x_1; ...; x_G; 1] (hoselm.combine.combine_affine) is never
+    formed.  With R_z the leading min(k, M) rows of R's first k columns
+    (k = rows of z), H = (B R_z') Q_z'.  The QR factors the M x K stack in
+    place, and a batch fit then writes its r x M classifier coordinates
+    (r <= k < K) over the same buffer rather than into a new one.
 
     Batch: the SVD B R_z' = U S V' gives an orthonormal basis U of H's
     columns (D x r, r = min(D, k, M)); the classifier is fitted on
@@ -352,13 +364,14 @@ def fit(groups, targets, cfg):
     if not batch:
         _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
-    r = factor_inputs(boot_mats, head)
+    stack = augmented_inputs(boot_mats, head)
+    r = _qr_r(stack)
     extractors = _fit_extractors(boot_mats, head, r, cfg)
     b = combine_affine(extractors, cfg.combine_spec)
     k = r.shape[1] - tm.shape[0]
     if batch:
         u, _, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
-        y = _apply(*_split_maps(extractors, u.T @ b), boot_mats)
+        y = _apply(*_split_maps(extractors, u.T @ b), boot_mats, out=stack[:, : u.shape[1]].T)
         readout = fit_classifier(y, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
         readout = replace(readout, weights=readout.weights @ u.T)
     else:

@@ -321,17 +321,19 @@ def test_extract_features_share_shape():
 @pytest.mark.parametrize("subspace_dim", [3, 12])
 def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     # subspace_dim 12 > input_dim + 1 is the rank-deficient regime.
-    calls = {"qr": 0, "pinv": 0, "project": 0}
+    # factor_inputs takes its QR through the kernels' _qr_r.
+    names = {"qr": "_qr_r", "pinv": "pinv", "project": "project"}
+    calls = dict.fromkeys(names, 0)
 
-    def counted(name, fn):
+    def counted(kind, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[kind] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(hoselm.extractor, name, counted(name, getattr(hoselm.extractor, name)))
+    for kind, name in names.items():
+        monkeypatch.setattr(hoselm.extractor, name, counted(kind, getattr(hoselm.extractor, name)))
     rng = np.random.default_rng(31)
     x = rng.standard_normal((6, 40)) + 2.0
     y = rng.standard_normal((3, 40))

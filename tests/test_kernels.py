@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoselm.errors import ShapeError
+from hoselm.extractor import ExtractorConfig, extract_features, factor_inputs
 from hoselm.kernels import (
     NormParams,
+    _certified_pinv,
     as_matrix,
+    augmented_inputs,
     denormalize_unit,
     logit_map,
     mse,
@@ -205,3 +210,152 @@ def test_penrose_conditions_sweep_up_to_50x50():
             k = max(1, min(rows, cols) // 2)
             a = rng.normal(size=(rows, k)) @ rng.normal(size=(k, cols))
         assert max(penrose_residuals(a, pinv(a))) <= 1e-9
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes np.linalg.pinv (the SVD route) and the SVDs get."""
+    seen = []
+    for module, name in ((np.linalg, "pinv"), (np.linalg, "svd"), (scipy.linalg, "svd")):
+        fn = getattr(module, name)
+
+        def spy(a, *args, _fn=fn, **kwargs):
+            seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@st.composite
+def well_conditioned(draw):
+    """A tall, wide or square matrix U diag(s) V' of full rank, with its
+    singular values spread over a condition number up to 1e6."""
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 30))
+    cond = 10.0 ** draw(st.floats(0.0, 6.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    s = scale * np.geomspace(1.0, cond, k)
+    return (u * s) @ v.T, s.max() / s.min()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=well_conditioned())
+def test_certified_route_is_the_svd_pseudoinverse(case):
+    """Well-conditioned inputs pass the certificate, and the QR route
+    returns np.linalg.pinv's result within 1e-12 cond relative and meets
+    the four Penrose conditions to the same bound."""
+    a, cond = case
+    rcond = EPS * max(a.shape)
+    got = _certified_pinv(a, rcond)
+    assert got is not None
+    assert rel_err(got, np.linalg.pinv(a, rcond=rcond)) <= 1e-12 * cond
+    assert max(penrose_residuals(a, got)) <= 1e-12 * cond
+
+
+def takes_the_svd_route(a, rcond, svd_calls):
+    """pinv(a, rcond) calls np.linalg.pinv and returns its result bit for bit."""
+    want = np.linalg.pinv(a, rcond=rcond)
+    svd_calls.clear()
+    got = pinv(a, rcond)
+    return svd_calls == [a.shape] and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("shape", [(20, 30), (25, 25), (200, 257)])
+def test_duplicated_rows_take_the_svd_route(svd_calls, shape, transpose):
+    """A wide or square matrix with a duplicated row (or its transpose,
+    with a duplicated column) is rank deficient; the certificate fails and
+    pinv returns the SVD route's result."""
+    rng = np.random.default_rng(shape[1])
+    a = rng.uniform(-1.0, 1.0, shape)
+    a[7] = a[2]
+    a = a.T if transpose else a
+    assert takes_the_svd_route(a, EPS * max(a.shape), svd_calls)
+
+
+def near_duplicate_layer(n=12, samples=80, seed=4):
+    """Inputs whose rows 3 and 8 agree within 1e-8 relative, and the
+    layer's triangle R11' from their factor."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, samples)) + 1.0
+    x[8] = x[3] * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, samples))
+    targets = np.eye(3)[:, np.arange(samples) % 3]
+    return x, targets, factor_inputs(x, targets)[:n, :n].T
+
+
+def test_near_duplicate_rows_take_the_svd_route_at_the_refinement_cutoff(svd_calls):
+    """Rows within 1e-8 relative of each other leave R11 a singular value
+    below the refinement's cutoff sqrt(eps n): the triangle takes the SVD
+    route and the same pseudoinverse as before."""
+    x, _, tri = near_duplicate_layer()
+    assert takes_the_svd_route(tri, np.sqrt(EPS * x.shape[0]), svd_calls)
+
+
+def test_near_duplicate_rows_stay_above_the_readout_cutoff():
+    """At the readout's cutoff eps max(d, M) the same near-duplicate rows
+    keep their singular value under the SVD too, so the certified route
+    holds and agrees with it within 1e-12 cond relative."""
+    x, _, tri = near_duplicate_layer()
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, (20, tri.shape[0])) @ tri
+    rcond = EPS * max(20, x.shape[1])
+    assert _certified_pinv(a, rcond) is not None
+    assert rel_err(pinv(a, rcond), np.linalg.pinv(a, rcond=rcond)) <= 1e-12 * np.linalg.cond(a)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_rank_deficient_features_take_the_svd_route(svd_calls, transpose):
+    """A feature h = W x + b with d > n + 1 has rank n + 1 below both of its
+    sides; its pseudoinverse at the readout cutoff comes from the SVD."""
+    rng = np.random.default_rng(6)
+    n, d, samples = 5, 12, 40
+    x = rng.standard_normal((n, samples))
+    h = rng.uniform(-1.0, 1.0, (d, n)) @ x + rng.uniform(-1.0, 1.0)
+    h = h.T if transpose else h
+    assert takes_the_svd_route(h, EPS * max(d, samples), svd_calls)
+
+
+def test_a_well_conditioned_layer_takes_no_svd(svd_calls):
+    """A layer at batch_plus shapes (256 inputs, 200-neuron nodes, 10
+    classes) on well-conditioned inputs takes every pseudoinverse, the
+    readouts' and the triangle's, by the certified route."""
+    rng = np.random.default_rng(7)
+    samples = 600
+    labels = np.arange(samples) % 10
+    x = rng.standard_normal((256, samples)) + 0.5 * np.eye(256, 10)[:, labels]
+    targets = np.eye(10)[:, labels]
+    cfg = ExtractorConfig(node_count=3, subspace_dim=200, seed=1)
+    nodes = extract_features(x, targets, cfg, factor_inputs(x, targets))
+    assert len(nodes) == 3
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_augmented_inputs_stacks_every_layout(order):
+    """The blocked copy gives [x_1; x_2; 1; T]' for C-ordered,
+    Fortran-ordered and strided groups, over a sample count that is not a
+    whole number of blocks."""
+    rng = np.random.default_rng(9)
+    samples = 300
+    layouts = {
+        "C": lambda m: m[:, :samples].copy(),
+        "F": lambda m: np.asfortranarray(m[:, :samples]),
+        "strided": lambda m: m[:, ::2],
+    }
+    mats = [layouts[order](rng.standard_normal((w, 2 * samples))) for w in (5, 3)]
+    targets = np.eye(2)[:, np.arange(samples) % 2]
+    out = augmented_inputs(mats, targets)
+    assert out.flags.f_contiguous
+    assert np.array_equal(out, np.vstack((*mats, np.ones((1, samples)), targets)).T)

@@ -127,7 +127,7 @@ combine_module = importlib.import_module("hoselm.combine")
 # Every entry point to a QR, SVD or pseudoinverse the package could reach,
 # and the two functions that form a node's or the combined feature.
 SPIED = {
-    "qr": (scipy.linalg.qr, scipy.linalg.qr_multiply, np.linalg.qr),
+    "qr": (scipy.linalg.qr, scipy.linalg.qr_multiply, np.linalg.qr, scipy.linalg.lapack.dgeqrt),
     "svd": (scipy.linalg.svd, np.linalg.svd),
     "pinv": (scipy.linalg.pinv, np.linalg.pinv),
     "combine": (combine_module.combine,),
@@ -137,17 +137,17 @@ SPIED = {
 
 @pytest.fixture
 def spied(monkeypatch):
-    """The shapes of the matrices each entry point in SPIED gets,
-    spied on under every name numpy, scipy.linalg or a hoselm module gives
-    it."""
+    """The shapes of the matrices each entry point in SPIED gets (the first
+    matrix argument: LAPACK's dgeqrt takes its block size first), spied on
+    under every name numpy, scipy.linalg or a hoselm module gives it."""
     seen = {kind: [] for kind in SPIED}
     hoselm_modules = [m for name, m in sys.modules.items() if name.startswith("hoselm")]
     for kind, fns in SPIED.items():
         for fn in fns:
 
-            def spy(a, *args, _fn=fn, _kind=kind, **kwargs):
-                seen[_kind].append(np.shape(a))
-                return _fn(a, *args, **kwargs)
+            def spy(*args, _fn=fn, _kind=kind, **kwargs):
+                seen[_kind].append(next(np.shape(a) for a in args if np.ndim(a) == 2))
+                return _fn(*args, **kwargs)
 
             for module in (scipy.linalg, np.linalg, *hoselm_modules):
                 for name, value in list(vars(module).items()):
@@ -175,6 +175,16 @@ def test_a_fit_factors_its_boot_block_once(spied, mode, operator):
     assert Counter(boot in shape for shape in spied["qr"])[True] == 1
     assert not any(boot in shape for shape in spied["svd"] + spied["pinv"])
     assert spied["combine"] == spied["project"] == []
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_model_rejects_labels_of_another_class_count(mode):
+    """A 3-class model given two class labels fails when it is built, not
+    later when its file is read back."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode=mode))
+    with pytest.raises(ValueError, match="2 class labels for a readout of 3 classes"):
+        replace(model, class_labels=(0, 1))
 
 
 def test_sequential_single_chunk_equals_boot_only():

@@ -13,11 +13,12 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-import hoselm.extractor
+import hoselm.kernels
 import hoselm.pipeline
 from hoselm.extractor import factor_inputs, project
 from hoselm.oselm import os_update
@@ -238,21 +239,40 @@ def test_long_stream_stays_on_the_batch_ridge_solution(chunk):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_factor_inputs_hands_lapack_a_fortran_buffer(monkeypatch, order):
     """factor_inputs stacks [x; 1; T]' straight into Fortran order whatever
-    the group's layout, so the QR factors it in place; the factor equals the
-    one from the plain C-ordered stack bit for bit."""
+    the group's layout, so LAPACK's dgeqrt factors it in place; the factor
+    equals the same kernel's on the plain C-ordered stack bit for bit."""
     rng = np.random.default_rng(8)
     x = np.asarray(rng.standard_normal((6, 40)), order=order)
     targets = np.eye(2)[:, np.arange(40) % 2]
     seen = []
-    qr = hoselm.extractor.qr
+    dgeqrt = hoselm.kernels.dgeqrt
 
-    def spy(a, *args, **kwargs):
+    def spy(block, a, *args, **kwargs):
         seen.append(a.flags.f_contiguous)
-        return qr(a, *args, **kwargs)
+        return dgeqrt(block, a, *args, **kwargs)
 
-    monkeypatch.setattr(hoselm.extractor, "qr", spy)
+    monkeypatch.setattr(hoselm.kernels, "dgeqrt", spy)
     r = factor_inputs(x, targets)
     assert seen == [True]
     plain = np.ascontiguousarray(np.vstack((x, np.ones((1, 40)), targets)).T)
-    _, want = qr(plain, mode="raw")
-    assert np.array_equal(r, want)
+    v, _, _ = dgeqrt(min(32, *plain.shape), plain)
+    assert np.array_equal(r, np.triu(v[: min(plain.shape)]))
+
+
+@pytest.mark.parametrize("samples", [5, 40, 300])
+@pytest.mark.parametrize("widths", [(6,), (4, 6, 8)])
+def test_factor_inputs_matches_the_raw_qr(widths, samples):
+    """The compact-WY factor of [x_1; ...; x_G; 1; T]' is the R of
+    scipy's QR (mode="raw") within 1e-13 relative, diagonal signs included,
+    for one group and three, with fewer sample columns than stacked rows
+    (where the block size is capped by M), more, and more than one block."""
+    rng = np.random.default_rng(samples + len(widths))
+    mats = [rng.standard_normal((w, samples)) + 1.0 for w in widths]
+    # Not one-hot: rows summing to the ones row would leave a zero pivot.
+    targets = rng.uniform(0.0, 1.0, (3, samples))
+    r = factor_inputs(mats, targets)
+    _, want = scipy.linalg.qr(np.vstack((*mats, np.ones((1, samples)), targets)).T, mode="raw")
+    k = min(samples, sum(widths) + 4)
+    assert r.shape == want.shape == (k, sum(widths) + 4)
+    assert np.linalg.norm(r - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(np.sign(np.diag(r)), np.sign(np.diag(want)))
