@@ -7,10 +7,11 @@ the residual's scale.  The node then removes the best multiple of that
 activation from the residual.  Because the step size is the exact 1-D
 least-squares minimizer, the residual norm never increases, and the model's
 score plus the final residual reconstructs the training targets exactly.
-The ridge inverse (I/c + H H')^-1 depends only on the features, so a fit
-computes it once and every node reuses it.  Nothing here needs H to be
-the combined feature itself: a batch fit passes its rotated coordinates
-U'H instead and maps the weights back (see pipeline.fit).
+The ridge inverse (I/c + H H')^-1 depends only on the features, so the
+caller hands it to a fit and every node reuses it.  Nothing here needs H
+to be the combined feature itself: a batch fit passes its rotated
+coordinates U'H, whose ridge inverse is a diagonal it read off an SVD, and
+maps the weights back (see pipeline.fit).
 
 A fitted model holds its nodes stacked: one nodes x classes x D weight
 array, one bias, step and normalization range per node, and the eps every
@@ -20,8 +21,8 @@ sum for the activation half.  The pipeline folds the affine half into its
 frozen input maps and calls activate on the result.
 
 The fitting functions take arrays the pipeline validated and check shapes
-only; every matrix they normalize, map or invert is one they built, so they
-call the kernels' unchecked cores and scan nothing.  This layer is
+only; every matrix they normalize or map is one they built, so they call
+the kernels' unchecked cores and scan nothing.  This layer is
 deterministic: no randomness enters anywhere.
 """
 
@@ -31,12 +32,11 @@ import numpy as np
 
 from .errors import DegenerateNodeError, ShapeError
 from .kernels import NormParams, as_matrix, sigmoid_map
+from .kernels import ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
 
-# The fit builds every matrix it normalizes, maps or inverts, so it calls the
-# kernels' unchecked cores.  The ridge inverse keeps the name
-# perfbench/tracing.py wraps.
+# The fit builds every matrix it normalizes or maps, so it calls the
+# kernels' unchecked cores.
 from .kernels import _denormalize_unit, _logit_map, _normalize_unit
-from .kernels import _ridge_inverse as ridge_inverse
 
 __all__ = [
     "ClassifierNode",
@@ -143,20 +143,17 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     return node, e_prev - step * v
 
 
-def fit_classifier(h, targets, node_count, coeff, eps=1e-4):
+def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
     """Fit up to node_count nodes greedily, threading the residual.
 
-    The ridge inverse of the D x D Gram h h' is taken once and shared by
-    every node.  Starts from the targets themselves and deflates; stops
-    early if a node degenerates (determinism would only reproduce it), then
+    gram_inv = (I/c + h h')^-1 is the caller's, shared by every node as in
+    fit_node.  Starts from the targets themselves and deflates; stops early
+    if a node degenerates (determinism would only reproduce it), then
     stacks the fitted nodes once.  Callers pass validated float arrays;
     only shapes are checked here.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    if coeff <= 0:
-        raise ValueError(f"ridge coefficient must be positive, got {coeff}")
-    gram_inv = ridge_inverse(h @ h.T, coeff)
     e = targets
     nodes = []
     for _ in range(node_count):

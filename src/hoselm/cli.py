@@ -61,6 +61,11 @@ _BENCH_DEFAULTS = {
 
 _TRAIN_DEFAULTS = {**_DATA_DEFAULTS, **_PIPELINE_DEFAULTS, "out": None}
 
+# The type a config file must give each option whose default is None, which
+# may also be set to null; any other option takes its default's type, and a
+# float option also takes an integer.
+_NULLABLE_TYPES = {"data": str, "groups": list, "chunk_size": int, "dataset_name": str, "out": str}
+
 
 def _parse_ranges(text):
     # "0:2,2:4" -> ((0, 2), (2, 4))
@@ -127,7 +132,7 @@ def _build_parser():
     _add_data_options(train)
     _add_pipeline_options(train)
     train.add_argument("--config", help="JSON config file; flags override it")
-    train.add_argument("--out", help="model file to write (.npz)")
+    train.add_argument("--out", help="model file to write (NPZ format, under the name given)")
     train.set_defaults(func=_cmd_train, defaults=_TRAIN_DEFAULTS)
 
     pred = sub.add_parser("predict", help="predict labels with a trained model")
@@ -187,6 +192,21 @@ def _build_parser():
     return parser
 
 
+def _check_config_value(key, value, default):
+    """ValueError naming key unless a config file's value fits the option."""
+    if value is None and default is None:
+        return
+    want = _NULLABLE_TYPES[key] if default is None else type(default)
+    accepted = (int, float) if want is float else want
+    if not isinstance(value, accepted) or (isinstance(value, bool) and want is not bool):
+        raise ValueError(f"config key {key} must be of type {want.__name__}, got {value!r}")
+    if key == "groups" and not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+        for pair in value
+    ):
+        raise ValueError(f"config key groups must list [start, stop] integer pairs, got {value!r}")
+
+
 def _merged_options(args, defaults):
     """defaults < config file < explicitly passed flags."""
     values = dict(defaults)
@@ -194,13 +214,15 @@ def _merged_options(args, defaults):
     if config_path:
         with open(config_path) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "groups" in file_values and file_values["groups"] is not None:
-            file_values["groups"] = tuple(
-                (int(a), int(b)) for a, b in file_values["groups"]
-            )
+        for key, value in file_values.items():
+            _check_config_value(key, value, defaults[key])
+        if file_values.get("groups") is not None:
+            file_values["groups"] = tuple(map(tuple, file_values["groups"]))
         values.update(file_values)
     for key in defaults:
         given = getattr(args, key, None)
@@ -238,7 +260,7 @@ def _cmd_train(args):
     classes, labels = np.unique(labels, return_inverse=True)
     targets = one_hot(labels, len(classes))
     model = fit(groups, targets, _pipeline_config(values))
-    model = dataclasses.replace(model, class_labels=tuple(int(c) for c in classes))
+    model = dataclasses.replace(model, class_labels=tuple(classes))
     save_model(model, values["out"])
     training = evaluate(model, groups, targets)
     print(

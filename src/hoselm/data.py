@@ -102,8 +102,15 @@ def write_csv(path, groups, labels):
 
 
 def one_hot(labels, class_count):
-    """Indicator targets: column i is the unit vector of labels[i]."""
+    """Indicator targets: column i is the unit vector of labels[i].
+
+    Labels must be integer-valued (ValueError otherwise); 1.0 is class 1,
+    but 1.7 is not truncated to it.
+    """
     labels = np.asarray(labels)
+    fractional = ~(np.isfinite(labels) & (labels == np.round(labels)))
+    if fractional.any():
+        raise ValueError(f"labels must be integer-valued, got {labels[fractional][:5]}")
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError(
             f"labels must lie in [0, {class_count}), got range "

@@ -18,13 +18,13 @@ R^-1 Q' is the pseudoinverse.  Every other input, such as one with
 duplicated rows or a rank below its smaller side, takes the plain SVD
 route, np.linalg.pinv at the same cutoff.  Callers keep the inputs small:
 a fit factors its inputs once and the extractor takes its per-node
-pseudoinverses in (n+1)-space, and the classifier takes one ridge inverse
-per fit.
+pseudoinverses in (n+1)-space.  No fit calls ridge_inverse: the batch
+classifier's ridge inverse is a diagonal from an SVD the fit takes anyway
+(see hoselm.pipeline.fit).
 
-The public helpers validate their inputs.  The pseudoinverse, ridge
-inverse, logit and normalization pair also have unchecked private cores,
-which the extractor and the classifier fit call on the matrices they build
-themselves.
+The public helpers validate their inputs.  The pseudoinverse, logit and
+normalization pair also have unchecked private cores, which the extractor
+and the classifier fit call on the matrices they build themselves.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
@@ -164,12 +164,7 @@ def ridge_inverse(g, c):
         raise ShapeError(f"ridge_inverse needs a square matrix, got {m.shape}")
     if c <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {c}")
-    return _ridge_inverse(m, c)
-
-
-def _ridge_inverse(g, c):
-    """ridge_inverse without its checks, for callers that built g."""
-    return np.linalg.inv(np.eye(g.shape[0]) / c + g)
+    return np.linalg.inv(np.eye(m.shape[0]) / c + m)
 
 
 def mse(r):

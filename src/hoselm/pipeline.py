@@ -30,14 +30,16 @@ the fit reads that R: each extractor layer takes the R of a QR of its own
 columns [x_g; 1; T] of it, the batch readout takes the basis U of its
 coordinates from the SVD of B R_z' (R_z the stacked inputs' columns of R)
 and the sequential boot runs on R's columns alone (see fit).  Neither mode
-forms H:
-the classifier is fitted on Y = U'H and the sequential readout runs
-recursive least squares on it, with U an orthonormal D x r basis of H's
-columns, r <= min(D, k) (see hoselm.oselm).  A chunk of m columns then
-costs O(r^2 m), not O(D^2 m).
+forms H: the classifier is fitted on Y = U'H and the sequential readout
+runs recursive least squares on it, with U an orthonormal D x r basis of
+H's columns, r <= min(D, k) (see hoselm.oselm).  A chunk of m columns then
+costs O(r^2 m), not O(D^2 m).  Both readouts take their ridge solve from
+an SVD, so no fit forms or inverts the Gram of its boot block.
 """
 
 import json
+import operator
+import os
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
@@ -206,15 +208,25 @@ def _derive_maps(extractors, cfg, fold):
 class HOselmModel:
     """Fitted model: frozen extractor layers plus one trained readout.
 
-    extractors holds one tuple of nodes per feature group, in group order;
-    readout is a ClassifierModel in batch mode or an OselmState in
-    sequential mode.  class_labels holds the label value of each class
-    index, such as the original labels of a dataset (fit gives
-    0 .. C - 1); class_count is its length, which must equal the readout's
-    class count (ValueError otherwise).  maps is derived from the other
-    fields when the model is built (see AffineMaps) and reused as long as
-    the fields it was derived from are the same objects: partial_fit keeps
-    the config and the readout's basis, so it shares the maps.
+    extractors holds one tuple of nodes per feature group, in group order,
+    and group_names one string per group; readout is a ClassifierModel in
+    batch mode or an OselmState in sequential mode.  class_labels holds the
+    distinct integer label value of each class index, such as the original
+    labels of a dataset (fit gives 0 .. C - 1); numpy integers are stored
+    as Python ints, and bools and floats are rejected.  class_count is its
+    length, which must equal the readout's class count.  maps is derived
+    from the other fields when the model is built (see AffineMaps) and
+    reused as long as the fields it was derived from are the same objects:
+    partial_fit keeps the config and the readout's basis, so it shares the
+    maps.
+
+    Building a model checks every rule its file format relies on, so any
+    model save_model writes, load_model reads back; a violation raises
+    ValueError.  The labels and group names are checked every time.  The
+    rules on extractors, config and readout are checked where the maps are
+    derived: every group has config.node_count nodes of
+    config.subspace_dim rows over one input width, and a batch readout has
+    at most config.classifier_nodes nodes and config.norm_eps as its eps.
     """
 
     extractors: tuple
@@ -225,15 +237,23 @@ class HOselmModel:
     maps: AffineMaps = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "class_labels", _label_values(self.class_labels))
         batch = self.config.mode == "batch"
         classes = self.readout.class_count if batch else self.readout.beta.shape[1]
         if len(self.class_labels) != classes:
             raise ValueError(
                 f"{len(self.class_labels)} class labels for a readout of {classes} classes"
             )
+        names = self.group_names
+        if len(names) != len(self.extractors) or not all(isinstance(n, str) for n in names):
+            raise ValueError(
+                f"group_names must hold one string per group ({len(self.extractors)}), "
+                f"got {names!r}"
+            )
         fold = self.readout if batch else self.readout.basis
         source = (self.extractors, self.config, fold)
         if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
+            _check_layers(*source)
             object.__setattr__(self, "maps", _derive_maps(*source))
 
     @property
@@ -244,6 +264,42 @@ class HOselmModel:
     def combine_spec(self):
         """The combiner the config selects."""
         return self.config.combine_spec
+
+
+def _label_values(labels):
+    """labels as a non-empty tuple of distinct Python ints, or ValueError."""
+    try:
+        values = tuple(map(operator.index, labels))
+    except TypeError:
+        values = ()
+    if (
+        not values
+        or any(isinstance(v, (bool, np.bool_)) for v in labels)
+        or len(set(values)) != len(values)
+    ):
+        raise ValueError(f"class_labels must list distinct integers, got {labels!r}")
+    return values
+
+
+def _check_layers(extractors, cfg, fold):
+    """The rules a model's extractors and batch readout (fold) must keep
+    with its config; see HOselmModel."""
+    for g, nodes in enumerate(extractors):
+        shapes = sorted({n.weights.shape for n in nodes})
+        if len(nodes) != cfg.node_count or [rows for rows, _ in shapes] != [cfg.subspace_dim]:
+            raise ValueError(
+                f"group {g} has {len(nodes)} nodes of weight shapes {shapes}; config.node_count "
+                f"{cfg.node_count} and config.subspace_dim {cfg.subspace_dim} need "
+                f"{cfg.node_count} nodes of {cfg.subspace_dim} rows over one input width"
+            )
+    if isinstance(fold, ClassifierModel):
+        if len(fold.step) > cfg.classifier_nodes:
+            raise ValueError(
+                f"readout has {len(fold.step)} nodes, config.classifier_nodes allows "
+                f"{cfg.classifier_nodes}"
+            )
+        if fold.eps != cfg.norm_eps:
+            raise ValueError(f"classifier eps {fold.eps!r} is not config.norm_eps {cfg.norm_eps}")
 
 
 @dataclass(frozen=True)
@@ -342,10 +398,11 @@ def fit(groups, targets, cfg):
 
     Batch: the SVD B R_z' = U S V' gives an orthonormal basis U of H's
     columns (D x r, r = min(D, k, M)); the classifier is fitted on
-    Y = U'H = (U'B) z, one product per group, whose Gram is S^2 up to
-    rounding, and the stacked weights W_Y map back to W_Y U' at once.
-    Since (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are
-    the ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
+    Y = U'H = (U'B) z = S V' Q_z', one product per group, and the stacked
+    weights W_Y map back to W_Y U' at once.  Y's Gram is S^2, so its ridge
+    inverse diag(1 / (1/c + s^2)) comes off the same SVD.  Since
+    (I/c + U G U')^-1 = U (I/c + G)^-1 U' + c (I - U U'), these are the
+    ridge weights over H, and W_Y Y = W_Y U' H, so bias, activation and
     step are those of a fit on H.
 
     Sequential: U comes from the SVD of B alone, since later chunks can
@@ -370,9 +427,10 @@ def fit(groups, targets, cfg):
     b = combine_affine(extractors, cfg.combine_spec)
     k = r.shape[1] - tm.shape[0]
     if batch:
-        u, _, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
+        u, s, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
         y = _apply(*_split_maps(extractors, u.T @ b), boot_mats, out=stack[:, : u.shape[1]].T)
-        readout = fit_classifier(y, head, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+        gram_inv = np.diag(1.0 / (1.0 / cfg.coeff + s * s))
+        readout = fit_classifier(y, head, cfg.classifier_nodes, gram_inv, cfg.norm_eps)
         readout = replace(readout, weights=readout.weights @ u.T)
     else:
         u, _, _ = svd(b, full_matrices=False)
@@ -495,14 +553,16 @@ def save_model(model, path):
     readout's basis, which the extractors fix and load_model derives again)
     and D x classes weights.  See the README for the full layout and for
     what formats v1 to v4 stored.
+
+    path is a file name, written exactly as given (np.savez alone would
+    append .npz), or a binary file object.  Every rule the file relies on
+    was checked when the model was built (see HOselmModel).
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
             f"save_model takes (model, path), got {type(model).__name__} first"
         )
     batch = model.config.mode == "batch"
-    if batch and model.readout.eps != model.config.norm_eps:
-        raise ValueError("the file keeps config.norm_eps as the classifier's eps; they differ")
     header = {
         "format_version": _FORMAT_VERSION,
         "config": asdict(model.config),
@@ -527,7 +587,11 @@ def save_model(model, path):
         arrays["readout_p"] = s.p
         arrays["readout_beta"] = s.beta
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
-    np.savez(path, **arrays)
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    else:
+        np.savez(path, **arrays)
 
 
 def _member(data, name):
@@ -588,8 +652,6 @@ def _read_classifier(data, count, cfg, classes, dim, version):
     """The batch readout; its eps is the config's norm_eps.  Formats v1 to
     v4 stored a copy of it on every normalization row, which must agree."""
     count = _count(count, "readout node_count")
-    if count > cfg.classifier_nodes:
-        raise FormatError(f"readout has {count} nodes, config allows {cfg.classifier_nodes}")
     eps = cfg.norm_eps
     if not count:
         empty = np.empty(0)
@@ -639,16 +701,10 @@ def _load(data):
         raise FormatError(f"model header is malformed: {exc!r}") from exc
     if version < 4:
         labels = list(range(_count(labels, "class_count", 1)))
-    elif not (
-        isinstance(labels, list)
-        and labels
-        and all(type(v) is int for v in labels)
-        and len(set(labels)) == len(labels)
-    ):
-        raise FormatError(f"model header class_labels must list distinct integers, got {labels!r}")
+    for what, value in (("group_names", names), ("class_labels", labels)):
+        if not isinstance(value, list) or not value:
+            raise FormatError(f"model header {what} must be a non-empty list, got {value!r}")
     classes = len(labels)
-    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-        raise FormatError(f"model header group_names must list group names, got {names!r}")
     batch = cfg.mode == "batch"
     dim = combined_dim([cfg.subspace_dim] * (cfg.node_count * len(names)), cfg.combine_spec)
     if version == 1:
@@ -681,13 +737,16 @@ def _load(data):
                 coeff=float(cfg.coeff),
                 basis=basis,
             )
-        model = HOselmModel(
-            extractors=extractors,
-            group_names=tuple(names),
-            readout=readout,
-            config=cfg,
-            class_labels=tuple(labels),
-        )
+        try:
+            model = HOselmModel(
+                extractors=extractors,
+                group_names=tuple(names),
+                readout=readout,
+                config=cfg,
+                class_labels=tuple(labels),
+            )
+        except ValueError as exc:
+            raise FormatError(f"model file breaks a model rule: {exc}") from exc
         maps = model.maps
         derived = (*maps.weights, maps.offset) + ((readout.hi - readout.lo,) if batch else ())
     if not all(np.isfinite(a).all() for a in derived):

@@ -92,8 +92,8 @@ def test_zero_residual_raises_degenerate():
 
 
 def test_fit_classifier_scans_nothing_it_built(monkeypatch):
-    """The fit normalizes, maps and inverts only matrices it computed from
-    its validated inputs, so no finiteness scan runs during it."""
+    """The fit normalizes and maps only matrices it computed from its
+    validated inputs, so no finiteness scan runs during it."""
     scanned = []
     as_matrix = hoselm.kernels.as_matrix
 
@@ -101,9 +101,10 @@ def test_fit_classifier_scans_nothing_it_built(monkeypatch):
         scanned.append(name)
         return as_matrix(a, name)
 
-    monkeypatch.setattr(hoselm.kernels, "as_matrix", spy)
     h, t, _ = random_problem(np.random.default_rng(6))
-    model = fit_classifier(h, t, 4, 100.0)
+    gram_inv = gram_inverse(h)
+    monkeypatch.setattr(hoselm.kernels, "as_matrix", spy)
+    model = fit_classifier(h, t, 4, gram_inv)
     assert len(model.step) == 4
     assert scanned == []
 
@@ -113,7 +114,7 @@ def test_fit_on_zero_targets_is_fixed_point():
     # and scores zero, leaving the residual at zero.
     rng = np.random.default_rng(4)
     h = rng.standard_normal((4, 10))
-    model = fit_classifier(h, np.zeros((2, 10)), 5, 100.0)
+    model = fit_classifier(h, np.zeros((2, 10)), 5, gram_inverse(h))
     assert len(model.step) == 0
     assert (model.class_count, model.feature_dim) == (2, 4)
     assert np.array_equal(score(model, h), np.zeros((2, 10)))
@@ -122,7 +123,7 @@ def test_fit_on_zero_targets_is_fixed_point():
 def test_single_node_fit_equals_fit_node():
     rng = np.random.default_rng(11)
     h, t, _ = random_problem(rng)
-    model = fit_classifier(h, t, 1, 100.0)
+    model = fit_classifier(h, t, 1, gram_inverse(h))
     node, _ = fit_node(h, t, gram_inverse(h))
     assert len(model.step) == 1
     assert np.array_equal(model.weights[0], node.weights)
@@ -132,7 +133,7 @@ def test_single_node_fit_equals_fit_node():
 def test_fit_classifier_equals_fit_node_threaded_by_hand():
     rng = np.random.default_rng(12)
     h, t, _ = random_problem(rng)
-    model = fit_classifier(h, t, 5, 100.0)
+    model = fit_classifier(h, t, 5, gram_inverse(h))
     gram_inv = gram_inverse(h)
     e = t
     assert len(model.step) == 5
@@ -144,24 +145,35 @@ def test_fit_classifier_equals_fit_node_threaded_by_hand():
 
 
 def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
+    """The fit inverts and solves nothing: every node works through the
+    one ridge inverse its caller hands it."""
     calls = []
 
-    def counted(g, c):
-        calls.append(g.shape)
-        return ridge_inverse(g, c)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(hoselm.classifier, "ridge_inverse", counted)
+        return wrapped
+
     h, t, _ = random_problem(np.random.default_rng(14))
-    model = fit_classifier(h, t, 6, 100.0)
+    gram_inv = gram_inverse(h)
+    counted_ridge = counted("ridge_inverse", ridge_inverse)
+    monkeypatch.setattr(hoselm.classifier, "ridge_inverse", counted_ridge)
+    for name in ("inv", "solve", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    model = fit_classifier(h, t, 6, gram_inv)
     assert len(model.step) == 6
-    assert calls == [(10, 10)]
+    assert calls == []
+    z = hoselm.kernels.logit_map(hoselm.kernels.normalize_unit(t)[0])
+    assert np.array_equal(model.weights[0], z @ h.T @ gram_inv)
 
 
 def test_fit_is_deterministic():
     rng = np.random.default_rng(13)
     h, t, _ = random_problem(rng)
-    m1 = fit_classifier(h, t, 4, 100.0)
-    m2 = fit_classifier(h, t, 4, 100.0)
+    m1 = fit_classifier(h, t, 4, gram_inverse(h))
+    m2 = fit_classifier(h, t, 4, gram_inverse(h))
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.bias, m2.bias) and np.array_equal(m1.step, m2.step)
 
@@ -172,14 +184,14 @@ def test_score_plus_final_residual_reconstructs_targets():
     e = t
     for _ in range(6):
         _, e = fit_node(h, e, gram_inverse(h))
-    model = fit_classifier(h, t, 6, 100.0)
+    model = fit_classifier(h, t, 6, gram_inverse(h))
     assert np.allclose(score(model, h) + e, t, atol=1e-9)
 
 
 def test_residual_norm_sequence_non_increasing_through_fit():
     rng = np.random.default_rng(19)
     h, t, _ = random_problem(rng)
-    model = fit_classifier(h, t, 8, 100.0)
+    model = fit_classifier(h, t, 8, gram_inverse(h))
     norms = [np.linalg.norm(t)]
     for k in range(1, len(model.step) + 1):
         sub = node_slice(model, slice(k))
@@ -190,7 +202,7 @@ def test_residual_norm_sequence_non_increasing_through_fit():
 def test_each_node_adds_exactly_its_contribution():
     rng = np.random.default_rng(23)
     h, t, _ = random_problem(rng)
-    model = fit_classifier(h, t, 4, 100.0)
+    model = fit_classifier(h, t, 4, gram_inverse(h))
     prev = np.zeros_like(t)
     for k in range(1, len(model.step) + 1):
         sub = node_slice(model, slice(k))
@@ -206,7 +218,7 @@ def test_training_accuracy_tends_non_decreasing():
     trials = 30
     for _ in range(trials):
         h, t, labels = random_problem(rng, classes=3, dim=12, samples=60)
-        model = fit_classifier(h, t, 5, 100.0)
+        model = fit_classifier(h, t, 5, gram_inverse(h))
         accs = []
         for k in range(1, len(model.step) + 1):
             sub = node_slice(model, slice(k))
@@ -237,10 +249,11 @@ def test_shape_and_parameter_errors():
         fit_node(h, np.ones((2, 6)), gram_inverse(h))
     with pytest.raises(ShapeError):
         fit_node(h, np.ones((2, 5)), np.eye(4))
+    with pytest.raises(ShapeError):
+        fit_classifier(h, np.ones((2, 5)), 1, np.eye(4))
     with pytest.raises(ValueError):
-        fit_classifier(h, np.ones((2, 5)), 1, 0.0)
-    with pytest.raises(ValueError):
-        fit_classifier(h, np.ones((2, 5)), 0, 100.0)
-    model = fit_classifier(h + np.random.default_rng(1).random((3, 5)), np.eye(2, 5), 2, 100.0)
+        fit_classifier(h, np.ones((2, 5)), 0, gram_inverse(h))
+    h = h + np.random.default_rng(1).random((3, 5))
+    model = fit_classifier(h, np.eye(2, 5), 2, gram_inverse(h))
     with pytest.raises(ShapeError):
         score(model, np.ones((4, 5)))

@@ -195,6 +195,46 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys: chunk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        ([1, 2], "must hold a JSON object"),
+        ({"nodes": "3"}, "config key nodes must be of type int, got '3'"),
+        ({"coeff": True}, "config key coeff must be of type float, got True"),
+        ({"groups": [1, 2]}, "config key groups must list [start, stop] integer pairs"),
+        ({"stratified": 1}, "config key stratified must be of type bool, got 1"),
+    ],
+)
+def test_config_file_of_the_wrong_shape_is_reported(tmp_path, capsys, contents, message):
+    """A config file that is not an object, or gives an option a value of
+    the wrong type, is an error naming the key, not a traceback."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(contents))
+    code = main(["bench", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_config_file_keeps_null_options_and_integer_floats(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"chunk_size": None, "coeff": 50, "groups": [[0, 8]]}))
+    args = _build_parser().parse_args(["train", "--config", str(config)])
+    values = _merged_options(args, args.defaults)
+    assert values["chunk_size"] is None and values["groups"] == ((0, 8),)
+    assert _pipeline_config(values).coeff == 50
+
+
+def test_train_writes_the_model_file_it_names(tmp_path, dataset, capsys):
+    """np.savez alone would write m.bin.npz; predict must find m.bin."""
+    model_path = tmp_path / "m.bin"
+    assert main(["train", "--data", str(dataset), "--out", str(model_path), *small_flags()]) == 0
+    assert f"wrote {model_path}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.bin"]
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset)]) == 0
+    assert len(capsys.readouterr().out.split()) == 120
+
+
 def test_train_errors_are_reported(tmp_path, capsys):
     code = main(["train", "--out", str(tmp_path / "m.npz")])
     assert code == 2
@@ -358,8 +398,9 @@ def bench_model_arrays(monkeypatch, tmp_path):
 def test_bench_models_are_unchanged(monkeypatch, tmp_path):
     """The golden bench runs fit the same numbers, not only the same labels:
     a readout change that moves no held-out label still fails here.  The
-    reference file holds bench_model_arrays of the commit that introduced
-    it, saved with np.savez."""
+    reference file holds bench_model_arrays saved with np.savez; a change
+    that moves a key beyond rtol regenerates that key alone and names it in
+    CHANGES.md."""
     got = bench_model_arrays(monkeypatch, tmp_path)
     with np.load(DATA / "bench_models_seed5.npz") as want:
         assert sorted(got) == sorted(want.files)

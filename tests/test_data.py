@@ -102,6 +102,14 @@ def test_one_hot_examples():
         one_hot([-1], 3)
 
 
+def test_one_hot_rejects_labels_that_are_not_integers():
+    """Fractional labels used to truncate silently: 1.7 became class 1."""
+    for bad in ([0.5, 1.7], [0, 1, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="integer-valued"):
+            one_hot(bad, 2)
+    assert np.array_equal(one_hot(np.array([1.0, 0.0]), 2), one_hot([1, 0], 2))
+
+
 def test_one_hot_decode_round_trip():
     rng = np.random.default_rng(61)
     labels = rng.integers(0, 4, size=50)

@@ -120,8 +120,10 @@ def three_groups(samples=240, classes=4, seed=21):
 
 @pytest.fixture
 def readout_calls(monkeypatch):
-    """Records combine calls and the shapes the classifier inverts."""
-    calls = {"combine": 0, "ridge_inverse": []}
+    """Records combine calls, every inverse or solve (the classifier's
+    ridge_inverse, np.linalg.inv and np.linalg.solve), and the coordinates
+    and ridge inverse each fit_classifier call is handed."""
+    calls = {"combine": 0, "inverse": [], "fitted": []}
 
     def counted_combine(fn):
         def wrapped(*args, **kwargs):
@@ -133,12 +135,33 @@ def readout_calls(monkeypatch):
     for module in (combine_module, hoselm.pipeline):
         monkeypatch.setattr(module, "combine", counted_combine(module.combine))
 
-    def counted_ridge(g, c):
-        calls["ridge_inverse"].append(g.shape)
-        return ridge_inverse(g, c)
+    def counted_inverse(name, fn):
+        def wrapped(*args, **kwargs):
+            calls["inverse"].append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(hoselm.classifier, "ridge_inverse", counted_ridge)
+        return wrapped
+
+    monkeypatch.setattr(
+        hoselm.classifier, "ridge_inverse", counted_inverse("ridge_inverse", ridge_inverse)
+    )
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted_inverse(name, getattr(np.linalg, name)))
+
+    def fit_spy(y, targets, node_count, gram_inv, eps):
+        calls["fitted"].append((y, gram_inv))
+        return fit_classifier(y, targets, node_count, gram_inv, eps)
+
+    monkeypatch.setattr(hoselm.pipeline, "fit_classifier", fit_spy)
     return calls
+
+
+def handed_ridge_inverse(calls, coeff):
+    """The coordinates y the one fit_classifier call got, after checking
+    that its ridge inverse is within 1e-12 of the one formed from y."""
+    ((y, gram_inv),) = calls["fitted"]
+    assert rel_err(gram_inv, ridge_inverse(y @ y.T, coeff)) < 1e-12
+    return y
 
 
 def test_wide_batch_fit_takes_the_factored_path(readout_calls):
@@ -148,38 +171,58 @@ def test_wide_batch_fit_takes_the_factored_path(readout_calls):
     k = sum(g.x.shape[0] for g in groups) + 1
     assert model.readout.feature_dim == 3 * 3 * 20 > k
     assert readout_calls["combine"] == 0
-    assert readout_calls["ridge_inverse"] == [(k, k)]
+    assert readout_calls["inverse"] == []
+    y = handed_ridge_inverse(readout_calls, cfg.coeff)
+    assert y.shape[0] == k
     h = combined_feature(model, groups)
-    formed = fit_classifier(h, targets, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+    formed = fit_classifier(
+        h, targets, cfg.classifier_nodes, ridge_inverse(h @ h.T, cfg.coeff), cfg.norm_eps
+    )
     assert len(model.readout.step) == len(formed.step) == cfg.classifier_nodes
 
 
 @pytest.mark.parametrize("subspace_dim", [10, 19])
 def test_batch_fit_with_few_rows_takes_the_same_route(monkeypatch, readout_calls, subspace_dim):
     """With D <= min(k, M) the fit still projects no node and calls no
-    combine, and inverts one (D, D) Gram: U is then a D x D rotation, so
-    Y'Y of the coordinates the classifier gets equals H'H."""
-    fitted, projected = [], []
-
-    def fit_spy(h, *args):
-        fitted.append(h)
-        return fit_classifier(h, *args)
+    combine, and inverts nothing: U is then a D x D rotation, so Y'Y of the
+    coordinates the classifier gets equals H'H, and their ridge inverse is
+    the diagonal the fit read off its SVD."""
+    projected = []
 
     def project_spy(node, x):
         projected.append(node)
         return project(node, x)
 
-    monkeypatch.setattr(hoselm.pipeline, "fit_classifier", fit_spy)
     for module in (hoselm.extractor, hoselm.pipeline):
         monkeypatch.setattr(module, "project", project_spy)
     groups, targets, _ = three_groups()
     cfg = PipelineConfig(node_count=3, subspace_dim=subspace_dim, classifier_nodes=6)
     model = fit(groups, targets, cfg)
     assert readout_calls["combine"] == 0 and projected == []
-    assert readout_calls["ridge_inverse"] == [(subspace_dim, subspace_dim)]
-    (y,) = fitted
+    assert readout_calls["inverse"] == []
+    y = handed_ridge_inverse(readout_calls, cfg.coeff)
+    assert y.shape[0] == subspace_dim
     h = combined_feature(model, groups)
     assert rel_err(y.T @ y, h.T @ h) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "operator, subspace_dim", [("plus", 10), ("plus", 30), ("concat", 2), ("concat", 20)]
+)
+def test_batch_fit_inverts_nothing(readout_calls, operator, subspace_dim):
+    """A batch fit with D below or above k = 19 calls no ridge_inverse,
+    np.linalg.inv or np.linalg.solve anywhere, the extractor included."""
+    groups, targets, _ = three_groups()
+    cfg = PipelineConfig(
+        node_count=3, subspace_dim=subspace_dim, operator=operator, classifier_nodes=4
+    )
+    model = fit(groups, targets, cfg)
+    k = sum(g.x.shape[0] for g in groups) + 1
+    dim = model.readout.feature_dim
+    assert dim == subspace_dim * (9 if operator == "concat" else 1) and dim != k
+    assert readout_calls["inverse"] == []
+    y = handed_ridge_inverse(readout_calls, cfg.coeff)
+    assert y.shape[0] == min(dim, k)
 
 
 def test_factored_concat_labels_equal_the_formed_readout():
@@ -187,7 +230,8 @@ def test_factored_concat_labels_equal_the_formed_readout():
     cfg = PipelineConfig(node_count=3, subspace_dim=20, operator="concat", classifier_nodes=8)
     model = fit(groups, targets, cfg)
     h = combined_feature(model, groups)
-    formed = fit_classifier(h, targets, cfg.classifier_nodes, cfg.coeff, cfg.norm_eps)
+    gram_inv = ridge_inverse(h @ h.T, cfg.coeff)
+    formed = fit_classifier(h, targets, cfg.classifier_nodes, gram_inv, cfg.norm_eps)
     want = decode_labels(score(formed, h))
     assert np.array_equal(predict(model, groups), want)
     assert np.mean(want == labels) > 0.9

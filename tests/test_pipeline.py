@@ -537,6 +537,16 @@ CORRUPTIONS = {
         _header_edit(lambda h: h.update(class_labels=[0, 2, 2])),
         "class_labels",
     ),
+    "float class label": (
+        "batch",
+        _header_edit(lambda h: h.update(class_labels=[0, 1.0, 2])),
+        "class_labels",
+    ),
+    "more classifier nodes than the config allows": (
+        "batch",
+        _header_edit(lambda h: h["config"].update(classifier_nodes=5)),
+        "classifier_nodes",
+    ),
     "config with an unknown key": (
         "batch",
         _header_edit(lambda h: h["config"].update(layers=4)),
@@ -630,9 +640,77 @@ def test_affine_maps_accumulate_groups_in_place(order):
 
 def test_save_model_rejects_a_classifier_eps_the_config_does_not_hold(tmp_path):
     """Format v5 keeps config.norm_eps in place of the classifier's eps, so a
-    model whose two differ cannot be saved without changing its scores."""
+    model whose two differ cannot be saved without changing its scores: it
+    cannot be built at all."""
     groups, targets, _ = toy_blobs()
     model = fit(groups, targets, small_cfg())
-    odd = replace(model, readout=replace(model.readout, eps=2 * model.config.norm_eps))
     with pytest.raises(ValueError, match="norm_eps"):
+        odd = replace(model, readout=replace(model.readout, eps=2 * model.config.norm_eps))
         save_model(odd, tmp_path / "model.npz")
+
+
+@pytest.mark.parametrize("labels", [(0, 0, 1), (0.0, 1.0, 2.0), (0, True, 2), ()])
+def test_model_rejects_labels_that_are_not_distinct_integers(labels):
+    """Repeated, float or bool labels saved once but did not load back; a
+    model with them cannot be built."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg())
+    with pytest.raises(ValueError, match="class_labels must list distinct integers"):
+        replace(model, class_labels=labels)
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_numpy_integer_labels_are_stored_as_ints_and_round_trip(tmp_path, mode):
+    """Labels from np.unique are numpy integers, which the JSON header could
+    not hold; the model keeps them as Python ints."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode=mode))
+    model = replace(model, class_labels=tuple(np.unique([7, 2, 5])))
+    assert model.class_labels == (2, 5, 7)
+    assert all(type(v) is int for v in model.class_labels)
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    assert load_model(path).class_labels == (2, 5, 7)
+
+
+def test_model_rejects_a_group_name_per_missing_group():
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg())
+    with pytest.raises(ValueError, match="group_names"):
+        replace(model, group_names=("toy", "ghost"))
+    with pytest.raises(ValueError, match="group_names"):
+        replace(model, group_names=(3,))
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_model_rejects_a_node_count_the_extractors_do_not_have(mode):
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode=mode))
+    with pytest.raises(ValueError, match="config.node_count"):
+        replace(model, config=replace(model.config, node_count=3))
+    with pytest.raises(ValueError, match="config.subspace_dim"):
+        replace(model, config=replace(model.config, subspace_dim=11))
+
+
+def test_model_rejects_more_classifier_nodes_than_the_config_allows():
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg())
+    assert len(model.readout.step) == 6
+    with pytest.raises(ValueError, match="config.classifier_nodes allows 5"):
+        replace(model, config=replace(model.config, classifier_nodes=5))
+
+
+def test_partial_fit_checks_only_the_labels(monkeypatch):
+    """A partial_fit step shares the maps, so it skips the rules on
+    extractors, config and readout, which only change with them."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode="sequential", chunk_size=20))
+    checked = []
+    check_layers = hoselm.pipeline._check_layers
+    monkeypatch.setattr(
+        hoselm.pipeline, "_check_layers", lambda *a: checked.append(a) or check_layers(*a)
+    )
+    stepped = partial_fit(model, groups, targets)
+    assert stepped.maps is model.maps and checked == []
+    replace(stepped, config=replace(stepped.config, chunk_size=10))
+    assert len(checked) == 1

@@ -236,6 +236,37 @@ def test_long_stream_stays_on_the_batch_ridge_solution(chunk):
     assert rel_err(state.beta, want) < 1e-6
 
 
+def test_many_classes_boot_on_fewer_columns_than_k_then_tiny_chunks():
+    """20 classes and a boot chunk of one column per class, M = 20 below
+    k = 31, then chunks of 1 to 3 columns through partial_fit: after every
+    chunk the accumulator stays exactly symmetric and positive definite,
+    and beta stays within 1e-6 of the batch ridge solution over the formed
+    H of every column seen."""
+    rng = np.random.default_rng(20)
+    classes, width, boot, samples = 20, 30, 20, 320
+    labels = np.concatenate([rng.permutation(classes), rng.integers(0, classes, samples - boot)])
+    centers = rng.standard_normal((width, classes))
+    x = centers[:, labels] + 0.3 * rng.standard_normal((width, samples))
+    targets = np.eye(classes)[:, labels]
+    cfg = PipelineConfig(node_count=2, subspace_dim=40, mode="sequential", chunk_size=boot)
+    model = fit([FeatureGroup(x=x[:, :boot])], targets[:, :boot], cfg)
+    assert boot < width + 1 == model.readout.p.shape[0]
+    h = combined_feature(model, [FeatureGroup(x=x)])
+    ridge = np.eye(h.shape[0]) / cfg.coeff
+    lo = boot
+    while lo < samples:
+        hi = min(lo + int(rng.integers(1, 4)), samples)
+        model = partial_fit(model, [FeatureGroup(x=x[:, lo:hi])], targets[:, lo:hi])
+        lo = hi
+        p = model.readout.p
+        assert np.array_equal(p, p.T)
+        assert np.linalg.eigvalsh(p).min() > 0
+        seen = h[:, :hi]
+        want = np.linalg.solve(ridge + seen @ seen.T, seen @ targets[:, :hi].T)
+        assert rel_err(model.readout.beta, want) < 1e-6
+    assert model.readout.seen == samples
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_factor_inputs_hands_lapack_a_fortran_buffer(monkeypatch, order):
     """factor_inputs stacks [x; 1; T]' straight into Fortran order whatever

@@ -17,7 +17,7 @@ import hoselm.oselm
 import hoselm.pipeline
 from hoselm.classifier import ClassifierModel, fit_classifier, score
 from hoselm.extractor import SubnetNode, project
-from hoselm.kernels import NormParams, denormalize_unit, sigmoid_map
+from hoselm.kernels import NormParams, denormalize_unit, ridge_inverse, sigmoid_map
 from hoselm.oselm import OselmState, os_predict
 from hoselm.pipeline import (
     FeatureGroup,
@@ -309,7 +309,7 @@ def test_replaced_batch_readout_rebuilds_maps():
     model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
     feats = [project(n, g.x) for nodes, g in zip(model.extractors, groups) for n in nodes]
     h = combine(feats, model.combine_spec)
-    other = fit_classifier(h, targets, 2, 1.0)
+    other = fit_classifier(h, targets, 2, ridge_inverse(h @ h.T, 1.0))
     swapped = replace(model, readout=other)
     assert swapped.maps is not model.maps
     assert np.allclose(scores(swapped, groups), score(other, h), rtol=1e-12, atol=1e-12)
