@@ -1,9 +1,11 @@
 """Subspace feature extraction: refine a random projection by error feedback.
 
-Walks one node through the refinement loop by hand - project, fit a
-least-squares readout, pull the residual back, refit against the
-normalized feedback - then builds a full layer and shows that combining
-its features keeps the sample axis intact.
+Walks one node through the layer's own refinement steps by hand - fit a
+least-squares readout, pull its residual back into a normalized feedback
+target, re-solve the projection against that target - then builds a full
+layer and shows that combining its features keeps the sample axis intact.
+The steps work on coefficients over the R of one QR of [x; 1; T]', so the
+demo forms a d x M matrix only to show one.
 """
 
 import numpy as np
@@ -17,16 +19,14 @@ from hoselm.extractor import (
     ls_readout,
     project,
     refine_node,
-    residual,
     spawn_node,
 )
 from hoselm.kernels import pinv
 
 
-def readout_error(node, x, targets):
-    h = project(node, x)
-    r = ls_readout(node, h, targets, factor_inputs(x, targets))
-    return np.linalg.norm(r.weights @ h + r.bias - targets)
+def readout_error(node, x, targets, factor):
+    weights = ls_readout(node, factor, x.shape[1])
+    return np.linalg.norm(weights @ project(node, x) - targets)
 
 
 def main():
@@ -36,26 +36,33 @@ def main():
     labels = rng.integers(0, 3, size=samples)
     targets = np.zeros((3, samples))
     targets[labels, np.arange(samples)] = 1.0
+    factor = factor_inputs(x, targets)
+    cfg = ExtractorConfig(node_count=4, subspace_dim=3, seed=11)
 
     print("one node, step by step:")
-    node = spawn_node(inputs, 8, seed=11)
-    h0 = project(node, x)
-    r0 = ls_readout(node, h0, targets, factor_inputs(x, targets))
-    e0 = residual(h0, r0, targets)
-    feedback = error_feedback(e0, r0, h0, 1e-4)
-    refined, _ = refine_node(node, x, feedback, 0.5, pinv(x @ x.T))
-    fb_before = np.linalg.norm(node.weights @ x - feedback)
-    fb_after = np.linalg.norm(refined.weights @ x - feedback)
+    node = spawn_node(inputs, cfg.subspace_dim, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    readout = ls_readout(node, factor, samples)
+    feedback = error_feedback(node, readout, x, targets, factor, cfg.norm_eps)
+    # The least squares a x ~ f goes through the pseudoinverse of the
+    # factor's leading triangle, at the cutoff pinv(X X') would use.
+    r11_pinv = pinv(factor[:inputs, :inputs].T, rcond=np.sqrt(np.finfo(float).eps * inputs))
+    refined = refine_node(node, feedback, factor, r11_pinv, cfg.damping, samples)
+    # The feedback is a coefficient on [x; 1; T]; this is its d x M target.
+    target = feedback @ np.vstack((x, np.ones((1, samples)), targets))
+    print(f"  feedback target {target.shape}, within [{target.min():.4f}, {target.max():.4f}]")
+    fb_before = np.linalg.norm(node.weights @ x - target)
+    fb_after = np.linalg.norm(refined.weights @ x - target)
     print(f"  distance to the feedback target: {fb_before:.4f} random node")
     print(f"  distance to the feedback target: {fb_after:.4f} refined node")
-    before = readout_error(node, x, targets)
-    after = readout_error(refined, x, targets)
-    print(f"  readout error {before:.4f} -> {after:.4f} (never worse in this regime)")
+    before = readout_error(node, x, targets, factor)
+    after = readout_error(refined, x, targets, factor)
+    print(f"  readout error {before:.4f} -> {after:.4f} (3 rows span less than [x; 1])")
 
     print()
     print("a full layer of refined nodes:")
-    cfg = ExtractorConfig(node_count=4, subspace_dim=8, seed=11)
-    nodes = extract_features(x, targets, cfg, factor_inputs(x, targets))
+    nodes = extract_features(x, targets, cfg, factor)
+    same = np.array_equal(nodes[0].weights, refined.weights) and nodes[0].bias == refined.bias
+    print(f"  its first node is the one refined above: {same}")
     features = [project(n, x) for n in nodes]
     print(f"  {len(nodes)} nodes, each emitting a {features[0].shape} subspace feature")
 

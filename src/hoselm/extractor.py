@@ -9,26 +9,29 @@ projection against the feedback target with a damped update.  A layer of L
 such nodes defines L subspace features project(node, x) of identical shape
 d x M, ready for elementwise combination.
 
-The public chain spawn_node -> project -> ls_readout -> residual ->
-error_feedback -> refine_node states one node's refinement on d x M
-matrices.  extract_features builds the same layer without any of them.
-Every per-node matrix is affine in [x; 1; T]: the feature, the readout
-misfit, the pulled-back feedback, the normalized refine target and the
-refine misfit.  So the R of one thin QR [x; 1; T]' = Q R turns each into
-a d x (n+1+t) coefficient on Q'; the caller takes that QR (pipeline.fit
-slices each layer's R from one QR of all groups, factor_inputs).  The
-root-mean-square biases are Frobenius norms of coefficients, since Q is
-orthonormal.  Each readout takes its pseudoinverse in (n+1)-space, with the
-cutoff the d x M one would use, and every refinement solves a x ~ f through
-one pinv(R11') of the layer's leading n x n triangle.  Every pseudoinverse
-goes through hoselm.kernels' pinv core: a well-conditioned matrix takes the
-certified QR route (the triangle R11' is inverted as it is), and any other,
-such as a singular R11' or a readout near its cutoff, the SVD.  Only the
-feedback's global range, which its normalization needs, costs a d x n x M
-product.
+extract_features refines each node of a layer through three steps:
+ls_readout (the readout weights), error_feedback (the normalized feedback
+target) and refine_node (the damped re-solve).  Every per-node matrix is
+affine in [x; 1; T]: the feature, the readout misfit, the pulled-back
+feedback, the normalized refine target and the refine misfit.  So the R of
+one thin QR [x; 1; T]' = Q R turns each into a d x (n+1+t) coefficient on
+Q', and no step builds a d x M matrix; the caller takes that QR
+(pipeline.fit slices each layer's R from one QR of all groups,
+factor_inputs).  The root-mean-square biases are Frobenius norms of
+coefficients, since Q is orthonormal.  Each readout takes its
+pseudoinverse in (n+1)-space, with the cutoff the d x M one would use, and
+every refinement solves a x ~ f through one pinv(R11') of the layer's
+leading n x n triangle.  Every pseudoinverse goes through hoselm.kernels'
+pinv core: a well-conditioned matrix takes the certified QR route (the
+triangle R11' is inverted as it is), and any other, such as a singular
+R11' or a readout near its cutoff, the SVD.  Only the feedback's global
+range, which its normalization needs, costs a d x n x M product.  The
+same chain on d x M matrices, node by node, is the float reference the
+test suite checks the layer against.
 
 The pipeline validates every group and the targets where they enter the
-package, so the functions here check shapes only.  Everything here is
+package, so the functions here check shapes only; extract_features checks
+the factor once, and its three steps trust it.  Everything here is
 deterministic given the config seed and free of shared state, so layers may
 be built concurrently.
 """
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import _qr_r, augmented_inputs, mse, normalize_unit
+from .kernels import _qr_r, augmented_inputs
 from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The layer takes pseudoinverses only of matrices it built, so it calls the
@@ -47,15 +50,10 @@ from .kernels import _pinv as pinv
 
 __all__ = [
     "SubnetNode",
-    "LsReadout",
     "ExtractorConfig",
     "spawn_node",
     "project",
     "factor_inputs",
-    "ls_readout",
-    "residual",
-    "error_feedback",
-    "refine_node",
     "extract_features",
 ]
 
@@ -78,18 +76,6 @@ class SubnetNode:
     @property
     def input_dim(self):
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class LsReadout:
-    """Least-squares readout from a subspace feature to the targets.
-
-    weights is t x d; bias is the root-mean-square of the unbiased fit
-    residual, added as a scalar offset when the readout is evaluated.
-    """
-
-    weights: np.ndarray
-    bias: float
 
 
 @dataclass(frozen=True)
@@ -160,18 +146,15 @@ def factor_inputs(mats, targets):
     return _qr_r(augmented_inputs(mats, targets))
 
 
-def _check_factor(factor, inputs, targets):
-    """A layer factor is the R of [x; 1; T]' for x with `inputs` rows."""
-    width = inputs + 1 + targets.shape[0]
-    if factor.shape != (min(targets.shape[1], width), width):
-        raise ShapeError(
-            f"factor shape {factor.shape} does not match {inputs} inputs, "
-            f"{targets.shape[0]} target rows and {targets.shape[1]} samples"
-        )
+def _rms(coeff, samples):
+    """Root-mean-square entry of a matrix with M = samples columns, from its
+    coefficient on Q' (Q has orthonormal columns, so norms carry over)."""
+    return float(np.linalg.norm(coeff) / np.sqrt(coeff.shape[0] * samples))
 
 
-def _readout_weights(node, r, samples):
-    """Readout weights T pinv(h) from the layer factor r.
+def ls_readout(node, r, samples):
+    """Least-squares readout weights T pinv(h) of the feature h = W x + b
+    over M = samples columns, from the layer factor r.
 
     Since h = [W, b] [x; 1] and Q1 has orthonormal columns,
     T pinv(h) = (T Q1) pinv([W, b] R[:k1, :n+1]'): the pseudoinverse is
@@ -184,100 +167,17 @@ def _readout_weights(node, r, samples):
     return r[:k1, n1:].T @ pinv(wb @ r[:k1, :n1].T, rcond=rcond)
 
 
-def ls_readout(node, h, targets, factor):
-    """Minimum-norm least-squares readout weights = Y @ pinv(h).
+def error_feedback(node, readout, x, targets, r, norm_eps):
+    """Coefficient on [x; 1; T] of the node's feedback target.
 
-    h = project(node, x), and factor = factor_inputs(x, targets) = R; the
-    weights come from R's blocks alone (see factor_inputs).  The bias
-    records the root-mean-square of the unbiased residual.  Callers pass
-    validated float arrays; only shapes are checked here.
-    """
-    if h.shape[1] != targets.shape[1]:
-        raise ShapeError(
-            f"sample counts differ: feature {h.shape[1]}, targets {targets.shape[1]}"
-        )
-    _check_factor(factor, node.input_dim, targets)
-    weights = _readout_weights(node, factor, h.shape[1])
-    bias = float(np.sqrt(mse(weights @ h - targets)))
-    return LsReadout(weights=weights, bias=bias)
-
-
-def residual(h, readout, targets):
-    """Readout error e = Y - (weights @ h + bias).  Callers pass validated
-    float arrays; only shapes are checked here."""
-    pred = readout.weights @ h + readout.bias
-    if pred.shape != targets.shape:
-        raise ShapeError(
-            f"readout output shape {pred.shape} does not match targets {targets.shape}"
-        )
-    return targets - pred
-
-
-def error_feedback(e, readout, h, norm_eps):
-    """Feedback target: residual pulled back into the subspace, renormalized.
-
-    pinv(readout.weights) @ e lands in the subspace (d x M); adding the
-    current feature and renormalizing to (0, 1] gives the target the refined
-    projection should reproduce.  Callers pass validated float arrays; only
-    shapes are checked here.
-    """
-    pulled = pinv(readout.weights) @ e
-    if pulled.shape != h.shape:
-        raise ShapeError(
-            f"pulled-back residual shape {pulled.shape} does not match feature {h.shape}"
-        )
-    values, _ = normalize_unit(pulled + h, norm_eps)
-    return values
-
-
-def refine_node(node, x, feedback, damping, gram_pinv):
-    """Re-solve the projection against the feedback target, with damping.
-
-    a_temp = feedback @ X' @ pinv(X X') is the least-squares solution of
-    a @ X ~ feedback; gram_pinv is that pinv(X X'), shared by every node of
-    a layer.  The update extrapolates past a_temp by `damping` times the
-    step from the old weights.  The new bias is the root-mean-square misfit
-    of the refined projection.  Returns the refined node and its feature,
-    equal to project(refined, x).  Callers pass validated float arrays; only
-    shapes are checked here.
-    """
-    if x.shape[0] != node.input_dim:
-        raise ShapeError(
-            f"inputs have {x.shape[0]} rows, node expects {node.input_dim}"
-        )
-    if feedback.shape != (node.subspace_dim, x.shape[1]):
-        raise ShapeError(
-            f"feedback shape {feedback.shape} does not match "
-            f"({node.subspace_dim}, {x.shape[1]})"
-        )
-    if gram_pinv.shape != (node.input_dim, node.input_dim):
-        raise ShapeError(
-            f"pinv(X X') shape {gram_pinv.shape} does not match {node.input_dim} inputs"
-        )
-    a_temp = feedback @ x.T @ gram_pinv
-    weights = a_temp + damping * (a_temp - node.weights)
-    wx = weights @ x
-    bias = float(np.sqrt(mse(wx - feedback)))
-    return SubnetNode(weights=weights, bias=bias), wx + bias
-
-
-def _rms(coeff, samples):
-    """Root-mean-square entry of a matrix with M = samples columns, from its
-    coefficient on Q' (Q has orthonormal columns, so norms carry over)."""
-    return float(np.linalg.norm(coeff) / np.sqrt(coeff.shape[0] * samples))
-
-
-def _refine(node, x, targets, r, refine_pinv, cfg):
-    """readout -> residual -> feedback -> refine for one spawned node, with
-    every d x M matrix carried as a coefficient on [x; 1; T] or on Q'.
-
-    Only the global range of the feedback needs M-sized work: one product
-    (I - pinv(w) w) W x + pinv(w) T, whose rows then shift by a constant,
-    taken over blocks of _RANGE_BLOCK sample columns so that no d x M
-    matrix is held at once.
+    The readout misfit e = T - (readout h + its RMS bias) is pulled back
+    through pinv(readout), the feature h is added, and the sum g is
+    normalized into [norm_eps, 1] by its global range.  Only that range
+    needs M-sized work: one product (I - pinv(w) w) W x + pinv(w) T, whose
+    rows then shift by a constant, taken over blocks of _RANGE_BLOCK sample
+    columns so that no d x M matrix is held at once.
     """
     n, samples = x.shape
-    readout = _readout_weights(node, r, samples)
     # The feature h = W x + b and the unbiased readout misfit T - w h.
     c_h = np.zeros((node.subspace_dim, r.shape[1]))
     c_h[:, :n] = node.weights
@@ -285,7 +185,6 @@ def _refine(node, x, targets, r, refine_pinv, cfg):
     c_e = -(readout @ c_h)
     c_e[:, n + 1 :] += np.eye(targets.shape[0])
     c_e[:, n] -= _rms(c_e @ r.T, samples)  # the readout's bias
-    # The feedback pinv(w) e + h, normalized into [eps, 1] by its range.
     c_g = pinv(readout) @ c_e + c_h
     lo, hi = np.inf, -np.inf
     for c in range(0, samples, _RANGE_BLOCK):
@@ -293,43 +192,61 @@ def _refine(node, x, targets, r, refine_pinv, cfg):
         g += c_g[:, n + 1 :] @ targets[:, c : c + _RANGE_BLOCK]
         lo = min(lo, float(np.min(g.min(axis=1) + c_g[:, n])))
         hi = max(hi, float(np.max(g.max(axis=1) + c_g[:, n])))
-    eps = cfg.norm_eps
     if hi == lo:
         c_f = np.zeros_like(c_g)
         c_f[:, n] = 1.0
     else:
-        scale = (1.0 - eps) / (hi - lo)
+        scale = (1.0 - norm_eps) / (hi - lo)
         c_f = scale * c_g
-        c_f[:, n] = eps + scale * (c_g[:, n] - lo)
-    # Solve a x ~ f on Q' and extrapolate past it by the damping.
-    g_f = c_f @ r.T
+        c_f[:, n] = norm_eps + scale * (c_g[:, n] - lo)
+    return c_f
+
+
+def refine_node(node, feedback, r, refine_pinv, damping, samples):
+    """Re-solve the projection against the feedback target, with damping.
+
+    feedback is the target's coefficient on [x; 1; T]; on Q' it is
+    g_f = feedback R', and refine_pinv = pinv(R11') solves a x ~ f as
+    g_f's leading columns times it.  The update extrapolates past that
+    solution by `damping` times the step from the old weights, and the new
+    bias is the root-mean-square misfit of the refined projection over the
+    M = samples columns.
+    """
+    g_f = feedback @ r.T
     a_temp = g_f[:, : refine_pinv.shape[0]] @ refine_pinv
-    weights = a_temp + cfg.damping * (a_temp - node.weights)
-    return SubnetNode(weights=weights, bias=_rms(weights @ r[:, :n].T - g_f, samples))
+    weights = a_temp + damping * (a_temp - node.weights)
+    misfit = weights @ r[:, : node.input_dim].T - g_f
+    return SubnetNode(weights=weights, bias=_rms(misfit, samples))
 
 
 def extract_features(x, targets, cfg, factor):
     """Build a layer of cfg.node_count refined nodes.
 
-    Each node runs the chain spawn_node -> project -> ls_readout ->
-    residual -> error_feedback -> refine_node (with pinv(X X')), from a seed
-    derived from cfg.seed, but in coefficient space.  factor is the R of a
-    thin QR [x; 1; T]' = Q R, such as factor_inputs(x, targets); any such R
+    Each node is spawned from a seed derived from cfg.seed and refined by
+    ls_readout -> error_feedback -> refine_node.  factor is the R of a thin
+    QR [x; 1; T]' = Q R, such as factor_inputs(x, targets); any such R
     serves, since the layer uses it only through products with R' and the
     triangle's pseudoinverse.  The least squares a x ~ f of every
     refinement is solved through one pinv(R11') of the leading n x n
     triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff (rcond
     sqrt(eps n) on R11 is eps n on its square).  A triangle whose condition
     is certified below that cutoff is inverted directly; any other takes
-    the SVD.  Returns the refined nodes;
-    their features are project(node, x).  Callers pass validated float
-    arrays; only shapes are checked here.
+    the SVD.  Returns the refined nodes; their features are
+    project(node, x).  Callers pass validated float arrays; only shapes are
+    checked here.
     """
-    n = x.shape[0]
-    _check_factor(factor, n, targets)
+    n, samples = x.shape
+    width = n + 1 + targets.shape[0]
+    if factor.shape != (min(targets.shape[1], width), width):
+        raise ShapeError(
+            f"factor shape {factor.shape} does not match {n} inputs, "
+            f"{targets.shape[0]} target rows and {targets.shape[1]} samples"
+        )
     refine_pinv = pinv(factor[: min(factor.shape[0], n), :n].T, rcond=np.sqrt(_EPS * n))
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.node_count)
-    return [
-        _refine(spawn_node(n, cfg.subspace_dim, s), x, targets, factor, refine_pinv, cfg)
-        for s in seeds
-    ]
+    nodes = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.node_count):
+        node = spawn_node(n, cfg.subspace_dim, seed)
+        readout = ls_readout(node, factor, samples)
+        feedback = error_feedback(node, readout, x, targets, factor, cfg.norm_eps)
+        nodes.append(refine_node(node, feedback, factor, refine_pinv, cfg.damping, samples))
+    return nodes

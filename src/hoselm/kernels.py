@@ -2,10 +2,10 @@
 
 Everything downstream (random-feature networks, the subnetwork extractor,
 the greedy classifier, the sequential readout) is built from the handful of
-operations here: pseudoinverse, ridge-regularized inverse, mean squared
-error, sigmoid / logit, the (0, 1]-normalization pair, the stacked inputs
-[x_1; ...; x_G; 1]' (with the targets' rows appended for the extractor)
-and the R of their QR factorization.
+operations here: pseudoinverse, ridge-regularized inverse, sigmoid / logit,
+the (0, 1]-normalization pair, the stacked inputs [x_1; ...; x_G; 1]'
+(with the targets' rows appended for the extractor) and the R of their QR
+factorization.
 
 Every QR here is LAPACK's compact-WY Householder QR (dgeqrt), with column
 blocks of min(32, rows, cols).  pinv has two routes to the same
@@ -43,7 +43,6 @@ __all__ = [
     "augmented_inputs",
     "pinv",
     "ridge_inverse",
-    "mse",
     "sigmoid_map",
     "logit_map",
     "normalize_unit",
@@ -165,12 +164,6 @@ def ridge_inverse(g, c):
     if c <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {c}")
     return np.linalg.inv(np.eye(m.shape[0]) / c + m)
-
-
-def mse(r):
-    """Mean of the squared entries of a matrix."""
-    m = as_matrix(r, "mse input")
-    return float(np.mean(m * m))
 
 
 # expit saturates to exactly 0.0 / 1.0 for |x| > ~37; nudge those back so the

@@ -222,11 +222,13 @@ class HOselmModel:
 
     Building a model checks every rule its file format relies on, so any
     model save_model writes, load_model reads back; a violation raises
-    ValueError.  The labels and group names are checked every time.  The
-    rules on extractors, config and readout are checked where the maps are
-    derived: every group has config.node_count nodes of
-    config.subspace_dim rows over one input width, and a batch readout has
-    at most config.classifier_nodes nodes and config.norm_eps as its eps.
+    ValueError.  The labels, the group names and the readout's kind (the
+    one config.mode names; a sequential readout's coeff is config.coeff)
+    are checked every time.  The rules on extractors, config and a batch
+    readout are checked where the maps are derived: every group has
+    config.node_count nodes of config.subspace_dim rows over one input
+    width, and a batch readout has at most config.classifier_nodes nodes
+    and config.norm_eps as its eps.
     """
 
     extractors: tuple
@@ -239,6 +241,7 @@ class HOselmModel:
     def __post_init__(self):
         object.__setattr__(self, "class_labels", _label_values(self.class_labels))
         batch = self.config.mode == "batch"
+        _check_readout(self.readout, self.config)
         classes = self.readout.class_count if batch else self.readout.beta.shape[1]
         if len(self.class_labels) != classes:
             raise ValueError(
@@ -279,6 +282,18 @@ def _label_values(labels):
     ):
         raise ValueError(f"class_labels must list distinct integers, got {labels!r}")
     return values
+
+
+def _check_readout(readout, cfg):
+    """The readout is of config.mode's kind, and a sequential one is
+    regularized by config.coeff; see HOselmModel."""
+    kind = ClassifierModel if cfg.mode == "batch" else OselmState
+    if not isinstance(readout, kind):
+        raise ValueError(
+            f"a {cfg.mode} model needs a {kind.__name__} readout, got {type(readout).__name__}"
+        )
+    if kind is OselmState and readout.coeff != cfg.coeff:
+        raise ValueError(f"readout coeff {readout.coeff!r} is not config.coeff {cfg.coeff}")
 
 
 def _check_layers(extractors, cfg, fold):

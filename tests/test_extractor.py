@@ -1,4 +1,8 @@
-"""Extractor tests: projection, readout, feedback, and refinement oracles."""
+"""Extractor tests: projection, readout, feedback, and refinement oracles.
+
+The node-by-node chain on d x M matrices (ls_readout, residual,
+error_feedback, refine_node) is the float reference in tests/reference.py;
+the layer is checked against it."""
 
 from unittest import mock
 
@@ -13,19 +17,15 @@ import hoselm.pipeline
 from hoselm.errors import ShapeError
 from hoselm.extractor import (
     ExtractorConfig,
-    LsReadout,
     SubnetNode,
-    error_feedback,
     extract_features,
     factor_inputs,
-    ls_readout,
     project,
-    refine_node,
-    residual,
     spawn_node,
 )
 from hoselm.kernels import normalize_unit, pinv
 from hoselm.pipeline import FeatureGroup, PipelineConfig, fit
+from reference import LsReadout, error_feedback, ls_readout, refine_node, residual
 
 
 EPS = np.finfo(np.float64).eps
@@ -321,8 +321,11 @@ def test_extract_features_share_shape():
 @pytest.mark.parametrize("subspace_dim", [3, 12])
 def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     # subspace_dim 12 > input_dim + 1 is the rank-deficient regime.
-    # factor_inputs takes its QR through the kernels' _qr_r.
-    names = {"qr": "_qr_r", "pinv": "pinv", "project": "project"}
+    # factor_inputs takes its QR through the kernels' _qr_r.  The layer
+    # looks its steps up on the module, under the names perfbench/tracing.py
+    # wraps.
+    steps = ("ls_readout", "error_feedback", "refine_node")
+    names = {"qr": "_qr_r", "pinv": "pinv", "project": "project", **{s: s for s in steps}}
     calls = dict.fromkeys(names, 0)
 
     def counted(kind, fn):
@@ -340,17 +343,16 @@ def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     cfg = ExtractorConfig(node_count=3, subspace_dim=subspace_dim, seed=4)
     nodes = layer(x, y, cfg)
     # One QR of [x; 1; T]' (factor_inputs) and one pinv(R11') for the layer;
-    # per node one readout and one feedback pseudoinverse, and no d x M
-    # feature.
-    assert calls == {"qr": 1, "pinv": 2 * 3 + 1, "project": 0}
+    # per node each step once, one readout and one feedback pseudoinverse,
+    # and no d x M feature.
+    assert calls == {"qr": 1, "pinv": 2 * 3 + 1, "project": 0, **dict.fromkeys(steps, 3)}
     assert len(nodes) == 3
 
 
 def test_layer_scans_no_sample_sized_matrix(monkeypatch):
     """The layer builds every matrix it takes a pseudoinverse of from
-    validated inputs, so it scans none of them, and no mse or
-    normalize_unit pass runs over a d x M matrix: as_matrix is never
-    called."""
+    validated inputs, so it scans none of them, and no normalize_unit
+    pass runs over a d x M matrix: as_matrix is never called."""
     shapes = []
     as_matrix = hoselm.kernels.as_matrix
 
@@ -368,7 +370,7 @@ def test_layer_scans_no_sample_sized_matrix(monkeypatch):
 
 
 def node_by_node(x, targets, cfg):
-    """The layer as the public chain builds it, one d x M feature per node:
+    """The layer as the reference chain builds it, one d x M feature per node:
     spawn, project, readout, residual, feedback, and the refinement's
     least squares through pinv(X X').  Returns the refined nodes and the
     readouts' weights."""

@@ -15,7 +15,6 @@ from hoselm.kernels import (
     augmented_inputs,
     denormalize_unit,
     logit_map,
-    mse,
     normalize_unit,
     pinv,
     ridge_inverse,
@@ -115,22 +114,6 @@ class TestRidgeInverse:
     def test_rejects_nonpositive_coeff(self):
         with pytest.raises(ValueError):
             ridge_inverse(np.eye(2), 0.0)
-
-
-class TestMse:
-    def test_zeros(self):
-        assert mse([[0.0, 0.0], [0.0, 0.0]]) == 0.0
-
-    def test_ones(self):
-        assert mse([[1.0, 1.0], [1.0, 1.0]]) == 1.0
-
-    def test_hand_computed(self):
-        # (9 + 16) / 2
-        assert mse([[3.0], [4.0]]) == pytest.approx(12.5)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            mse(np.zeros((0, 2)))
 
 
 class TestSigmoidLogit:

@@ -700,6 +700,28 @@ def test_model_rejects_more_classifier_nodes_than_the_config_allows():
         replace(model, config=replace(model.config, classifier_nodes=5))
 
 
+@pytest.mark.parametrize("mode, other", [("batch", "sequential"), ("sequential", "batch")])
+def test_model_rejects_a_readout_of_the_other_mode(mode, other):
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode=mode))
+    with pytest.raises(ValueError, match=f"a {other} model needs"):
+        replace(model, config=replace(model.config, mode=other))
+
+
+def test_model_rejects_a_sequential_readout_coeff_the_config_does_not_hold(tmp_path):
+    """replace keeps the readout's basis, so the maps are not re-derived;
+    the coeff rule is checked on every build all the same.  Unchecked,
+    this model saved coeff 5.0 and loaded back with config.coeff."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode="sequential", chunk_size=20))
+    with pytest.raises(ValueError, match="config.coeff"):
+        replace(model, readout=replace(model.readout, coeff=5.0))
+    with pytest.raises(ValueError, match="config.coeff"):
+        replace(model, config=replace(model.config, coeff=5.0))
+    save_model(model, tmp_path / "m.npz")
+    assert load_model(tmp_path / "m.npz").readout.coeff == model.config.coeff
+
+
 def test_partial_fit_checks_only_the_labels(monkeypatch):
     """A partial_fit step shares the maps, so it skips the rules on
     extractors, config and readout, which only change with them."""

@@ -103,6 +103,7 @@ def served_models(draw, modes=("batch", "sequential")):
             subspace_dim=subspace_dim,
             gamma=gamma,
             operator=operator,
+            coeff=1.0,
             classifier_nodes=3,
             mode=mode,
         ),
