@@ -15,10 +15,10 @@ maps the weights back (see pipeline.fit).
 
 A fitted model holds its nodes stacked: one nodes x classes x D weight
 array, one bias, step and normalization range per node, and the eps every
-node's normalization shares.  A score is then one matrix product for the
-affine half and one broadcast sigmoid, denormalization and step-weighted
-sum for the activation half.  The pipeline folds the affine half into its
-frozen input maps and calls activate on the result.
+node's normalization shares; fit_node returns a one-node model.  A score
+is one matrix product for the affine half, then activate: one broadcast
+sigmoid, denormalization and step-weighted sum.  Fit and serve share it;
+the pipeline folds the affine half into its frozen input maps.
 
 The fitting functions take arrays the pipeline validated and check shapes
 only; every matrix they normalize or map is one they built, so they call
@@ -26,20 +26,19 @@ the kernels' unchecked cores and scan nothing.  This layer is
 deterministic: no randomness enters anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateNodeError, ShapeError
-from .kernels import NormParams, as_matrix, sigmoid_map
+from .kernels import as_matrix, sigmoid_map
 from .kernels import ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The fit builds every matrix it normalizes or maps, so it calls the
 # kernels' unchecked cores.
-from .kernels import _denormalize_unit, _logit_map, _normalize_unit
+from .kernels import _logit_map, _normalize_unit
 
 __all__ = [
-    "ClassifierNode",
     "ClassifierModel",
     "fit_node",
     "fit_classifier",
@@ -47,22 +46,6 @@ __all__ = [
     "score",
     "decode_labels",
 ]
-
-
-@dataclass(frozen=True)
-class ClassifierNode:
-    """One additive node: affine map, sigmoid, rescale, weighted step.
-
-    norm_in records the normalization applied to the residual the node was
-    fitted on; its inverse maps the node's activation back to the
-    residual's scale.  step scales the activation's contribution to the
-    score.
-    """
-
-    weights: np.ndarray
-    bias: float
-    step: float
-    norm_in: NormParams
 
 
 @dataclass(frozen=True)
@@ -112,9 +95,9 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     The residual is normalized into (0, 1], pulled back through the logit,
     and ridge-solved against the features h (D x M) through gram_inv =
     (I/c + h h')^-1, the ridge inverse shared by every node of a fit.  The
-    scalar bias centers the fit.  The sigmoid activation is rescaled to the
-    residual's range and removed from the residual with the least-squares
-    step size.
+    scalar bias centers the fit.  The node is a one-node ClassifierModel;
+    its activation, activate at a step of 1, is removed from the residual
+    with the least-squares step size, which becomes the node's step.
 
     Callers pass validated float arrays; only shapes are checked here.
 
@@ -134,13 +117,20 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     weights = z @ h.T @ gram_inv
     pre = weights @ h
     bias = float(np.mean(z - pre))
-    v = _denormalize_unit(sigmoid_map(pre + bias), norm_in)
+    node = ClassifierModel(
+        weights=weights[None],
+        bias=np.array([bias]),
+        step=np.ones(1),
+        lo=np.array([norm_in.lo]),
+        hi=np.array([norm_in.hi]),
+        eps=float(eps),
+    )
+    v = activate(node, pre + bias)
     v_sq = float(np.sum(v * v))
     if v_sq == 0.0:
         raise DegenerateNodeError("node activation is identically zero")
     step = float(np.sum(e_prev * v) / v_sq)
-    node = ClassifierNode(weights=weights, bias=bias, step=step, norm_in=norm_in)
-    return node, e_prev - step * v
+    return replace(node, step=np.array([step])), e_prev - step * v
 
 
 def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
@@ -149,7 +139,7 @@ def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
     gram_inv = (I/c + h h')^-1 is the caller's, shared by every node as in
     fit_node.  Starts from the targets themselves and deflates; stops early
     if a node degenerates (determinism would only reproduce it), then
-    stacks the fitted nodes once.  Callers pass validated float arrays;
+    joins the one-node models once.  Callers pass validated float arrays;
     only shapes are checked here.
     """
     if node_count < 1:
@@ -162,14 +152,12 @@ def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
         except DegenerateNodeError:
             break
         nodes.append(node)
-    return ClassifierModel(
-        weights=np.array([n.weights for n in nodes]).reshape(len(nodes), len(targets), len(h)),
-        bias=np.array([n.bias for n in nodes]),
-        step=np.array([n.step for n in nodes]),
-        lo=np.array([n.norm_in.lo for n in nodes]),
-        hi=np.array([n.norm_in.hi for n in nodes]),
-        eps=float(eps),
-    )
+    arrays = {
+        name: np.array([getattr(n, name)[0] for n in nodes])
+        for name in ("weights", "bias", "step", "lo", "hi")
+    }
+    arrays["weights"] = arrays["weights"].reshape(len(nodes), len(targets), len(h))
+    return ClassifierModel(**arrays, eps=float(eps))
 
 
 def score(model, h):

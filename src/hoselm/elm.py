@@ -28,7 +28,6 @@ class RandomHiddenLayer:
 
     weights: np.ndarray
     biases: np.ndarray
-    activation: str = "sigmoid"
 
     @property
     def hidden_count(self):

@@ -99,8 +99,11 @@ class ExtractorConfig:
                 f"node_count and subspace_dim must be >= 1, got "
                 f"{self.node_count} and {self.subspace_dim}"
             )
-        if self.damping < 0:
-            raise ValueError(f"damping must be >= 0, got {self.damping}")
+        if not 0 <= self.damping < np.inf:
+            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
+        # normalize_unit, into [eps, 1], and fit_node (same eps in a pipeline) need eps < 1/2.
+        if not 0 < self.norm_eps < 0.5:
+            raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
 
 
 def spawn_node(input_dim, subspace_dim, seed):

@@ -23,8 +23,8 @@ classifier's ridge inverse is a diagonal from an SVD the fit takes anyway
 (see hoselm.pipeline.fit).
 
 The public helpers validate their inputs.  The pseudoinverse, logit and
-normalization pair also have unchecked private cores, which the extractor
-and the classifier fit call on the matrices they build themselves.
+normalization (not its inverse) also have unchecked private cores, which
+the extractor and the classifier fit call on matrices they build.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
@@ -234,11 +234,7 @@ def _normalize_unit(x, eps):
 def denormalize_unit(y, params):
     """Exact affine inverse of normalize_unit; degenerate params map
     everything back to the recorded constant."""
-    return _denormalize_unit(as_matrix(y, "denormalize input"), params)
-
-
-def _denormalize_unit(y, params):
-    """denormalize_unit without its checks, for callers that built y."""
+    y = as_matrix(y, "denormalize input")
     if params.degenerate:
         return np.full_like(y, params.lo)
     return params.lo + (y - params.eps) * (params.hi - params.lo) / (1.0 - params.eps)

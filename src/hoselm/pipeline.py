@@ -103,9 +103,8 @@ class PipelineConfig:
     and norm_eps feed the extractor refinement; operator and gamma select
     the combiner; coeff regularizes both readouts; classifier_nodes bounds
     the batch readout; chunk_size slices sequential training (None trains
-    on a single boot chunk).  Construction rejects values fit cannot use:
-    coeff must be finite and positive, damping finite and >= 0, gamma
-    finite, and norm_eps inside (0, 0.5).
+    on a single boot chunk).  Construction rejects values fit cannot use,
+    with the bounds of extractor_config and combine_spec.
     """
 
     node_count: int = 3
@@ -125,16 +124,22 @@ class PipelineConfig:
             raise ValueError("node_count, subspace_dim, classifier_nodes must be >= 1")
         if not 0 < self.coeff < np.inf:
             raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
-        if not 0 <= self.damping < np.inf:
-            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        # normalize_unit maps into [eps, 1 - eps], which needs eps < 1/2.
-        if not 0 < self.norm_eps < 0.5:
-            raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
+        self.extractor_config  # finite damping >= 0, norm_eps in (0, 0.5)
         self.combine_spec  # a known operator, finite gamma
+
+    @property
+    def extractor_config(self):
+        """Every group's extractor settings; fit seeds each group apart."""
+        return ExtractorConfig(
+            node_count=self.node_count,
+            subspace_dim=self.subspace_dim,
+            damping=self.damping,
+            norm_eps=self.norm_eps,
+        )
 
     @property
     def combine_spec(self):
@@ -381,13 +386,7 @@ def _fit_extractors(mats, targets, r, cfg):
         if len(mats) > 1:
             cols = np.r_[lo:hi, starts[-1] : r.shape[1]]
             factor = _qr_r(r.T[cols].T)
-        ecfg = ExtractorConfig(
-            node_count=cfg.node_count,
-            subspace_dim=cfg.subspace_dim,
-            damping=cfg.damping,
-            norm_eps=cfg.norm_eps,
-            seed=int(group_seed),
-        )
+        ecfg = replace(cfg.extractor_config, seed=int(group_seed))
         extractors.append(tuple(extract_features(m, targets, ecfg, factor)))
     return tuple(extractors)
 

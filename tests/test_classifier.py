@@ -1,7 +1,5 @@
 """Classifier tests: deflation algebra, step optimality, decoding."""
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -125,9 +123,9 @@ def test_single_node_fit_equals_fit_node():
     h, t, _ = random_problem(rng)
     model = fit_classifier(h, t, 1, gram_inverse(h))
     node, _ = fit_node(h, t, gram_inverse(h))
-    assert len(model.step) == 1
-    assert np.array_equal(model.weights[0], node.weights)
-    assert model.step[0] == node.step
+    assert len(model.step) == len(node.step) == 1
+    assert np.array_equal(model.weights[0], node.weights[0])
+    assert model.step[0] == node.step[0]
 
 
 def test_fit_classifier_equals_fit_node_threaded_by_hand():
@@ -139,9 +137,9 @@ def test_fit_classifier_equals_fit_node_threaded_by_hand():
     assert len(model.step) == 5
     for k in range(5):
         want, e = fit_node(h, e, gram_inv)
-        assert np.array_equal(model.weights[k], want.weights)
-        assert model.bias[k] == want.bias and model.step[k] == want.step
-        assert (model.lo[k], model.hi[k], model.eps) == astuple(want.norm_in)
+        assert np.array_equal(model.weights[k], want.weights[0])
+        assert model.bias[k] == want.bias[0] and model.step[k] == want.step[0]
+        assert (model.lo[k], model.hi[k], model.eps) == (want.lo[0], want.hi[0], want.eps)
 
 
 def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):

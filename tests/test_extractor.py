@@ -184,6 +184,30 @@ def test_factored_readout_with_large_input_offset():
     assert relative(got @ h, svd_readout(h, targets) @ h) <= 1e-6
 
 
+def test_ls_readout_drops_what_the_d_by_m_cutoff_drops():
+    """h = W x + b with d = 4 rows and M = 2000 columns has a singular
+    value between eps min(d, M) and eps max(d, M) of the largest.  The
+    readout's cutoff in (n+1)-space is the d x M one, eps max(d, M), so it
+    drops that value as T pinv(h) does; keeping it moves the weights by a
+    factor of 1e12 or more."""
+    rng = np.random.default_rng(0)
+    n, d, samples = 3, 4, 2000
+    x = rng.standard_normal((n, samples))
+    weights = rng.uniform(-1.0, 1.0, (d, n))
+    # Rows 1 + 2 - 3 - 4 of h cancel the bias and leave a 1e-12 direction.
+    tiny = rng.standard_normal(n)
+    weights[3] = weights[0] + weights[1] - weights[2] + 1e-12 * tiny / np.linalg.norm(tiny)
+    node = SubnetNode(weights=weights, bias=0.3)
+    h = project(node, x)
+    s = np.linalg.svd(h, compute_uv=False)
+    assert 10 * EPS * d < s[-1] / s[0] < EPS * samples / 10
+    targets = rng.standard_normal((2, samples))
+    got = ls_readout(node, h, targets, factor_inputs(x, targets)).weights
+    rcond = EPS * max(d, samples)
+    want = targets @ pinv(h, rcond=rcond)
+    assert relative(got, want) <= 1e-9 + 2 * EPS * kept_condition(h, rcond)
+
+
 def test_ls_readout_rejects_mismatched_factor():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 10))
@@ -594,3 +618,14 @@ def test_config_validation():
         ExtractorConfig(node_count=0, subspace_dim=3)
     with pytest.raises(ValueError):
         ExtractorConfig(node_count=1, subspace_dim=3, damping=-0.1)
+
+
+def test_config_rejects_nan_damping_and_norm_eps_outside_the_open_half():
+    """The bounds PipelineConfig takes from its extractor_config: a NaN
+    damping would give non-finite node weights, and normalize_unit and
+    fit_node need norm_eps in (0, 0.5)."""
+    with pytest.raises(ValueError, match="damping"):
+        ExtractorConfig(node_count=1, subspace_dim=3, damping=np.nan)
+    for bad in (0.7, -0.5):
+        with pytest.raises(ValueError, match="norm_eps"):
+            ExtractorConfig(node_count=1, subspace_dim=3, norm_eps=bad)

@@ -85,6 +85,17 @@ def test_zero_innovation_keeps_beta():
     assert not np.allclose(updated.p, state.p)
 
 
+def test_boot_p_is_exactly_symmetric():
+    """os_boot resymmetrizes p, which V diag(.) V' leaves off by rounding."""
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        rows = int(rng.integers(2, 30))
+        cols = int(rng.integers(1, 60))
+        y = rng.standard_normal((rows, cols))
+        state = os_boot(y, rng.standard_normal((3, cols)), 100.0)
+        assert np.array_equal(state.p, state.p.T)
+
+
 def test_p_stays_symmetric_positive_definite():
     rng = np.random.default_rng(17)
     h = rng.standard_normal((10, 200))

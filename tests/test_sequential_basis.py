@@ -204,6 +204,18 @@ def test_sequential_fit_combines_nothing_and_inverts_no_d_by_d(
     assert dim not in inversions["square"]
 
 
+def test_sequential_fit_without_later_chunks_leaves_p_exactly_symmetric():
+    """A sequential fit on one boot chunk hands back os_boot's p as it is,
+    with no os_update to resymmetrize it."""
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 3, 80)
+    x = rng.standard_normal((4, 3))[:, labels] + 0.5 * rng.standard_normal((4, 80))
+    cfg = PipelineConfig(node_count=2, subspace_dim=8, mode="sequential")
+    model = fit([FeatureGroup(x=x)], np.eye(3)[:, labels], cfg)
+    assert model.readout.seen == 80
+    assert np.array_equal(model.readout.p, model.readout.p.T)
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_long_stream_stays_on_the_batch_ridge_solution(chunk):
     """10^5 streamed columns at small shapes: beta stays within 1e-6 of the
