@@ -16,9 +16,10 @@ maps the weights back (see pipeline.fit).
 A fitted model holds its nodes stacked: one nodes x classes x D weight
 array, one bias, step and normalization range per node, and the eps every
 node's normalization shares; fit_node returns a one-node model.  A score
-is one matrix product for the affine half, then activate: one broadcast
-sigmoid, denormalization and step-weighted sum.  Fit and serve share it;
-the pipeline folds the affine half into its frozen input maps.
+is one matrix product for the affine half, then activate: one sigmoid, and
+each node's denormalization and step folded into one scale per node and
+one offset.  Fit and serve share it; the pipeline folds the affine half
+into its frozen input maps.
 
 The fitting functions take arrays the pipeline validated and check shapes
 only; every matrix they normalize or map is one they built, so they call
@@ -27,6 +28,7 @@ deterministic: no randomness enters anywhere.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,20 +75,25 @@ class ClassifierModel:
     def feature_dim(self):
         return self.weights.shape[2]
 
+    @cached_property
+    def _folded(self):
+        """activate's scale a and offset c; derived once, never stored."""
+        a = self.step * (self.hi - self.lo) / (1.0 - self.eps)
+        return a, float(np.sum(self.step * self.lo - a * self.eps))
+
 
 def activate(model, z):
     """Scores (classes x samples) from stacked pre-activations z.
 
     z = weights @ h + bias per node, however it was computed, with node k's
-    rows at k*C .. k*C + C - 1 (C = class_count).  Each node's rows go
-    through the sigmoid, the inverse of its normalization (a zero span
-    maps every entry to lo, the degenerate case) and its step; the nodes
-    are then summed per class in node order.
+    rows at k*C .. k*C + C - 1 (C = class_count).  Node k adds its sigmoid
+    s_k denormalized and stepped, step_k (lo_k + (s_k - eps)(hi_k - lo_k) /
+    (1 - eps)) = a_k s_k + step_k lo_k - a_k eps; the score is sum_k a_k s_k
+    plus those constants summed into one offset c.  hi == lo gives a_k = 0.
     """
-    z = z.reshape(len(model.step), model.class_count, z.shape[-1])
-    lo, hi, step = (a[:, None, None] for a in (model.lo, model.hi, model.step))
-    v = lo + (sigmoid_map(z) - model.eps) * (hi - lo) / (1.0 - model.eps)
-    return (step * v).sum(axis=0)
+    classes, cols = model.class_count, z.shape[-1]
+    a, c = model._folded
+    return (a @ sigmoid_map(z).reshape(len(a), classes * cols)).reshape(classes, cols) + c
 
 
 def fit_node(h, e_prev, gram_inv, eps=1e-4):

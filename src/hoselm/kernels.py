@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtri
-from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -149,7 +148,9 @@ def _certified_pinv(a, rcond):
 
 def _certified_inverse(r, rcond, lower):
     """The inverse of triangle r (LAPACK dtrtri) if its Frobenius condition
-    times rcond is below 1/2, else None.  A NaN or Inf bound fails the test."""
+    times rcond is below 1/2, else None; a NaN or Inf bound fails.  1 would
+    prove as much in exact arithmetic: 1/2 is a margin for rounding, and no
+    test tells the two apart, since between them both routes agree up to it."""
     r_inv, info = dtrtri(r, lower=lower)
     if info == 0 and np.linalg.norm(r) * np.linalg.norm(r_inv) * rcond < 0.5:
         return r_inv
@@ -166,19 +167,22 @@ def ridge_inverse(g, c):
     return np.linalg.inv(np.eye(m.shape[0]) / c + m)
 
 
-# expit saturates to exactly 0.0 / 1.0 for |x| > ~37; nudge those back so the
-# codomain stays the open interval (0, 1).
+# 1/2 + tanh(x/2)/2 rounds to exactly 0.0 / 1.0 for |x| > ~37; nudge those
+# back so the codomain stays the open interval (0, 1).
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid_map(x):
-    """Elementwise 1/(1 + exp(-x)); saturates inside (0, 1), never overflows.
-
-    Callers pass pre-activations they computed from validated operands, so
-    the input is not checked again.
-    """
-    return np.clip(expit(x), _SIG_LO, _SIG_HI)
+    """Elementwise 1/(1 + exp(-x)) as 1/2 + tanh(x/2)/2 in one new array:
+    within ulp(1) of it in absolute (not far-tail relative) terms, inside
+    (0, 1), never overflows, keeps NaN.  Callers pass pre-activations they
+    computed from validated operands, so the input is not checked again."""
+    y = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return np.clip(y, _SIG_LO, _SIG_HI, out=y)
 
 
 def logit_map(x, clip_eps=1e-7):

@@ -120,15 +120,15 @@ class PipelineConfig:
     norm_eps: float = 1e-4
 
     def __post_init__(self):
-        if min(self.node_count, self.subspace_dim, self.classifier_nodes) < 1:
-            raise ValueError("node_count, subspace_dim, classifier_nodes must be >= 1")
+        if self.classifier_nodes < 1:
+            raise ValueError(f"classifier_nodes must be >= 1, got {self.classifier_nodes}")
         if not 0 < self.coeff < np.inf:
             raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        self.extractor_config  # finite damping >= 0, norm_eps in (0, 0.5)
+        self.extractor_config  # node_count, subspace_dim >= 1; damping; norm_eps
         self.combine_spec  # a known operator, finite gamma
 
     @property

@@ -13,7 +13,7 @@ from hoselm.classifier import (
     score,
 )
 from hoselm.errors import DegenerateNodeError, ShapeError
-from hoselm.kernels import ridge_inverse
+from hoselm.kernels import logit_map, normalize_unit, ridge_inverse
 
 
 def node_slice(model, keep):
@@ -165,6 +165,18 @@ def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
     assert calls == []
     z = hoselm.kernels.logit_map(hoselm.kernels.normalize_unit(t)[0])
     assert np.array_equal(model.weights[0], z @ h.T @ gram_inv)
+
+
+def test_fit_node_bias_is_the_mean_logit_gap():
+    """The bias centers the ridge fit: the mean, not the median, of the
+    logit target minus weights @ h, on a case where the two differ."""
+    rng = np.random.default_rng(41)
+    h = rng.standard_normal((3, 9))
+    e = rng.standard_normal((2, 9))
+    node, _ = fit_node(h, e, gram_inverse(h))
+    gap = logit_map(normalize_unit(e)[0]) - node.weights[0] @ h
+    assert abs(np.median(gap) - np.mean(gap)) > 1e-2
+    assert node.bias[0] == np.mean(gap)
 
 
 def test_fit_is_deterministic():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from hoselm.errors import ShapeError
 from hoselm.extractor import ExtractorConfig, extract_features, factor_inputs
@@ -119,11 +120,30 @@ class TestRidgeInverse:
 class TestSigmoidLogit:
     def test_sigmoid_at_zero(self):
         assert sigmoid_map([[0.0]])[0, 0] == pytest.approx(0.5)
+        assert sigmoid_map(0.0) == 0.5
 
     def test_sigmoid_saturates_without_overflow(self):
         y = sigmoid_map([[1e3, -1e3]])
         assert np.all(np.isfinite(y))
         assert 0.0 < y[0, 1] < y[0, 0] < 1.0
+        # Saturation stays inside the open interval, at infinity too.
+        y = sigmoid_map(np.array([[-np.inf, -1e3, 1e3, np.inf]]))
+        assert np.all((0.0 < y) & (y < 1.0))
+        assert np.array_equal(y, [[y[0, 0], y[0, 0], y[0, 3], y[0, 3]]])
+
+    def test_sigmoid_is_within_one_ulp_of_expit(self):
+        # Absolute error: only that reaches the scores.
+        x = np.linspace(-40.0, 40.0, 2_000_001).reshape(1, -1)
+        assert np.max(np.abs(sigmoid_map(x) - expit(x))) <= np.spacing(1.0)
+
+    def test_sigmoid_keeps_nan(self):
+        y = sigmoid_map(np.array([[np.nan, 0.0]]))
+        assert np.isnan(y[0, 0]) and y[0, 1] == 0.5
+
+    def test_sigmoid_leaves_its_input_alone(self):
+        x = np.array([[-1.0, 2.0]])
+        sigmoid_map(x)
+        assert np.array_equal(x, [[-1.0, 2.0]])
 
     def test_logit_at_half(self):
         assert logit_map([[0.5]])[0, 0] == pytest.approx(0.0, abs=1e-12)

@@ -587,8 +587,11 @@ def test_load_model_rejects_files_that_are_not_archives(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(node_count=0)
+    # node_count and subspace_dim are bounded by extractor_config, which
+    # construction runs; classifier_nodes by the pipeline itself.
+    for name in ("node_count", "subspace_dim", "classifier_nodes"):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: 0})
     with pytest.raises(ValueError):
         PipelineConfig(coeff=0.0)
     with pytest.raises(ValueError):

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import hoselm.classifier
 import hoselm.extractor
 import hoselm.kernels
 import hoselm.oselm
 import hoselm.pipeline
-from hoselm.classifier import ClassifierModel, fit_classifier, score
+from hoselm.classifier import ClassifierModel, decode_labels, fit_classifier, score
 from hoselm.extractor import SubnetNode, project
-from hoselm.kernels import NormParams, denormalize_unit, ridge_inverse, sigmoid_map
+from hoselm.kernels import NormParams, denormalize_unit, ridge_inverse
 from hoselm.oselm import OselmState, os_predict
 from hoselm.pipeline import (
     FeatureGroup,
@@ -38,12 +39,40 @@ combine = combine_module.combine
 
 
 def loop_score(model, h):
-    """The classifier score node by node: the reference for the stacked one."""
+    """The classifier score node by node: the reference for the stacked one.
+    Its sigmoid is scipy's expit, not the kernel under test."""
     out = np.zeros((model.class_count, h.shape[1]))
     for w, b, step, lo, hi in zip(model.weights, model.bias, model.step, model.lo, model.hi):
         norm = NormParams(lo=float(lo), hi=float(hi), eps=model.eps)
-        out += step * denormalize_unit(sigmoid_map(w @ h + b), norm)
+        out += step * denormalize_unit(expit(w @ h + b), norm)
     return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize(
+    "widths, subspace_dim, operator, spread",
+    [((256,), 200, "plus", 0.3), ((32, 64, 128), 100, "concat", 0.5)],
+    ids=["batch_plus", "batch_concat"],
+)
+def test_held_out_labels_match_the_reference_at_benchmark_shapes(
+    seed, widths, subspace_dim, operator, spread
+):
+    """At the batch benchmark workloads' shapes (10 blob classes as
+    hoselm.data.synth_blobs draws them, one view per group, 5000 training
+    and 5000 held-out columns, 3 nodes per group, 10 classifier nodes),
+    predict gives every held-out column the label of the layer-by-layer
+    reference."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(10), 1000))
+    groups = [
+        np.eye(w)[:, labels] + spread * rng.standard_normal((w, labels.size)) for w in widths
+    ]
+    cfg = PipelineConfig(subspace_dim=subspace_dim, operator=operator, seed=seed)
+    model = fit([FeatureGroup(x=g[:, :5000]) for g in groups], np.eye(10)[:, labels[:5000]], cfg)
+    held = [FeatureGroup(x=np.ascontiguousarray(g[:, 5000:])) for g in groups]
+    feats = [project(node, g.x) for nodes, g in zip(model.extractors, held) for node in nodes]
+    want = decode_labels(loop_score(model.readout, combine(feats, model.combine_spec)))
+    assert np.array_equal(predict(model, held), want)
 
 
 def _classifier(rng, classes, dim, degenerate):
@@ -59,6 +88,20 @@ def _classifier(rng, classes, dim, degenerate):
         bias[k] = rng.uniform(-1.0, 1.0)
         step[k] = rng.uniform(-2.0, 2.0)
     return ClassifierModel(weights, bias, step, lo, hi, eps=1e-4)
+
+
+def test_activate_equals_the_node_by_node_reference():
+    """The folded scale and offset and the tanh sigmoid move a classifier
+    score by rounding only, with pre-activations reaching saturation and
+    with no node, only degenerate nodes or a mix: within 1e-14 of the
+    largest node's |step| max(|lo|, |hi|).  Rounding scales with the terms
+    step lo, not with the span step (hi - lo), which |lo| can far exceed."""
+    rng = np.random.default_rng(29)
+    for degenerate in [[], [True], [True] * 3] + [rng.random(k) < 0.3 for k in range(1, 13)]:
+        c = _classifier(rng, 3, 4, degenerate)
+        h = 10.0 * rng.standard_normal((4, 7))
+        scale = np.max(np.abs(c.step) * np.maximum(np.abs(c.lo), np.abs(c.hi)), initial=0.0)
+        assert np.max(np.abs(score(c, h) - loop_score(c, h))) <= 1e-14 * scale
 
 
 @st.composite
