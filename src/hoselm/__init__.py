@@ -20,7 +20,7 @@ from .bench import (
     run_benchmark,
 )
 from .classifier import ClassifierModel, decode_labels, fit_classifier
-from .combine import CombineSpec, combine, combined_dim
+from .combine import CombineSpec, combine
 from .data import load_csv, one_hot, split, synth_blobs, write_csv
 from .errors import (
     DegenerateNodeError,
@@ -59,7 +59,6 @@ __all__ = [
     "fit_classifier",
     "CombineSpec",
     "combine",
-    "combined_dim",
     "load_csv",
     "one_hot",
     "split",

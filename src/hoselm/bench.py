@@ -10,7 +10,7 @@ its report byte for byte when timing capture is turned off.
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,15 +27,14 @@ __all__ = [
     "emit_report",
 ]
 
-_MODES = ("batch", "sequential")
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one benchmark run depends on.
 
     dataset is a CSV path, or None to generate clusters from the synth_*
-    fields.  modes lists the training modes to compare on identical splits.
+    fields.  modes lists the training modes to compare on identical splits;
+    each must be one PipelineConfig accepts.
     measure_time=False zeroes the wall-clock fields so reports become
     byte-identical across runs.
     """
@@ -61,9 +60,8 @@ class RunConfig:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.modes:
             raise ValueError("modes is empty")
-        bad = [m for m in self.modes if m not in _MODES]
-        if bad:
-            raise ValueError(f"unknown modes {bad}; valid modes are {_MODES}")
+        for mode in self.modes:
+            replace(self.pipeline, mode=mode)  # PipelineConfig rejects an unknown mode
 
 
 @dataclass(frozen=True)
@@ -174,19 +172,7 @@ def report_as_dict(report):
     """Plain-dict view of a report, ready for JSON serialization."""
     return {
         "dataset": report.dataset,
-        "entries": [
-            {
-                "method": e.method,
-                "dataset": e.dataset,
-                "repetition": e.repetition,
-                "mean_per_class_rate": e.mean_per_class_rate,
-                "accuracy": e.accuracy,
-                "train_seconds": e.train_seconds,
-                "infer_seconds": e.infer_seconds,
-                "confusion": [[int(v) for v in row] for row in e.confusion],
-            }
-            for e in report.entries
-        ],
+        "entries": [{**asdict(e), "confusion": e.confusion.tolist()} for e in report.entries],
         "aggregates": report.aggregates,
     }
 
@@ -194,7 +180,8 @@ def report_as_dict(report):
 def write_report(fh, report, format="json"):
     """Serialize a report to an open text stream.
 
-    The CSV carries one row per (method, repetition) with rates printed to
+    The CSV carries one row per (method, repetition), one column per
+    RepetitionEntry field but the confusion matrix, with floats printed to
     nine decimal places; the JSON holds the full structure, keys sorted, so
     equal reports serialize identically.
     """
@@ -203,30 +190,12 @@ def write_report(fh, report, format="json"):
         fh.write("\n")
         return
     if format == "csv":
+        names = [f.name for f in fields(RepetitionEntry) if f.name != "confusion"]
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "dataset",
-                "repetition",
-                "mean_per_class_rate",
-                "accuracy",
-                "train_seconds",
-                "infer_seconds",
-            ]
-        )
+        writer.writerow(names)
         for e in report.entries:
-            writer.writerow(
-                [
-                    e.method,
-                    e.dataset,
-                    e.repetition,
-                    f"{e.mean_per_class_rate:.9f}",
-                    f"{e.accuracy:.9f}",
-                    f"{e.train_seconds:.9f}",
-                    f"{e.infer_seconds:.9f}",
-                ]
-            )
+            values = [getattr(e, name) for name in names]
+            writer.writerow([f"{v:.9f}" if isinstance(v, float) else v for v in values])
         return
     raise ValueError(f"format must be json or csv, got {format!r}")
 

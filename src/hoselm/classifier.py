@@ -119,7 +119,7 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
         raise ShapeError(f"ridge inverse shape {gram_inv.shape}, features have {rows} rows")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    scaled, norm_in = _normalize_unit(e_prev, eps)
+    scaled, lo, hi = _normalize_unit(e_prev, eps)
     z = _logit_map(scaled)
     weights = z @ h.T @ gram_inv
     pre = weights @ h
@@ -128,8 +128,8 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
         weights=weights[None],
         bias=np.array([bias]),
         step=np.ones(1),
-        lo=np.array([norm_in.lo]),
-        hi=np.array([norm_in.hi]),
+        lo=np.array([lo]),
+        hi=np.array([hi]),
         eps=float(eps),
     )
     v = activate(node, pre + bias)

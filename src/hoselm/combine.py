@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ShapeError
 from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
-__all__ = ["CombineSpec", "combine", "combine_affine", "combined_dim"]
+__all__ = ["CombineSpec", "combine", "combine_affine"]
 
 _OPERATORS = ("plus", "concat")
 
@@ -82,15 +82,3 @@ def combine_affine(layers, spec):
             block[:, -1] = n.bias
             blocks.append(block)
     return _merge(blocks, spec)
-
-
-def combined_dim(rows, spec):
-    """Row count of the combined feature of nodes with the given per-node
-    row counts: plus needs them equal and keeps one, concat adds them up."""
-    if not rows:
-        raise ValueError("row count list is empty")
-    if spec.operator == "plus":
-        if len(set(rows)) > 1:
-            raise ShapeError(f"plus needs equal row counts, got {sorted(set(rows))}")
-        return rows[0]
-    return sum(rows)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import as_matrix, pinv, sigmoid_map
+from .kernels import _pinv, as_matrix, sigmoid_map
 
 __all__ = [
     "RandomHiddenLayer",
@@ -73,14 +73,14 @@ def hidden_activations(layer, x):
 
 def fit_output(h, targets):
     """Closed-form readout: minimum-norm least-squares solution of
-    beta' H = T, computed as pinv(H') T'."""
+    beta' H = T, computed as pinv(H') T' on the h validated here."""
     hm = as_matrix(h, "activations")
     tm = as_matrix(targets, "targets")
     if hm.shape[1] != tm.shape[1]:
         raise ShapeError(
             f"activation and target sample counts differ: {hm.shape[1]} vs {tm.shape[1]}"
         )
-    return OutputWeights(beta=pinv(hm.T) @ tm.T)
+    return OutputWeights(beta=_pinv(hm.T) @ tm.T)
 
 
 def predict(layer, weights, x):

@@ -101,7 +101,7 @@ class ExtractorConfig:
             )
         if not 0 <= self.damping < np.inf:
             raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
-        # normalize_unit, into [eps, 1], and fit_node (same eps in a pipeline) need eps < 1/2.
+        # error_feedback, into [eps, 1], and fit_node (same eps in a pipeline) need eps < 1/2.
         if not 0 < self.norm_eps < 0.5:
             raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
 

@@ -3,8 +3,8 @@
 Everything downstream (random-feature networks, the subnetwork extractor,
 the greedy classifier, the sequential readout) is built from the handful of
 operations here: pseudoinverse, ridge-regularized inverse, sigmoid / logit,
-the (0, 1]-normalization pair, the stacked inputs [x_1; ...; x_G; 1]'
-(with the targets' rows appended for the extractor) and the R of their QR
+the (0, 1]-normalization, the stacked inputs [x_1; ...; x_G; 1]' (with the
+targets' rows appended for the extractor) and the R of their QR
 factorization.
 
 Every QR here is LAPACK's compact-WY Householder QR (dgeqrt), with column
@@ -22,14 +22,12 @@ pseudoinverses in (n+1)-space.  No fit calls ridge_inverse: the batch
 classifier's ridge inverse is a diagonal from an SVD the fit takes anyway
 (see hoselm.pipeline.fit).
 
-The public helpers validate their inputs.  The pseudoinverse, logit and
-normalization (not its inverse) also have unchecked private cores, which
-the extractor and the classifier fit call on matrices they build.
+The public helpers validate their inputs.  The pseudoinverse also has an
+unchecked private core, and the logit and the normalization have only one:
+callers pass them matrices they built or checked.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtri
@@ -37,15 +35,11 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtri
 from .errors import ShapeError
 
 __all__ = [
-    "NormParams",
     "as_matrix",
     "augmented_inputs",
     "pinv",
     "ridge_inverse",
     "sigmoid_map",
-    "logit_map",
-    "normalize_unit",
-    "denormalize_unit",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -53,6 +47,8 @@ _EPS = np.finfo(np.float64).eps
 _QR_BLOCK = 32
 # Sample columns per block of augmented_inputs' transposing copy.
 _COPY_BLOCK = 128
+# The logit's inputs are clipped this far inside (0, 1).
+_LOGIT_CLIP = 1e-7
 
 
 def as_matrix(a, name="matrix"):
@@ -185,60 +181,19 @@ def sigmoid_map(x):
     return np.clip(y, _SIG_LO, _SIG_HI, out=y)
 
 
-def logit_map(x, clip_eps=1e-7):
-    """Elementwise sigmoid inverse -log(1/x - 1) on entries clipped into
-    [clip_eps, 1 - clip_eps], so the output is always finite."""
-    if not 0.0 < clip_eps < 0.5:
-        raise ValueError(f"clip_eps must lie in (0, 0.5), got {clip_eps}")
-    return _logit_map(as_matrix(x, "logit input"), clip_eps)
-
-
-def _logit_map(x, clip_eps=1e-7):
-    """logit_map without its checks, for callers that built x."""
-    xc = np.clip(x, clip_eps, 1.0 - clip_eps)
+def _logit_map(x):
+    """Elementwise sigmoid inverse -log(1/x - 1) on the entries of x clipped
+    into [_LOGIT_CLIP, 1 - _LOGIT_CLIP], so the output is always finite."""
+    xc = np.clip(x, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
     return -np.log(1.0 / xc - 1.0)
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Parameters of one (0, 1]-normalization: observed range plus the
-    lower target eps.  hi == lo marks the degenerate (constant-input) case."""
-
-    lo: float
-    hi: float
-    eps: float
-
-    @property
-    def degenerate(self):
-        return self.hi == self.lo
-
-
-def normalize_unit(x, eps=1e-4):
-    """Affinely map a matrix into [eps, 1] using its global min/max.
-
-    Returns the mapped matrix and the NormParams needed to invert the map.
-    A constant input maps to all ones (1 lies in the (0, 1] codomain) and
-    the params record the degenerate range.
-    """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    return _normalize_unit(as_matrix(x, "normalize input"), eps)
-
-
 def _normalize_unit(x, eps):
-    """normalize_unit without its checks, for callers that built x."""
+    """Affinely map x into [eps, 1] by its global min lo and max hi; return
+    (scaled, lo, hi).  A constant input (lo == hi) maps to all ones (1 lies
+    in the (0, 1] codomain)."""
     lo = float(x.min())
     hi = float(x.max())
-    p = NormParams(lo=lo, hi=hi, eps=eps)
-    if p.degenerate:
-        return np.ones_like(x), p
-    return eps + (1.0 - eps) * (x - lo) / (hi - lo), p
-
-
-def denormalize_unit(y, params):
-    """Exact affine inverse of normalize_unit; degenerate params map
-    everything back to the recorded constant."""
-    y = as_matrix(y, "denormalize input")
-    if params.degenerate:
-        return np.full_like(y, params.lo)
-    return params.lo + (y - params.eps) * (params.hi - params.lo) / (1.0 - params.eps)
+    if hi == lo:
+        return np.ones_like(x), lo, hi
+    return eps + (1.0 - eps) * (x - lo) / (hi - lo), lo, hi

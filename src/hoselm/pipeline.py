@@ -49,7 +49,7 @@ from scipy.linalg import svd
 from scipy.linalg.blas import dgemm
 
 from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
-from .combine import CombineSpec, combine_affine, combined_dim
+from .combine import CombineSpec, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import _qr_r, as_matrix, augmented_inputs
@@ -225,15 +225,16 @@ class HOselmModel:
     partial_fit keeps the config and the readout's basis, so it shares the
     maps.
 
-    Building a model checks every rule its file format relies on, so any
-    model save_model writes, load_model reads back; a violation raises
-    ValueError.  The labels, the group names and the readout's kind (the
-    one config.mode names; a sequential readout's coeff is config.coeff)
-    are checked every time.  The rules on extractors, config and a batch
-    readout are checked where the maps are derived: every group has
-    config.node_count nodes of config.subspace_dim rows over one input
-    width, and a batch readout has at most config.classifier_nodes nodes
-    and config.norm_eps as its eps.
+    Building a model checks the rules on its structure that its file format
+    relies on; a violation raises ValueError.  The labels, the group names
+    and the readout's kind (the one config.mode names; a sequential
+    readout's coeff is config.coeff) are checked every time.  The rules on
+    extractors, config and a batch readout are checked where the maps are
+    derived: every group has config.node_count nodes of config.subspace_dim
+    rows over one input width, and a batch readout has at most
+    config.classifier_nodes nodes and config.norm_eps as its eps.
+    save_model checks the rules on values, so any model it writes,
+    load_model reads back.
     """
 
     extractors: tuple
@@ -569,43 +570,62 @@ def save_model(model, path):
     what formats v1 to v4 stored.
 
     path is a file name, written exactly as given (np.savez alone would
-    append .npz), or a binary file object.  Every rule the file relies on
-    was checked when the model was built (see HOselmModel).
+    append .npz), or a binary file object.  The rules on the model's
+    structure were checked when it was built (see HOselmModel); those on
+    its values are checked before anything is written, raising ValueError.
     """
     if not isinstance(model, HOselmModel):
         raise TypeError(
             f"save_model takes (model, path), got {type(model).__name__} first"
         )
+    arrays = _checked_arrays(model)
     batch = model.config.mode == "batch"
+    readout = model.readout
     header = {
         "format_version": _FORMAT_VERSION,
         "config": asdict(model.config),
         "group_names": list(model.group_names),
         "class_labels": list(model.class_labels),
+        "readout": {"node_count": len(readout.step)} if batch else {"seen": readout.seen},
     }
-    arrays = {}
-    for g, nodes in enumerate(model.extractors):
-        arrays[f"extractor_{g}_weights"] = np.stack([n.weights for n in nodes])
-        arrays[f"extractor_{g}_biases"] = np.array([n.bias for n in nodes])
-    if batch:
-        c = model.readout
-        header["readout"] = {"node_count": len(c.step)}
-        if len(c.step):
-            arrays["classifier_weights"] = c.weights
-            arrays["classifier_biases"] = c.bias
-            arrays["classifier_steps"] = c.step
-            arrays["classifier_norm_in"] = np.column_stack((c.lo, c.hi))
-    else:
-        s = model.readout
-        header["readout"] = {"seen": s.seen}
-        arrays["readout_p"] = s.p
-        arrays["readout_beta"] = s.beta
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
     if isinstance(path, (str, os.PathLike)):
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     else:
         np.savez(path, **arrays)
+
+
+def _checked_arrays(model):
+    """The arrays save_model writes for model, by member name, once they
+    keep the rules on values that the file relies on: every array is
+    finite, every classifier node has lo <= hi, and neither the maps derived
+    from them nor the normalization spans hi - lo overflow.  A violation
+    raises ValueError; save_model and load_model both call this."""
+    arrays = {}
+    for g, nodes in enumerate(model.extractors):
+        arrays[f"extractor_{g}_weights"] = np.stack([n.weights for n in nodes])
+        arrays[f"extractor_{g}_biases"] = np.array([n.bias for n in nodes])
+    c = model.readout
+    if model.config.mode == "sequential":
+        arrays["readout_p"] = c.p
+        arrays["readout_beta"] = c.beta
+    elif len(c.step):
+        arrays["classifier_weights"] = c.weights
+        arrays["classifier_biases"] = c.bias
+        arrays["classifier_steps"] = c.step
+        arrays["classifier_norm_in"] = np.column_stack((c.lo, c.hi))
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"model array {name!r} is not all finite")
+    lo, hi = arrays.get("classifier_norm_in", np.empty((0, 2))).T
+    if np.any(lo > hi):
+        raise ValueError("classifier normalization rows need lo <= hi")
+    with np.errstate(over="ignore"):
+        derived = (*model.maps.weights, model.maps.offset, hi - lo)
+    if not all(np.isfinite(a).all() for a in derived):
+        raise ValueError("model arrays overflow the input maps derived from them")
+    return arrays
 
 
 def _member(data, name):
@@ -637,16 +657,16 @@ def _header(data):
 
 
 def _array(data, name, shape):
-    """Array `name` of the given shape (None matches any positive size),
-    float and finite."""
+    """Float array `name` of the given shape (None matches any positive
+    size); its values are checked on the model built from it."""
     a = _member(data, name)
     if a.ndim != len(shape) or any(
         n != want if want is not None else n < 1 for n, want in zip(a.shape, shape)
     ):
         want = tuple("*" if n is None else n for n in shape)
         raise FormatError(f"model array {name!r} has shape {a.shape}, header implies {want}")
-    if a.dtype.kind != "f" or not np.all(np.isfinite(a)):
-        raise FormatError(f"model array {name!r} is not all finite floats")
+    if a.dtype.kind != "f":
+        raise FormatError(f"model array {name!r} is not a float array")
     return a
 
 
@@ -682,10 +702,7 @@ def _read_classifier(data, count, cfg, classes, dim, version):
         _array(data, "classifier_norm_out", (count, 3)), norms
     ):
         raise FormatError("format v1 classifier_norm_out disagrees with classifier_norm_in")
-    lo, hi = norms[:, 0], norms[:, 1]
-    if np.any(lo > hi):
-        raise FormatError("classifier normalization rows need lo <= hi")
-    return ClassifierModel(weights, biases, steps, lo, hi, eps)
+    return ClassifierModel(weights, biases, steps, norms[:, 0], norms[:, 1], eps)
 
 
 def _drop_v1_copies(header, meta, cfg, dim):
@@ -720,20 +737,20 @@ def _load(data):
             raise FormatError(f"model header {what} must be a non-empty list, got {value!r}")
     classes = len(labels)
     batch = cfg.mode == "batch"
-    dim = combined_dim([cfg.subspace_dim] * (cfg.node_count * len(names)), cfg.combine_spec)
-    if version == 1:
-        _drop_v1_copies(header, meta, cfg, dim)
-    key = "node_count" if batch else "seen"
-    if list(meta) != [key]:
-        raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
     extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
-    # Finite arrays can still overflow the maps; that is checked below, not warned.
+    # Arrays can overflow the maps, or hold NaN; that is checked below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
+        b = combine_affine(extractors, cfg.combine_spec)
+        dim = b.shape[0]
+        if version == 1:
+            _drop_v1_copies(header, meta, cfg, dim)
+        key = "node_count" if batch else "seen"
+        if list(meta) != [key]:
+            raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
         if batch:
             readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
         else:
             try:
-                b = combine_affine(extractors, cfg.combine_spec)
                 basis, _, _ = svd(b, full_matrices=False)
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
@@ -759,12 +776,9 @@ def _load(data):
                 config=cfg,
                 class_labels=tuple(labels),
             )
+            _checked_arrays(model)
         except ValueError as exc:
             raise FormatError(f"model file breaks a model rule: {exc}") from exc
-        maps = model.maps
-        derived = (*maps.weights, maps.offset) + ((readout.hi - readout.lo,) if batch else ())
-    if not all(np.isfinite(a).all() for a in derived):
-        raise FormatError("model arrays overflow the input maps derived from them")
     return model
 
 
@@ -772,14 +786,14 @@ def load_model(path):
     """Read back a model written by save_model, in format v1 to v5.
 
     Every array is checked against the header before the model is built:
-    presence, shape, node and group counts, and finiteness, which the maps
-    and normalization spans derived from them must keep; a v1 file's
+    presence, shape, dtype, and node and group counts; a v1 file's
     duplicated facts, and the per-row classifier eps of files before v5,
-    must agree with the copies later formats keep.  A v1 or v2 sequential
-    file holds the D x D accumulator P_D; it is read back in the readout's
-    basis U as U' P_D U.  Files before v4 stored no label values, so their
-    classes read back as 0 .. C-1.  A file that fails a check, or is not a
-    readable NPZ archive, raises FormatError.
+    must agree with the copies later formats keep.  The model built from
+    them must keep the rules on values that save_model checks.  A v1 or v2
+    sequential file holds the D x D accumulator P_D; it is read back in the
+    readout's basis U as U' P_D U.  Files before v4 stored no label values,
+    so their classes read back as 0 .. C-1.  A file that fails a check, or
+    is not a readable NPZ archive, raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

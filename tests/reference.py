@@ -21,7 +21,7 @@ import numpy as np
 from hoselm import extractor
 from hoselm.errors import ShapeError
 from hoselm.extractor import SubnetNode
-from hoselm.kernels import normalize_unit, pinv
+from hoselm.kernels import _normalize_unit, pinv
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def error_feedback(e, readout, h, norm_eps):
         raise ShapeError(
             f"pulled-back residual shape {pulled.shape} does not match feature {h.shape}"
         )
-    values, _ = normalize_unit(pulled + h, norm_eps)
+    values, _, _ = _normalize_unit(pulled + h, norm_eps)
     return values
 
 

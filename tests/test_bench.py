@@ -161,3 +161,12 @@ def test_config_validation():
         quick_cfg(modes=("batch", "stream"))
     with pytest.raises(ValueError):
         emit_report(MetricsReport("d", (), {}), "/tmp/x", "yaml")
+
+
+def test_run_config_takes_its_modes_from_the_pipeline():
+    """An empty modes tuple, and a mode PipelineConfig does not know, are
+    rejected when the run is configured, not when it reaches fit."""
+    with pytest.raises(ValueError, match="modes is empty"):
+        RunConfig(modes=())
+    with pytest.raises(ValueError, match="mode must be one of"):
+        RunConfig(modes=("online",))

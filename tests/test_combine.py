@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoselm.combine import CombineSpec, combine, combine_affine, combined_dim
+from hoselm.combine import CombineSpec, combine, combine_affine
 from hoselm.errors import ShapeError
 from hoselm.extractor import SubnetNode, project
 
@@ -66,8 +66,7 @@ def test_sample_count_preserved():
 
 
 def test_combined_dim_matches_materialized():
-    """The row rule on row counts matches the rows combine and
-    combine_affine build."""
+    """combine_affine's B has as many rows as the feature combine builds."""
     rng = np.random.default_rng(2)
     plus_feats = [rng.standard_normal((4, 5)) for _ in range(3)]
     concat_feats = [rng.standard_normal((r, 5)) for r in (3, 4, 2)]
@@ -75,30 +74,19 @@ def test_combined_dim_matches_materialized():
         (plus_feats, CombineSpec("plus")),
         (concat_feats, CombineSpec("concat")),
     ]:
-        rows = [f.shape[0] for f in feats]
-        assert combined_dim(rows, spec) == combine(feats, spec).shape[0]
-        layers = [[SubnetNode(weights=np.ones((r, 2)), bias=0.0) for r in rows]]
-        assert combined_dim(rows, spec) == combine_affine(layers, spec).shape[0]
-
-
-def test_combined_dim_examples():
-    assert combined_dim([4, 4, 4], CombineSpec("plus")) == 4
-    assert combined_dim([3, 4], CombineSpec("concat")) == 7
+        layers = [[SubnetNode(weights=np.ones((f.shape[0], 2)), bias=0.0) for f in feats]]
+        assert combine_affine(layers, spec).shape[0] == combine(feats, spec).shape[0]
 
 
 def test_empty_list_rejected():
     for op in ("plus", "concat"):
         with pytest.raises(ValueError):
             combine([], CombineSpec(operator=op))
-        with pytest.raises(ValueError):
-            combined_dim([], CombineSpec(operator=op))
 
 
 def test_plus_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         combine([np.ones((2, 3)), np.ones((3, 3))], CombineSpec("plus"))
-    with pytest.raises(ShapeError):
-        combined_dim([2, 3], CombineSpec("plus"))
 
 
 def test_sample_count_mismatch_rejected():

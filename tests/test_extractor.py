@@ -4,6 +4,7 @@ The node-by-node chain on d x M matrices (ls_readout, residual,
 error_feedback, refine_node) is the float reference in tests/reference.py;
 the layer is checked against it."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from hoselm.extractor import (
     project,
     spawn_node,
 )
-from hoselm.kernels import normalize_unit, pinv
+from hoselm.kernels import _normalize_unit, pinv
 from hoselm.pipeline import FeatureGroup, PipelineConfig, fit
 from reference import LsReadout, error_feedback, ls_readout, refine_node, residual
 
@@ -248,7 +249,7 @@ def test_error_feedback_zero_residual_is_normalized_feature():
     h = rng.standard_normal((3, 5))
     r = LsReadout(weights=rng.standard_normal((2, 3)), bias=0.0)
     got = error_feedback(np.zeros((2, 5)), r, h, 1e-4)
-    want, _ = normalize_unit(h, 1e-4)
+    want, _, _ = _normalize_unit(h, 1e-4)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -269,7 +270,7 @@ def test_error_feedback_square_invertible_matches_direct_inverse():
     h = rng.standard_normal((3, 6))
     e = rng.standard_normal((3, 6))
     pulled = np.linalg.inv(w) @ e
-    want, _ = normalize_unit(pulled + h, 1e-4)
+    want, _, _ = _normalize_unit(pulled + h, 1e-4)
     got = error_feedback(e, r, h, 1e-4)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -373,9 +374,29 @@ def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     assert len(nodes) == 3
 
 
+def test_warm_layer_fit_holds_no_d_by_m_matrix():
+    """The feedback range is taken over blocks of sample columns, so a warm
+    layer fit at batch_plus shapes (d = 200, n = 256, M = 5000, 10 classes,
+    3 nodes) peaks under one d x M float64 matrix, 8.0 MB, in tracemalloc.
+    The range product over all M columns at once peaks near 19 MB."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((256, 5000))
+    targets = np.eye(10)[:, rng.integers(0, 10, 5000)]
+    cfg = ExtractorConfig(node_count=3, subspace_dim=200)
+    factor = factor_inputs(x, targets)
+    extract_features(x, targets, cfg, factor)
+    tracemalloc.start()
+    try:
+        extract_features(x, targets, cfg, factor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 5000 * 8
+
+
 def test_layer_scans_no_sample_sized_matrix(monkeypatch):
     """The layer builds every matrix it takes a pseudoinverse of from
-    validated inputs, so it scans none of them, and no normalize_unit
+    validated inputs, so it scans none of them, and no normalization
     pass runs over a d x M matrix: as_matrix is never called."""
     shapes = []
     as_matrix = hoselm.kernels.as_matrix
@@ -622,8 +643,8 @@ def test_config_validation():
 
 def test_config_rejects_nan_damping_and_norm_eps_outside_the_open_half():
     """The bounds PipelineConfig takes from its extractor_config: a NaN
-    damping would give non-finite node weights, and normalize_unit and
-    fit_node need norm_eps in (0, 0.5)."""
+    damping would give non-finite node weights, and error_feedback's
+    normalization and fit_node need norm_eps in (0, 0.5)."""
     with pytest.raises(ValueError, match="damping"):
         ExtractorConfig(node_count=1, subspace_dim=3, damping=np.nan)
     for bad in (0.7, -0.5):

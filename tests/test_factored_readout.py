@@ -18,7 +18,7 @@ import hoselm.extractor
 import hoselm.pipeline
 from hoselm.classifier import decode_labels, fit_classifier, score
 from hoselm.extractor import project
-from hoselm.kernels import logit_map, normalize_unit, ridge_inverse
+from hoselm.kernels import _logit_map, _normalize_unit, ridge_inverse
 from hoselm.pipeline import FeatureGroup, PipelineConfig, fit, predict
 
 # The package re-exports the function combine under the submodule's name.
@@ -97,7 +97,7 @@ def test_factored_readout_equals_svd_reference(case):
     groups, targets, cfg = case
     model = fit(groups, targets, cfg)
     h = combined_feature(model, groups)
-    z = logit_map(normalize_unit(targets, cfg.norm_eps)[0])
+    z = _logit_map(_normalize_unit(targets, cfg.norm_eps)[0])
     want = svd_ridge_weights(h, z, cfg.coeff)
     (weights,) = model.readout.weights
     assert weights.shape == want.shape

@@ -10,13 +10,11 @@ from scipy.special import expit
 from hoselm.errors import ShapeError
 from hoselm.extractor import ExtractorConfig, extract_features, factor_inputs
 from hoselm.kernels import (
-    NormParams,
     _certified_pinv,
+    _logit_map,
+    _normalize_unit,
     as_matrix,
     augmented_inputs,
-    denormalize_unit,
-    logit_map,
-    normalize_unit,
     pinv,
     ridge_inverse,
     sigmoid_map,
@@ -146,61 +144,41 @@ class TestSigmoidLogit:
         assert np.array_equal(x, [[-1.0, 2.0]])
 
     def test_logit_at_half(self):
-        assert logit_map([[0.5]])[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert _logit_map(np.array([[0.5]]))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_logit_clips_zero(self):
         expected = -math.log(1.0 / 1e-7 - 1.0)
-        assert logit_map([[0.0]], clip_eps=1e-7)[0, 0] == pytest.approx(expected)
+        assert _logit_map(np.array([[0.0]]))[0, 0] == pytest.approx(expected)
         assert expected == pytest.approx(-16.1181, abs=1e-3)
 
     def test_round_trip_sigmoid_of_logit(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0.01, 0.99, size=(3, 5))
-        assert np.allclose(sigmoid_map(logit_map(x)), x, atol=1e-9)
+        assert np.allclose(sigmoid_map(_logit_map(x)), x, atol=1e-9)
 
     def test_round_trip_logit_of_sigmoid(self):
-        assert logit_map(sigmoid_map([[2.0]]))[0, 0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_logit_rejects_bad_clip(self):
-        with pytest.raises(ValueError):
-            logit_map([[0.5]], clip_eps=0.7)
+        assert _logit_map(sigmoid_map([[2.0]]))[0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestNormalization:
     def test_endpoints(self):
-        y, p = normalize_unit([[0.0, 1.0]], eps=1e-4)
+        y, lo, hi = _normalize_unit(np.array([[0.0, 1.0]]), 1e-4)
         assert y[0, 0] == pytest.approx(1e-4)
         assert y[0, 1] == pytest.approx(1.0)
-        assert (p.lo, p.hi) == (0.0, 1.0)
+        assert (lo, hi) == (0.0, 1.0)
 
     def test_constant_matrix_maps_to_ones(self):
-        y, p = normalize_unit([[5.0, 5.0]])
+        y, lo, hi = _normalize_unit(np.array([[5.0, 5.0]]), 1e-4)
         assert np.all(y == 1.0)
-        assert p.degenerate
-
-    def test_degenerate_inverse_recovers_constant(self):
-        y, p = normalize_unit([[5.0, 5.0]])
-        assert np.all(denormalize_unit(y, p) == 5.0)
-
-    def test_denormalize_upper_endpoint(self):
-        p = NormParams(lo=0.0, hi=1.0, eps=1e-4)
-        assert denormalize_unit([[1.0]], p)[0, 0] == pytest.approx(1.0)
-
-    def test_denormalize_lower_endpoint(self):
-        p = NormParams(lo=-2.0, hi=3.0, eps=1e-4)
-        assert denormalize_unit([[1e-4]], p)[0, 0] == pytest.approx(-2.0)
+        assert lo == hi
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6)) * 10.0
-        y, p = normalize_unit(x, eps=1e-4)
+        y, lo, hi = _normalize_unit(x, 1e-4)
         assert np.all((y >= 1e-4) & (y <= 1.0 + 1e-15))
-        back = denormalize_unit(y, p)
+        back = lo + (y - 1e-4) * (hi - lo) / (1.0 - 1e-4)
         assert np.allclose(back, x, rtol=1e-10, atol=1e-10)
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            normalize_unit([[1.0]], eps=0.5)
 
 
 def test_penrose_conditions_sweep_up_to_50x50():

@@ -467,9 +467,9 @@ def _set(name, change):
     return edit
 
 
-def _poison(a):
+def _poison(a, value=np.nan):
     a = a.copy()
-    a.flat[0] = np.nan
+    a.flat[0] = value
     return a
 
 
@@ -574,6 +574,31 @@ def test_load_model_rejects_files_that_disagree_with_their_header(tmp_path, case
     np.savez(path, **arrays)
     with pytest.raises(FormatError, match=match):
         load_model(path)
+
+
+# Models that build but break a rule on values that load_model holds a
+# file to: the readout edit and what the error names.
+SAVE_VIOLATIONS = {
+    "classifier lo above hi": ("batch", lambda r: replace(r, lo=r.hi + 1.0), "lo <= hi"),
+    "NaN classifier step": ("batch", lambda r: replace(r, step=_poison(r.step)), "steps"),
+    "NaN sequential beta": ("sequential", lambda r: replace(r, beta=_poison(r.beta)), "beta"),
+    "infinite P": ("sequential", lambda r: replace(r, p=_poison(r.p, np.inf)), "readout_p"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVE_VIOLATIONS))
+def test_save_model_rejects_values_load_model_would_reject(tmp_path, case):
+    """save_model checks the rules on values before it opens the file: a
+    ValueError, not a FormatError, and nothing written."""
+    mode, edit, match = SAVE_VIOLATIONS[case]
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode=mode, chunk_size=20))
+    odd = replace(model, readout=edit(model.readout))
+    path = tmp_path / "model.npz"
+    with pytest.raises(ValueError, match=match) as raised:
+        save_model(odd, path)
+    assert raised.type is ValueError
+    assert not path.exists()
 
 
 def test_load_model_rejects_files_that_are_not_archives(tmp_path):

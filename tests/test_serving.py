@@ -18,7 +18,7 @@ import hoselm.oselm
 import hoselm.pipeline
 from hoselm.classifier import ClassifierModel, decode_labels, fit_classifier, score
 from hoselm.extractor import SubnetNode, project
-from hoselm.kernels import NormParams, denormalize_unit, ridge_inverse
+from hoselm.kernels import ridge_inverse
 from hoselm.oselm import OselmState, os_predict
 from hoselm.pipeline import (
     FeatureGroup,
@@ -40,11 +40,12 @@ combine = combine_module.combine
 
 def loop_score(model, h):
     """The classifier score node by node: the reference for the stacked one.
-    Its sigmoid is scipy's expit, not the kernel under test."""
+    Its sigmoid is scipy's expit, not the kernel under test, and each node's
+    denormalization is written out, not folded into one scale."""
     out = np.zeros((model.class_count, h.shape[1]))
+    eps = model.eps
     for w, b, step, lo, hi in zip(model.weights, model.bias, model.step, model.lo, model.hi):
-        norm = NormParams(lo=float(lo), hi=float(hi), eps=model.eps)
-        out += step * denormalize_unit(expit(w @ h + b), norm)
+        out += step * (lo + (expit(w @ h + b) - eps) * (hi - lo) / (1.0 - eps))
     return out
 
 
