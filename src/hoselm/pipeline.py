@@ -49,15 +49,15 @@ from scipy.linalg import svd
 from scipy.linalg.blas import dgemm
 
 from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
-from .combine import CombineSpec, combine_affine
+from .combine import CombineSpec, combine, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import _qr_r, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
-# Requests go through the affine maps; these three stay for perfbench/tracing.py.
+# Requests go through the affine maps; these two stay for perfbench/tracing.py,
+# which also wraps combine.
 from .classifier import score as classifier_score  # noqa: F401
-from .combine import combine  # noqa: F401
 from .extractor import project  # noqa: F401
 
 __all__ = [
@@ -738,10 +738,12 @@ def _load(data):
     classes = len(labels)
     batch = cfg.mode == "batch"
     extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
+    # D is the row count of B; merging each node's zero-width block gives it
+    # without building B, which only the sequential basis needs here.
+    blocks = [n.weights[:, :0] for nodes in extractors for n in nodes]
+    dim = combine(blocks, cfg.combine_spec).shape[0]
     # Arrays can overflow the maps, or hold NaN; that is checked below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        b = combine_affine(extractors, cfg.combine_spec)
-        dim = b.shape[0]
         if version == 1:
             _drop_v1_copies(header, meta, cfg, dim)
         key = "node_count" if batch else "seen"
@@ -751,6 +753,7 @@ def _load(data):
             readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
         else:
             try:
+                b = combine_affine(extractors, cfg.combine_spec)
                 basis, _, _ = svd(b, full_matrices=False)
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc

@@ -1,13 +1,13 @@
 """Print one SHA-256 per (workload, seed) over what a checkout's models compute.
 
-    python3 tools/model_digest.py --root <checkout> --seeds 1 2 7
+    python3 tools/model_digest.py --root <checkout>
 
-Each digest covers, bit for bit, what one fit of a perfbench workload
-produces on the sources of the checkout at --root (default: the checkout
-holding this script).  A batch digest covers every array and number of the
-fitted model, serving maps included, and the labels predicted for the
-held-out requests.  A stream digest covers the boot model and the first
-STREAM_STEPS predict/partial_fit steps: each step's labels and the final
+Each digest covers, bit for bit, what one fit of a perfbench workload at
+one of SEEDS produces on the sources of the checkout at --root (default:
+the checkout holding this script).  A batch digest covers every array and
+number of the fitted model, serving maps included, and the labels predicted
+for the held-out requests.  A stream digest covers the boot model and the
+first STREAM_STEPS predict/partial_fit steps: each step's labels and the final
 model.  A refactor that claims to change no number prints the same lines
 for the parent checkout and its own.
 
@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 STREAM_STEPS = 50
+SEEDS = (1, 2, 7)
 
 
 def load(root):
@@ -72,7 +73,6 @@ def stream_arrays(hp, wl, inputs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 7])
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "hoselm").is_dir() or not (root / "perfbench").is_dir():
@@ -81,7 +81,7 @@ def main(argv=None):
     start = time.perf_counter()
     for name, spec in wl.WORKLOADS.items():
         arrays = batch_arrays if spec.mode == "batch" else stream_arrays
-        for seed in args.seeds:
+        for seed in SEEDS:
             print(f"{name} seed={seed} {digest(arrays(hp, wl, wl.make_inputs(spec, seed)))}")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
