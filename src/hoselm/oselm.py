@@ -2,9 +2,13 @@
 
 The readout weights are maintained by recursive least squares: boot from an
 initial block with a ridge-regularized solve, then fold in each later chunk
-through the matrix-inversion lemma.  Chunks may have any length, down to
-single samples, and are never retained.  The final weights equal the
-ridge-regularized batch solution on all data seen so far:
+through the matrix-inversion lemma in gain form, with one Cholesky factor
+of the chunk's gain.  The accumulator is exactly symmetric by
+construction: boot and update each form it as one product of a factor
+with its own transpose, so it is never resymmetrized.  Chunks may have any
+length, down to single samples, and are never retained.  The final
+weights equal the ridge-regularized batch solution on all data seen so
+far:
 
     beta = (I/c + H H')^-1 H T'
 
@@ -28,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr_multiply, svd
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ShapeError
 from .kernels import as_matrix, ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
@@ -88,13 +94,16 @@ def os_boot(y, targets, coeff, basis=None):
     ridge solve goes through a rotated factor, never through I/coeff + Y Y':
     the thin QR Y' = Q R, then the SVD R' = V S W', so Y = V S (Q W)' and
 
-        p = V diag(1 / (1/coeff + s^2)) V',  gamma = V diag(s / (1/coeff + s^2)) (T Q W)'
+        p = (V D^1/2)(V D^1/2)',  D = diag(1 / (1/coeff + s^2))
+        gamma = V diag(s / (1/coeff + s^2)) (T Q W)'
 
-    with s padded by zeros to r.  The ridge term removes any rank
-    requirement on the initial block.  Only the Grams Y Y' and Y T' enter,
-    so pipeline.fit passes small factors with the block's Grams instead
-    (see there) and then sets seen, which counts y's columns, to the
-    block's.
+    with s padded by zeros to r, which pads D with coeff.  p is formed as
+    one product of a factor with its own transpose, which numpy's matmul
+    takes through syrk and mirrors, so p is exactly symmetric.  The ridge
+    term removes any rank requirement on the initial block.  Only the Grams
+    Y Y' and Y T' enter, so pipeline.fit passes small factors with the
+    block's Grams instead (see there) and then sets seen, which counts y's
+    columns, to the block's.
     """
     if coeff <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {coeff}")
@@ -103,36 +112,56 @@ def os_boot(y, targets, coeff, basis=None):
     tq, r = qr_multiply(y.T, targets, mode="right")
     v, s, wt = svd(r.T, check_finite=False)
     ridge = 1.0 / coeff + s * s
-    p = (v * np.concatenate((1.0 / ridge, np.full(rows - s.size, float(coeff))))) @ v.T
-    p = (p + p.T) / 2.0
+    vd = v * np.sqrt(np.concatenate((1.0 / ridge, np.full(rows - s.size, float(coeff)))))
     gamma = v[:, : s.size] @ ((s / ridge)[:, None] * (wt @ tq.T))
     beta = gamma if basis is None else basis @ gamma
-    return OselmState(p=p, beta=beta, seen=y.shape[1], coeff=float(coeff), basis=basis)
+    return OselmState(p=vd @ vd.T, beta=beta, seen=y.shape[1], coeff=float(coeff), basis=basis)
 
 
 def os_update(state, y, targets):
     """Fold one chunk of basis coordinates into the state; returns the new
     state, which shares the basis.
 
-    Rank-m update via the inversion lemma:
+    Rank-m update in gain form, through one Cholesky factor of the chunk
+    gain G = I + Y' p Y = U'U (symmetric positive definite for any positive
+    semidefinite p, its eigenvalues all >= 1):
 
-        p' = p - p Y (I + Y' p Y)^-1 Y' p
-        gamma' = gamma + p' Y (T' - Y' gamma)
+        W = U^-T [p Y, E]',  E = T - gamma' Y (the innovation)
+        p' = p - W_p' W_p = p - p Y G^-1 Y' p
+        gamma' = gamma + W_p' W_e = gamma + p' Y E'
 
-    p is resymmetrized after the update to bound floating-point drift.
-    The chunk is not retained.
+    with W_p and W_e the columns of W that p Y and E give.  W_p' W_p is one
+    product of a factor with its own transpose, which numpy's matmul takes
+    through syrk and mirrors, so p' is exactly symmetric whenever p is,
+    with no resymmetrization.  The chunk is not retained.
+    A G that does not factor can only come from a corrupted p; it raises
+    np.linalg.LinAlgError.
     """
     _check_chunk(state, y, targets)
     gamma = state.gamma
-    py = state.p @ y
-    gain = np.eye(y.shape[1]) + y.T @ py
-    p_new = state.p - py @ np.linalg.solve(gain, py.T)
-    p_new = (p_new + p_new.T) / 2.0
-    gamma = gamma + p_new @ (y @ (targets.T - y.T @ gamma))
+    rows, cols = y.shape
+    # [p Y; E] in one C-ordered buffer, so its transpose is the Fortran-
+    # ordered right-hand side dtrsm solves in place.
+    rhs = np.empty((rows + targets.shape[0], cols))
+    py = np.matmul(state.p, y, out=rhs[:rows])
+    innovation = np.matmul(gamma.T, y, out=rhs[rows:])
+    np.subtract(targets, innovation, out=innovation)
+    gain = y.T @ py
+    gain.reshape(-1)[:: cols + 1] += 1.0
+    # gain is symmetric, so its transpose is the Fortran-ordered operand.
+    u, info = dpotrf(gain.T, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"the gain of a {cols}-column chunk is not positive definite; "
+            "the state's accumulator p is corrupted"
+        )
+    w = dtrsm(1.0, u, rhs.T, trans_a=1, overwrite_b=1)
+    wp = w[:, :rows]
+    gamma = gamma + wp.T @ w[:, rows:]
     return OselmState(
-        p=p_new,
+        p=state.p - wp.T @ wp,
         beta=state.basis @ gamma,
-        seen=state.seen + y.shape[1],
+        seen=state.seen + cols,
         coeff=state.coeff,
         basis=state.basis,
     )

@@ -599,9 +599,10 @@ def save_model(model, path):
 def _checked_arrays(model):
     """The arrays save_model writes for model, by member name, once they
     keep the rules on values that the file relies on: every array is
-    finite, every classifier node has lo <= hi, and neither the maps derived
-    from them nor the normalization spans hi - lo overflow.  A violation
-    raises ValueError; save_model and load_model both call this."""
+    finite, a sequential readout's accumulator P is exactly symmetric, every
+    classifier node has lo <= hi, and neither the maps derived from them nor
+    the normalization spans hi - lo overflow.  A violation raises
+    ValueError; save_model and load_model both call this."""
     arrays = {}
     for g, nodes in enumerate(model.extractors):
         arrays[f"extractor_{g}_weights"] = np.stack([n.weights for n in nodes])
@@ -618,6 +619,9 @@ def _checked_arrays(model):
     for name, a in arrays.items():
         if not np.all(np.isfinite(a)):
             raise ValueError(f"model array {name!r} is not all finite")
+    p = arrays.get("readout_p")
+    if p is not None and not np.array_equal(p, p.T):
+        raise ValueError("model array 'readout_p' is not exactly symmetric")
     lo, hi = arrays.get("classifier_norm_in", np.empty((0, 2))).T
     if np.any(lo > hi):
         raise ValueError("classifier normalization rows need lo <= hi")

@@ -1,4 +1,7 @@
-"""The node-by-node refinement chain on d x M matrices: the float reference.
+"""Float references for the package's factored steps.
+
+The node-by-node refinement chain on d x M matrices, and the sequential
+readout's update solved through an LU factor of the chunk gain.
 
 hoselm.extractor.extract_features refines a layer in coefficient space,
 through its steps ls_readout, error_feedback and refine_node.  The
@@ -12,6 +15,10 @@ readout's weights come from the package's own step (they are a factored
 solve, checked against an SVD of h in tests/test_extractor.py); everything
 after them is formed on d x M matrices.  Tests compare the layer with this
 chain at a bound set by the conditioning of the problem.
+
+lu_update is the inversion-lemma step of hoselm.oselm.os_update as it was
+before that step went through a Cholesky factor: an LU solve of the gain
+and a resymmetrization of p.
 """
 
 from dataclasses import dataclass
@@ -22,6 +29,7 @@ from hoselm import extractor
 from hoselm.errors import ShapeError
 from hoselm.extractor import SubnetNode
 from hoselm.kernels import _normalize_unit, pinv
+from hoselm.oselm import OselmState
 
 
 @dataclass(frozen=True)
@@ -119,3 +127,24 @@ def refine_node(node, x, feedback, damping, gram_pinv):
     misfit = wx - feedback
     bias = float(np.sqrt(np.mean(misfit * misfit)))
     return SubnetNode(weights=weights, bias=bias), wx + bias
+
+
+def lu_update(state, y, targets):
+    """os_update's chunk step through np.linalg.solve:
+
+        p' = p - p Y (I + Y' p Y)^-1 Y' p,  resymmetrized
+        gamma' = gamma + p' Y (T' - Y' gamma)
+    """
+    gamma = state.gamma
+    py = state.p @ y
+    gain = np.eye(y.shape[1]) + y.T @ py
+    p_new = state.p - py @ np.linalg.solve(gain, py.T)
+    p_new = (p_new + p_new.T) / 2.0
+    gamma = gamma + p_new @ (y @ (targets.T - y.T @ gamma))
+    return OselmState(
+        p=p_new,
+        beta=state.basis @ gamma,
+        seen=state.seen + y.shape[1],
+        coeff=state.coeff,
+        basis=state.basis,
+    )

@@ -293,3 +293,15 @@ def test_batch_arrays_that_overflow_their_maps_raise_format_error(tmp_path, memb
     arrays[member] = edit(arrays[member])
     with pytest.raises(FormatError, match="overflow"):
         load_model(write(tmp_path / "model.npz", arrays))
+
+
+def test_sequential_p_off_symmetric_raises_format_error(tmp_path):
+    """save_model writes the accumulator P exactly symmetric, so one entry
+    an ulp off its mirror is a damaged file: FormatError at load."""
+    with np.load(DATA / "model_v4_sequential.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    p = arrays["readout_p"].copy()
+    p[0, -1] = np.nextafter(p[0, -1], np.inf)
+    arrays["readout_p"] = p
+    with pytest.raises(FormatError, match="not exactly symmetric"):
+        load_model(write(tmp_path / "model.npz", arrays))

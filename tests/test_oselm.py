@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import lu_update
 
 from hoselm.errors import ShapeError
 from hoselm.oselm import OselmState, os_boot, os_predict, os_update
@@ -86,7 +87,9 @@ def test_zero_innovation_keeps_beta():
 
 
 def test_boot_p_is_exactly_symmetric():
-    """os_boot resymmetrizes p, which V diag(.) V' leaves off by rounding."""
+    """os_boot forms p as (V D^1/2)(V D^1/2)', one product of a factor with
+    its own transpose, which comes back exactly symmetric; V diag(.) V'
+    would be off by rounding."""
     rng = np.random.default_rng(18)
     for _ in range(20):
         rows = int(rng.integers(2, 30))
@@ -105,6 +108,55 @@ def test_p_stays_symmetric_positive_definite():
         state = os_update(state, h[:, lo : lo + 13], t[:, lo : lo + 13])
     assert np.array_equal(state.p, state.p.T)
     assert np.linalg.eigvalsh(state.p).min() > 0
+
+
+def lstsq_ridge(y, t, coeff):
+    """gamma from lstsq on [Y'; I/sqrt(coeff)] gamma = [T'; 0], and
+    P = (I/coeff + Y Y')^-1 from the SVD of Y."""
+    rows = y.shape[0]
+    a = np.vstack((y.T, np.eye(rows) / np.sqrt(coeff)))
+    b = np.vstack((t.T, np.zeros((rows, t.shape[0]))))
+    v, s, _ = np.linalg.svd(y)
+    d = np.full(rows, coeff)
+    d[: s.size] = 1.0 / (1.0 / coeff + s * s)
+    return np.linalg.lstsq(a, b, rcond=None)[0], (v * d) @ v.T
+
+
+COEFFS = (1e-2, 1.0, 1e2, 1e4)
+
+
+@pytest.mark.parametrize("step", [os_update, lu_update], ids=["cholesky", "lu"])
+@pytest.mark.parametrize("rows", range(1, 13))
+def test_update_matches_the_lstsq_ridge_over_a_sweep(step, rows):
+    """Every chunk width from 1 to rows + 5 (so also wider than p), every
+    ridge coefficient in COEFFS, inputs centred and offset by 1: after a
+    boot and three chunks, gamma and p are within 1e-9 of the lstsq ridge
+    solution over all the columns, and os_update's p is exactly symmetric
+    after every chunk.  lu_update, the LU step os_update replaced, is held
+    to the same bound."""
+    worst = 0.0
+    for cols in range(1, rows + 6):
+        for k, coeff in enumerate(COEFFS):
+            for offset in (0, 1):
+                rng = np.random.default_rng((rows, cols, k, offset))
+                y = rng.standard_normal((rows, 4 * cols)) + offset
+                t = rng.standard_normal((2, 4 * cols))
+                state = os_boot(y[:, :cols], t[:, :cols], coeff)
+                for lo in range(cols, 4 * cols, cols):
+                    state = step(state, y[:, lo : lo + cols], t[:, lo : lo + cols])
+                    if step is os_update:
+                        assert np.array_equal(state.p, state.p.T)
+                gamma, p = lstsq_ridge(y, t, coeff)
+                worst = max(worst, rel_err(state.gamma, gamma), rel_err(state.p, p))
+    assert worst < 1e-9
+
+
+def test_update_rejects_a_gain_that_does_not_factor():
+    """Only a corrupted p makes the gain I + Y' p Y indefinite: its
+    eigenvalues are >= 1 for any positive semidefinite p."""
+    state = OselmState(p=-np.eye(3), beta=np.zeros((3, 2)), seen=5, coeff=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="4-column chunk"):
+        os_update(state, np.full((3, 4), 2.0), np.zeros((2, 4)))
 
 
 def test_p_matches_batch_accumulator():

@@ -473,6 +473,13 @@ def _poison(a, value=np.nan):
     return a
 
 
+def _nudge_corner(a):
+    """a with its top-right entry moved up by one ulp."""
+    a = a.copy()
+    a[0, -1] = np.nextafter(a[0, -1], np.inf)
+    return a
+
+
 def _header_edit(change):
     def edit(arrays):
         header = json.loads(str(arrays["header"]))
@@ -583,6 +590,11 @@ SAVE_VIOLATIONS = {
     "NaN classifier step": ("batch", lambda r: replace(r, step=_poison(r.step)), "steps"),
     "NaN sequential beta": ("sequential", lambda r: replace(r, beta=_poison(r.beta)), "beta"),
     "infinite P": ("sequential", lambda r: replace(r, p=_poison(r.p, np.inf)), "readout_p"),
+    "P off symmetric by an ulp": (
+        "sequential",
+        lambda r: replace(r, p=_nudge_corner(r.p)),
+        "'readout_p' is not exactly symmetric",
+    ),
 }
 
 

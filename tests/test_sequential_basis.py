@@ -16,13 +16,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import lu_update
 from scipy.linalg import solve_triangular
 
 import hoselm.kernels
+import hoselm.oselm
 import hoselm.pipeline
 from hoselm.extractor import factor_inputs, project
 from hoselm.oselm import os_update
-from hoselm.pipeline import FeatureGroup, PipelineConfig, fit, partial_fit
+from hoselm.pipeline import FeatureGroup, PipelineConfig, fit, partial_fit, predict
 
 # The package re-exports the function combine under the submodule's name.
 combine_module = importlib.import_module("hoselm.combine")
@@ -154,7 +156,8 @@ def test_boot_with_large_input_offset_matches_lstsq():
 @pytest.fixture
 def inversions(monkeypatch):
     """Records combine calls and the square shapes passed to the dense
-    inverse and solve routines the package uses."""
+    inverse, solve and factorization routines the package uses: numpy's,
+    and the Cholesky hoselm.oselm takes of each chunk's gain."""
     calls = {"combine": 0, "square": []}
 
     def counted_combine(fn):
@@ -177,6 +180,7 @@ def inversions(monkeypatch):
 
     for name in ("inv", "solve", "pinv"):
         monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    monkeypatch.setattr(hoselm.oselm, "dpotrf", recorded(hoselm.oselm.dpotrf))
     return calls
 
 
@@ -200,13 +204,13 @@ def test_sequential_fit_combines_nothing_and_inverts_no_d_by_d(
     assert dim == subspace_dim * (2 * len(widths) if operator == "concat" else 1)
     assert dim not in (11, samples % 11, samples)
     assert inversions["combine"] == 0
-    assert inversions["square"], "the spies saw no inverse or solve at all"
+    assert inversions["square"], "the spies saw no inverse, solve or factorization at all"
     assert dim not in inversions["square"]
 
 
 def test_sequential_fit_without_later_chunks_leaves_p_exactly_symmetric():
     """A sequential fit on one boot chunk hands back os_boot's p as it is,
-    with no os_update to resymmetrize it."""
+    symmetric by construction."""
     rng = np.random.default_rng(5)
     labels = rng.integers(0, 3, 80)
     x = rng.standard_normal((4, 3))[:, labels] + 0.5 * rng.standard_normal((4, 80))
@@ -319,3 +323,30 @@ def test_factor_inputs_matches_the_raw_qr(widths, samples):
     assert r.shape == want.shape == (k, sum(widths) + 4)
     assert np.linalg.norm(r - want) <= 1e-13 * np.linalg.norm(want)
     assert np.array_equal(np.sign(np.diag(r)), np.sign(np.diag(want)))
+
+
+def prequential_labels(seed):
+    """Test-then-train at the stream benchmark's shapes: 10 blob classes in
+    one 64-row view (spread 0.3), 3 nodes of 200, a boot fit on 1000
+    columns, then predict and partial_fit per 20-column chunk over 9000."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(10), 1000))
+    x = np.eye(64)[:, labels] + 0.3 * rng.standard_normal((64, labels.size))
+    targets = np.eye(10)[:, labels]
+    cfg = PipelineConfig(subspace_dim=200, mode="sequential", seed=seed)
+    model = fit([FeatureGroup(x=x[:, :1000])], targets[:, :1000], cfg)
+    out = []
+    for lo in range(1000, labels.size, 20):
+        chunk = [FeatureGroup(x=np.ascontiguousarray(x[:, lo : lo + 20]))]
+        out.append(predict(model, chunk))
+        model = partial_fit(model, chunk, np.ascontiguousarray(targets[:, lo : lo + 20]))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_prequential_labels_match_the_lu_step(monkeypatch, seed):
+    """The Cholesky step predicts every streamed chunk as the LU step of
+    tests/reference.py does."""
+    got = prequential_labels(seed)
+    monkeypatch.setattr(hoselm.pipeline, "os_update", lu_update)
+    assert np.array_equal(got, prequential_labels(seed))
