@@ -184,6 +184,10 @@ def synth_blobs(classes, per_class, dim, spread, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), per_class)
     rng.shuffle(labels)
-    means = np.eye(dim)[:, :classes]
-    x = means[:, labels] + spread * rng.standard_normal((dim, labels.size))
+    # x = means[:, labels] + spread * noise, built in the noise array: the
+    # class means are added in place, so only one dim x samples array is
+    # allocated.
+    x = rng.standard_normal((dim, labels.size))
+    x *= spread
+    x[labels, np.arange(labels.size)] += 1.0
     return FeatureGroup(x=x, name="synth"), labels

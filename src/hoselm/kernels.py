@@ -58,7 +58,7 @@ def as_matrix(a, name="matrix"):
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size == 0:
         raise ShapeError(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 

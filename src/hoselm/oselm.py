@@ -22,9 +22,11 @@ the ridge readout over H is exactly one over Y:
     (I/c + H H')^-1 = U P U' + c (I - U U'),  P = (I/c + Y Y')^-1
 
 So the state keeps the r x r accumulator P and the recursion runs on r-row
-chunks; a chunk costs O(r^2 m), not O(D^2 m).  beta stays in feature
-coordinates (gamma = U'beta), and U defaults to the identity, for features
-that are their own coordinates.
+chunks; a chunk costs O(r^2 m), not O(D^2 m).  gamma is the state's own
+weights: boot and each update compute it and hand it to the next predict
+and the next update as it is, never recomputing it from beta.  beta = U
+gamma is derived for readers that want feature coordinates, and U defaults
+to the identity, for features that are their own coordinates.
 """
 
 from dataclasses import dataclass
@@ -48,8 +50,15 @@ class OselmState:
     basis is the orthonormal D x r basis U the readout works in (None means
     the D x D identity); p is the r x r accumulator (I/coeff + Y Y')^-1 over
     the basis coordinates Y = U'H of all samples learned so far; beta the
-    current output weights in feature coordinates (D x outputs), U gamma;
-    seen the running sample count.
+    current output weights in feature coordinates (D x outputs); seen the
+    running sample count.
+
+    The weights the recursion keeps are gamma (r x outputs), in basis
+    coordinates.  A state that os_boot, os_update or load_model builds holds
+    the gamma they computed, and beta = U gamma is derived from it.  A state
+    built from a beta, by OselmState(...) or dataclasses.replace, takes
+    gamma = U'beta from that beta when gamma is first read: gamma is not a
+    field, so replace never carries it over.
     """
 
     p: np.ndarray
@@ -64,9 +73,19 @@ class OselmState:
 
     @cached_property
     def gamma(self):
-        """Output weights in basis coordinates, U'beta (r x outputs); taken
-        once per state, which predict and the next update share."""
+        """Output weights in basis coordinates (r x outputs): the seeded
+        gamma of a state from _seeded, else U'beta, taken once."""
         return self.basis.T @ self.beta
+
+
+def _seeded(p, gamma, seen, coeff, basis):
+    """The state whose weights are gamma: beta = U gamma for readers, and
+    gamma itself kept as the state's gamma, so nothing takes it from beta."""
+    state = OselmState(
+        p=p, beta=gamma if basis is None else basis @ gamma, seen=seen, coeff=coeff, basis=basis
+    )
+    state.__dict__["gamma"] = gamma
+    return state
 
 
 def _check_chunk(state, y, targets):
@@ -87,7 +106,7 @@ def _check_chunk(state, y, targets):
             )
 
 
-def os_boot(y, targets, coeff, basis=None):
+def os_boot(y, targets, coeff, basis=None, seen=None):
     """Initialize from the first block of basis coordinates y (r x M).
 
     basis (D x r, orthonormal columns) defaults to the r x r identity.  The
@@ -102,8 +121,8 @@ def os_boot(y, targets, coeff, basis=None):
     takes through syrk and mirrors, so p is exactly symmetric.  The ridge
     term removes any rank requirement on the initial block.  Only the Grams
     Y Y' and Y T' enter, so pipeline.fit passes small factors with the
-    block's Grams instead (see there) and then sets seen, which counts y's
-    columns, to the block's.
+    block's Grams instead (see there) and the block's sample count as seen,
+    which defaults to y's column count.
     """
     if coeff <= 0:
         raise ValueError(f"ridge coefficient must be positive, got {coeff}")
@@ -114,8 +133,8 @@ def os_boot(y, targets, coeff, basis=None):
     ridge = 1.0 / coeff + s * s
     vd = v * np.sqrt(np.concatenate((1.0 / ridge, np.full(rows - s.size, float(coeff)))))
     gamma = v[:, : s.size] @ ((s / ridge)[:, None] * (wt @ tq.T))
-    beta = gamma if basis is None else basis @ gamma
-    return OselmState(p=vd @ vd.T, beta=beta, seen=y.shape[1], coeff=float(coeff), basis=basis)
+    seen = y.shape[1] if seen is None else seen
+    return _seeded(vd @ vd.T, gamma, seen, float(coeff), basis)
 
 
 def os_update(state, y, targets):
@@ -133,7 +152,8 @@ def os_update(state, y, targets):
     with W_p and W_e the columns of W that p Y and E give.  W_p' W_p is one
     product of a factor with its own transpose, which numpy's matmul takes
     through syrk and mirrors, so p' is exactly symmetric whenever p is,
-    with no resymmetrization.  The chunk is not retained.
+    with no resymmetrization.  The new state keeps gamma' as its gamma.
+    The chunk is not retained.
     A G that does not factor can only come from a corrupted p; it raises
     np.linalg.LinAlgError.
     """
@@ -158,13 +178,7 @@ def os_update(state, y, targets):
     w = dtrsm(1.0, u, rhs.T, trans_a=1, overwrite_b=1)
     wp = w[:, :rows]
     gamma = gamma + wp.T @ w[:, rows:]
-    return OselmState(
-        p=state.p - wp.T @ wp,
-        beta=state.basis @ gamma,
-        seen=state.seen + cols,
-        coeff=state.coeff,
-        basis=state.basis,
-    )
+    return _seeded(state.p - wp.T @ wp, gamma, state.seen + cols, state.coeff, state.basis)
 
 
 def os_predict(state, y):

@@ -53,7 +53,7 @@ from .combine import CombineSpec, combine, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import _qr_r, as_matrix, augmented_inputs
-from .oselm import OselmState, os_boot, os_predict, os_update
+from .oselm import OselmState, _seeded, os_boot, os_predict, os_update
 
 # Requests go through the affine maps; these two stay for perfbench/tracing.py,
 # which also wraps combine.
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 # What numpy and zipfile raise on a damaged archive member.  RuntimeError
 # covers an encryption flag and, as its subclass NotImplementedError, an
 # unsupported compression method.
@@ -235,6 +235,11 @@ class HOselmModel:
     config.classifier_nodes nodes and config.norm_eps as its eps.
     save_model checks the rules on values, so any model it writes,
     load_model reads back.
+
+    partial_fit's child model re-checks only what the step changed, the
+    readout: its kind and coeff, its class count and that it keeps the
+    parent's basis object.  Its labels, group names, extractors, config and
+    maps are the parent's own objects, checked when the parent was built.
     """
 
     extractors: tuple
@@ -449,8 +454,7 @@ def fit(groups, targets, cfg):
         readout = replace(readout, weights=readout.weights @ u.T)
     else:
         u, _, _ = svd(b, full_matrices=False)
-        readout = os_boot(u.T @ b @ r[:, :k].T, r[:, k:].T, cfg.coeff, u)
-        readout = replace(readout, seen=boot)
+        readout = os_boot(u.T @ b @ r[:, :k].T, r[:, k:].T, cfg.coeff, u, seen=boot)
     model = HOselmModel(
         extractors=extractors,
         group_names=names,
@@ -465,9 +469,26 @@ def fit(groups, targets, cfg):
 
 
 def _advance(model, mats, targets):
-    """Fold one validated chunk into a sequential model's readout."""
-    readout = os_update(model.readout, model.maps.apply(mats), targets)
-    return replace(model, readout=readout)
+    """Fold one validated chunk into a sequential model's readout.
+
+    The child model re-checks only the readout (see HOselmModel).  A readout
+    that keeps the parent's kind, coeff, class count and basis object gets a
+    child sharing every other field, the maps included; any other goes
+    through the full constructor, which derives new maps or raises
+    ValueError.
+    """
+    parent = model.readout
+    readout = os_update(parent, model.maps.apply(mats), targets)
+    if not (
+        isinstance(readout, OselmState)
+        and readout.coeff == parent.coeff
+        and readout.basis is parent.basis
+        and readout.beta.shape[1] == model.class_count
+    ):
+        return replace(model, readout=readout)
+    child = object.__new__(HOselmModel)
+    child.__dict__.update(model.__dict__, readout=readout)
+    return child
 
 
 def partial_fit(model, groups, targets):
@@ -558,16 +579,17 @@ def evaluate(model, groups, targets):
 def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
-    Format v5 stores each fact once.  The header holds the full config
+    Format v6 stores each fact once.  The header holds the full config
     (which also fixes the combiner, the readout's ridge coefficient and the
     classifier's normalization eps), the group names, the classes' label
     values, and the batch readout's node count or the sequential readout's
     sample count.  Arrays: per group g, extractor_{g}_weights (nodes x dim
     x inputs) and extractor_{g}_biases; batch readouts add the classifier's
-    stacked arrays, sequential readouts their r x r accumulator (in the
-    readout's basis, which the extractors fix and load_model derives again)
-    and D x classes weights.  See the README for the full layout and for
-    what formats v1 to v4 stored.
+    stacked arrays, sequential readouts their r x r accumulator and
+    r x classes weights gamma, both in the readout's basis (which the
+    extractors fix and load_model derives again), so a loaded model
+    continues bit for bit.  See the README for the full layout and for what
+    formats v1 to v5 stored.
 
     path is a file name, written exactly as given (np.savez alone would
     append .npz), or a binary file object.  The rules on the model's
@@ -610,7 +632,10 @@ def _checked_arrays(model):
     c = model.readout
     if model.config.mode == "sequential":
         arrays["readout_p"] = c.p
-        arrays["readout_beta"] = c.beta
+        # A state built from a beta takes gamma = U'beta, which can overflow;
+        # that is checked below, not warned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays["readout_gamma"] = c.gamma
     elif len(c.step):
         arrays["classifier_weights"] = c.weights
         arrays["classifier_biases"] = c.bias
@@ -655,7 +680,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version not in (1, 2, 3, 4, _FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (1, 2, 3, 4, 5, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -697,7 +722,7 @@ def _read_classifier(data, count, cfg, classes, dim, version):
     weights = _array(data, "classifier_weights", (count, classes, dim))
     biases = _array(data, "classifier_biases", (count,))
     steps = _array(data, "classifier_steps", (count,))
-    norms = _array(data, "classifier_norm_in", (count, 2 if version == 5 else 3))
+    norms = _array(data, "classifier_norm_in", (count, 2 if version >= 5 else 3))
     if version < 5 and np.any(norms[:, 2] != eps):
         raise FormatError(
             f"format v{version} classifier_norm_in eps column disagrees with norm_eps {eps!r}"
@@ -768,13 +793,14 @@ def _load(data):
                 p = (p + p.T) / 2.0
             else:
                 p = _array(data, "readout_p", (basis.shape[1],) * 2)
-            readout = OselmState(
-                p=p,
-                beta=_array(data, "readout_beta", (dim, classes)),
-                seen=_count(meta[key], "readout seen"),
-                coeff=float(cfg.coeff),
-                basis=basis,
-            )
+            seen, coeff = _count(meta[key], "readout seen"), float(cfg.coeff)
+            if version < 6:
+                # Formats v1 to v5 stored beta; gamma = U'beta is taken from it.
+                beta = _array(data, "readout_beta", (dim, classes))
+                readout = OselmState(p=p, beta=beta, seen=seen, coeff=coeff, basis=basis)
+            else:
+                gamma = _array(data, "readout_gamma", (basis.shape[1], classes))
+                readout = _seeded(p, gamma, seen, coeff, basis)
         try:
             model = HOselmModel(
                 extractors=extractors,
@@ -790,7 +816,7 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v1 to v5.
+    """Read back a model written by save_model, in format v1 to v6.
 
     Every array is checked against the header before the model is built:
     presence, shape, dtype, and node and group counts; a v1 file's
@@ -798,9 +824,11 @@ def load_model(path):
     must agree with the copies later formats keep.  The model built from
     them must keep the rules on values that save_model checks.  A v1 or v2
     sequential file holds the D x D accumulator P_D; it is read back in the
-    readout's basis U as U' P_D U.  Files before v4 stored no label values,
-    so their classes read back as 0 .. C-1.  A file that fails a check, or
-    is not a readable NPZ archive, raises FormatError.
+    readout's basis U as U' P_D U.  Files before v6 stored a sequential
+    readout's D x classes weights beta; its gamma is read back as U'beta.
+    Files before v4 stored no label values, so their classes read back as
+    0 .. C-1.  A file that fails a check, or is not a readable NPZ archive,
+    raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

@@ -194,6 +194,20 @@ def test_synth_blobs_balanced_and_deterministic():
     assert np.array_equal(labels, labels2)
 
 
+def test_synth_blobs_equal_the_means_plus_scaled_noise_bit_for_bit():
+    """x is means[:, labels] + spread * noise, with the shuffle drawn first
+    and the noise next from the one seeded generator."""
+    classes, per_class, dim, spread, seed = 4, 7, 6, 0.3, 11
+    group, labels = synth_blobs(classes, per_class, dim, spread, seed=seed)
+    rng = np.random.default_rng(seed)
+    expected_labels = np.repeat(np.arange(classes), per_class)
+    rng.shuffle(expected_labels)
+    noise = rng.standard_normal((dim, expected_labels.size))
+    expected = np.eye(dim)[:, expected_labels] + spread * noise
+    assert np.array_equal(labels, expected_labels)
+    assert group.x.tobytes() == expected.tobytes()
+
+
 def test_synth_blobs_tight_spread_separates():
     group, labels = synth_blobs(4, 25, 6, 1e-6, seed=2)
     means = np.eye(6)[:, :4]

@@ -14,9 +14,16 @@ files, written by the v4 save_model, are a batch model (concat, norm_eps
 values 5, 1, 3) over the same two groups; every classifier normalization
 row of the batch file ends in a copy of norm_eps.  model_v4_labels.json
 holds the same input, the class indices each model predicted for it and
-the models' label values.
+the models' label values.  The format-v5 files, written by the v5
+save_model, are a batch model (plus, norm_eps 1e-3, label values 3, 0, 9)
+and a sequential one (concat, chunk_size 10, one more partial_fit of 7
+columns, label values 2, 8, 4) over the same two groups; the sequential
+file stores the D x classes weights readout_beta, which format v6
+replaced by readout_gamma.  model_v5_labels.json holds the same input,
+the class indices each model predicted for it and the label values.
 """
 
+import io
 import json
 import zipfile
 from pathlib import Path
@@ -27,12 +34,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoselm.errors import FormatError
-from hoselm.pipeline import FeatureGroup, HOselmModel, load_model, predict, save_model, scores
+from hoselm.pipeline import (
+    FeatureGroup,
+    HOselmModel,
+    PipelineConfig,
+    fit,
+    load_model,
+    partial_fit,
+    predict,
+    save_model,
+    scores,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 EXPECTED = json.loads((DATA / "model_v1_labels.json").read_text())
 EXPECTED_V2 = json.loads((DATA / "model_v2_labels.json").read_text())
 EXPECTED_V4 = json.loads((DATA / "model_v4_labels.json").read_text())
+EXPECTED_V5 = json.loads((DATA / "model_v5_labels.json").read_text())
 REQUEST = [FeatureGroup(x=np.array(rows), name=name) for name, rows in EXPECTED["inputs"].items()]
 MODES = ("batch", "sequential")
 
@@ -72,7 +90,7 @@ def test_v1_file_resaved_in_the_current_format_predicts_the_same(tmp_path, mode)
     path = tmp_path / "model.npz"
     save_model(load_model(v1_path(mode)), path)
     model = load_model(path)
-    assert json.loads(str(np.load(path)["header"]))["format_version"] == 5
+    assert json.loads(str(np.load(path)["header"]))["format_version"] == 6
     assert model.class_labels == (0, 1, 2)
     assert predict(model, REQUEST).tolist() == EXPECTED[mode]
 
@@ -116,6 +134,36 @@ def test_v4_files_load_and_predict_their_labels(tmp_path, mode):
     resaved = load_model(resaved_path)
     assert resaved.class_labels == model.class_labels
     assert np.array_equal(scores(resaved, REQUEST), scores(model, REQUEST))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_v5_files_load_and_predict_their_labels(tmp_path, mode):
+    """A v5 file loads with its label values and predicts its labels; its
+    v6 resave serves identical scores.  A sequential v5 file stored beta;
+    its resave stores gamma = U'beta in its place, and both continue a
+    stream alike."""
+    path = DATA / f"model_v5_{mode}.npz"
+    with np.load(path) as data:
+        assert json.loads(str(data["header"]))["format_version"] == 5
+        assert ("readout_beta" in data.files) == (mode == "sequential")
+    assert EXPECTED_V5["inputs"] == EXPECTED["inputs"]
+    model = load_model(path)
+    assert model.class_labels == tuple(EXPECTED_V5[f"{mode}_class_labels"])
+    assert predict(model, REQUEST).tolist() == EXPECTED_V5[mode]
+    resaved_path = tmp_path / "model.npz"
+    save_model(model, resaved_path)
+    with np.load(resaved_path) as data:
+        assert json.loads(str(data["header"]))["format_version"] == 6
+        assert "readout_beta" not in data.files
+        assert ("readout_gamma" in data.files) == (mode == "sequential")
+    resaved = load_model(resaved_path)
+    assert resaved.class_labels == model.class_labels
+    assert np.array_equal(scores(resaved, REQUEST), scores(model, REQUEST))
+    if mode == "sequential":
+        assert np.array_equal(resaved.readout.gamma, model.readout.basis.T @ model.readout.beta)
+        targets = np.eye(3)[:, EXPECTED_V5[mode]]
+        a, b = (partial_fit(m, REQUEST, targets).readout for m in (model, resaved))
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.gamma, b.gamma)
 
 
 def _shift_norm_out(arrays):
@@ -305,3 +353,61 @@ def test_sequential_p_off_symmetric_raises_format_error(tmp_path):
     arrays["readout_p"] = p
     with pytest.raises(FormatError, match="not exactly symmetric"):
         load_model(write(tmp_path / "model.npz", arrays))
+
+
+@pytest.fixture(scope="module")
+def stream():
+    """A sequential model of a 3-column basis (plus combiner, 3 rows per
+    node) booted on 9 columns, and 320 more columns to stream into it."""
+    rng = np.random.default_rng(41)
+    labels = rng.integers(0, 3, 329)
+    labels[:3] = [0, 1, 2]
+    x = rng.standard_normal((4, 3))[:, labels] + 0.4 * rng.standard_normal((4, 329))
+    targets = np.eye(3)[:, labels]
+    cfg = PipelineConfig(node_count=2, subspace_dim=3, mode="sequential", chunk_size=9, seed=3)
+    model = fit([FeatureGroup(x=x[:, :9])], targets[:, :9], cfg)
+    assert model.readout.basis.shape[1] == 3
+    return model, x[:, 9:], targets[:, 9:]
+
+
+def _readout_arrays(model):
+    r = model.readout
+    return (r.p, r.beta, r.gamma, *model.maps.weights, model.maps.offset)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_a_saved_stream_continues_bit_for_bit(stream, data):
+    """Chunks of 1 to r + 5 columns, a save -> load at a random step: the
+    loaded model's further partial_fit calls give p, beta and gamma
+    bit-identical to the in-memory continuation.  Every model partial_fit
+    returns rebuilds through the fully checked HOselmModel(...) with equal
+    arrays."""
+    model, x, targets = stream
+    width = st.integers(1, model.readout.p.shape[0] + 5)
+    sizes = data.draw(st.lists(width, min_size=2, max_size=40))
+    cuts = np.cumsum([0, *sizes])
+    steps = list(zip(cuts, cuts[1:]))
+    save_at = data.draw(st.integers(0, len(steps) - 1))
+    memory = loaded = model
+    for step, (lo, hi) in enumerate(steps):
+        if step == save_at:
+            buffer = io.BytesIO()
+            save_model(memory, buffer)
+            buffer.seek(0)
+            loaded = load_model(buffer)
+        chunk = [FeatureGroup(x=x[:, lo:hi])], targets[:, lo:hi]
+        memory = partial_fit(memory, *chunk)
+        loaded = partial_fit(loaded, *chunk) if step >= save_at else memory
+        rebuilt = HOselmModel(
+            extractors=memory.extractors,
+            group_names=memory.group_names,
+            readout=memory.readout,
+            config=memory.config,
+            class_labels=memory.class_labels,
+        )
+        assert rebuilt.class_labels == memory.class_labels
+        for a, b in zip(_readout_arrays(rebuilt), _readout_arrays(memory)):
+            assert np.array_equal(a, b)
+    for a, b in zip(_readout_arrays(loaded)[:3], _readout_arrays(memory)[:3]):
+        assert np.array_equal(a, b)

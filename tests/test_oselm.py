@@ -1,5 +1,7 @@
 """Sequential readout tests against an independent batch ridge oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import lu_update
@@ -149,6 +151,22 @@ def test_update_matches_the_lstsq_ridge_over_a_sweep(step, rows):
                 gamma, p = lstsq_ridge(y, t, coeff)
                 worst = max(worst, rel_err(state.gamma, gamma), rel_err(state.p, p))
     assert worst < 1e-9
+
+
+def test_replace_takes_gamma_from_the_new_beta():
+    """A state fresh from os_update keeps the gamma it computed, and beta is
+    U gamma; dataclasses.replace with a new beta X gives gamma = U'X
+    exactly, never the seeded gamma."""
+    rng = np.random.default_rng(29)
+    basis, _ = np.linalg.qr(rng.standard_normal((7, 4)))
+    y = rng.standard_normal((4, 14))
+    t = rng.standard_normal((2, 14))
+    state = os_update(os_boot(y[:, :6], t[:, :6], 100.0, basis), y[:, 6:], t[:, 6:])
+    assert np.array_equal(state.beta, basis @ state.gamma)
+    x = state.beta * (1 + 1e-3)
+    replaced = dataclasses.replace(state, beta=x)
+    assert np.array_equal(replaced.gamma, state.basis.T @ x)
+    assert not np.array_equal(replaced.gamma, state.gamma)
 
 
 def test_update_rejects_a_gain_that_does_not_factor():

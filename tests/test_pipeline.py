@@ -262,6 +262,44 @@ def test_partial_fit_matches_concatenated_chunk():
     assert one.readout.seen == two.readout.seen == 90
 
 
+# What a stream step's readout can break, and what the error names.
+READOUT_BREAKS = {
+    "another kind": (lambda r: r.p, "OselmState"),
+    "another coeff": (lambda r: replace(r, coeff=2 * r.coeff), "coeff"),
+    "another class count": (lambda r: replace(r, beta=r.beta[:, 1:]), "class labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READOUT_BREAKS))
+def test_partial_fit_rechecks_the_readout_it_advanced(monkeypatch, case):
+    """partial_fit's child re-checks its readout as HOselmModel would."""
+    edit, match = READOUT_BREAKS[case]
+    groups, targets, _ = toy_blobs(seed=3)
+    model = fit(groups, targets, small_cfg(mode="sequential", chunk_size=20))
+    update = hoselm.pipeline.os_update
+    monkeypatch.setattr(hoselm.pipeline, "os_update", lambda *args: edit(update(*args)))
+    with pytest.raises(ValueError, match=match):
+        partial_fit(model, groups, targets)
+
+
+def test_partial_fit_shares_the_maps_only_while_the_basis_is_the_parents(monkeypatch):
+    groups, targets, _ = toy_blobs(seed=3)
+    model = fit(groups, targets, small_cfg(mode="sequential", chunk_size=20))
+    child = partial_fit(model, groups, targets)
+    assert child.maps is model.maps and child.group_names is model.group_names
+    update = hoselm.pipeline.os_update
+
+    def with_copied_basis(state, y, chunk_targets):
+        new = update(state, y, chunk_targets)
+        return replace(new, basis=new.basis.copy())
+
+    monkeypatch.setattr(hoselm.pipeline, "os_update", with_copied_basis)
+    child = partial_fit(model, groups, targets)
+    assert child.maps is not model.maps
+    assert child.maps.source[2] is child.readout.basis
+    assert all(map(np.array_equal, child.maps.weights, model.maps.weights))
+
+
 def test_partial_fit_zero_innovation_keeps_beta():
     groups, targets, _ = toy_blobs(seed=6)
     model = fit(groups, targets, small_cfg(mode="sequential"))
@@ -434,7 +472,7 @@ def test_saved_model_stores_each_fact_once(tmp_path, mode):
         header = json.loads(str(data["header"]))
         files = set(data.files)
         norms = data.get("classifier_norm_in")
-    assert header["format_version"] == 5
+    assert header["format_version"] == 6
     assert set(header) == {"format_version", "config", "group_names", "class_labels", "readout"}
     assert header["readout"] == ({"node_count": 6} if mode == "batch" else {"seen": 60})
     assert "classifier_norm_out" not in files
@@ -524,14 +562,14 @@ CORRUPTIONS = {
     ),
     "readout of the wrong width": (
         "sequential",
-        _set("readout_beta", lambda a: a[1:]),
-        "readout_beta",
+        _set("readout_gamma", lambda a: a[1:]),
+        "readout_gamma",
     ),
     "non-finite extractor bias": ("batch", _set("extractor_0_biases", _poison), "finite"),
     "non-finite accumulator": ("sequential", _set("readout_p", _poison), "finite"),
     "future format version": (
         "batch",
-        _header_edit(lambda h: h.update(format_version=6)),
+        _header_edit(lambda h: h.update(format_version=7)),
         "version",
     ),
     "format version true": (
@@ -588,7 +626,11 @@ def test_load_model_rejects_files_that_disagree_with_their_header(tmp_path, case
 SAVE_VIOLATIONS = {
     "classifier lo above hi": ("batch", lambda r: replace(r, lo=r.hi + 1.0), "lo <= hi"),
     "NaN classifier step": ("batch", lambda r: replace(r, step=_poison(r.step)), "steps"),
-    "NaN sequential beta": ("sequential", lambda r: replace(r, beta=_poison(r.beta)), "beta"),
+    "NaN sequential beta": (
+        "sequential",
+        lambda r: replace(r, beta=_poison(r.beta)),
+        "'readout_gamma' is not all finite",
+    ),
     "infinite P": ("sequential", lambda r: replace(r, p=_poison(r.p, np.inf)), "readout_p"),
     "P off symmetric by an ulp": (
         "sequential",

@@ -7,9 +7,11 @@ one of SEEDS produces on the sources of the checkout at --root (default:
 the checkout holding this script).  A batch digest covers every array and
 number of the fitted model, serving maps included, and the labels predicted
 for the held-out requests.  A stream digest covers the boot model and the
-first STREAM_STEPS predict/partial_fit steps: each step's labels and the final
-model.  A refactor that claims to change no number prints the same lines
-for the parent checkout and its own.
+first STREAM_STEPS predict/partial_fit steps, each step's labels and the final
+model, twice: once from the boot model in memory and once from its save_model
+-> load_model round trip, so a change that breaks continuation after a file
+round trip changes the digest.  A refactor that claims to change no number
+prints the same lines for the parent checkout and its own.
 
 The inputs come from perfbench's own WORKLOADS, make_inputs and
 model_arrays, imported from --root, so both checkouts see their own
@@ -19,6 +21,7 @@ not depend on the machine's core count.
 
 import argparse
 import hashlib
+import io
 import os
 import sys
 import time
@@ -61,13 +64,17 @@ def batch_arrays(hp, wl, inputs):
 
 
 def stream_arrays(hp, wl, inputs):
-    model = hp.fit(inputs.train, inputs.train_targets, inputs.config)
-    arrays = wl.model_arrays(model)
-    steps = zip(inputs.requests[:STREAM_STEPS], inputs.request_targets)
-    for request, targets in steps:
-        arrays.append(hp.predict(model, request))
-        model = hp.partial_fit(model, request, targets)
-    return arrays + wl.model_arrays(model)
+    boot = hp.fit(inputs.train, inputs.train_targets, inputs.config)
+    arrays = wl.model_arrays(boot)
+    saved = io.BytesIO()
+    hp.save_model(boot, saved)
+    saved.seek(0)
+    for model in (boot, hp.load_model(saved)):
+        for request, targets in zip(inputs.requests[:STREAM_STEPS], inputs.request_targets):
+            arrays.append(hp.predict(model, request))
+            model = hp.partial_fit(model, request, targets)
+        arrays += wl.model_arrays(model)
+    return arrays
 
 
 def main(argv=None):
