@@ -186,4 +186,4 @@ def decode_labels(scores):
     sm = np.asarray(scores)
     if sm.ndim != 2 or sm.size == 0:
         raise ShapeError(f"scores must be a non-empty 2-D array, got shape {sm.shape}")
-    return np.argmax(sm, axis=0)
+    return sm.argmax(axis=0)

@@ -25,8 +25,10 @@ So the state keeps the r x r accumulator P and the recursion runs on r-row
 chunks; a chunk costs O(r^2 m), not O(D^2 m).  gamma is the state's own
 weights: boot and each update compute it and hand it to the next predict
 and the next update as it is, never recomputing it from beta.  beta = U
-gamma is derived for readers that want feature coordinates, and U defaults
-to the identity, for features that are their own coordinates.
+gamma, for readers that want feature coordinates, is formed the first time
+it is read and then kept, so a stream of updates and predicts never forms
+it.  U defaults to the identity, for features that are their own
+coordinates.
 """
 
 from dataclasses import dataclass
@@ -55,10 +57,12 @@ class OselmState:
 
     The weights the recursion keeps are gamma (r x outputs), in basis
     coordinates.  A state that os_boot, os_update or load_model builds holds
-    the gamma they computed, and beta = U gamma is derived from it.  A state
-    built from a beta, by OselmState(...) or dataclasses.replace, takes
-    gamma = U'beta from that beta when gamma is first read: gamma is not a
-    field, so replace never carries it over.
+    the gamma they computed, and its beta = U gamma is formed the first
+    time beta is read, then cached; beta is still a field, so fields(),
+    repr and dataclasses.replace see it.  A state built from a beta, by
+    OselmState(...) or dataclasses.replace, takes gamma = U'beta from that
+    beta when gamma is first read: gamma is not a field, so replace never
+    carries it over.
     """
 
     p: np.ndarray
@@ -77,14 +81,23 @@ class OselmState:
         gamma of a state from _seeded, else U'beta, taken once."""
         return self.basis.T @ self.beta
 
+    def __getattr__(self, name):
+        """beta of a state from _seeded, U gamma, formed on its first read
+        and cached; every other missing attribute raises as usual."""
+        gamma = self.__dict__.get("gamma")
+        if name != "beta" or gamma is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        beta = self.__dict__["beta"] = self.basis @ gamma
+        return beta
+
 
 def _seeded(p, gamma, seen, coeff, basis):
-    """The state whose weights are gamma: beta = U gamma for readers, and
-    gamma itself kept as the state's gamma, so nothing takes it from beta."""
-    state = OselmState(
-        p=p, beta=gamma if basis is None else basis @ gamma, seen=seen, coeff=coeff, basis=basis
-    )
-    state.__dict__["gamma"] = gamma
+    """The state whose weights are gamma, kept as the state's gamma so
+    nothing takes it from beta; beta = U gamma waits for its first read."""
+    state = object.__new__(OselmState)
+    state.__dict__.update(p=p, gamma=gamma, seen=seen, coeff=coeff, basis=basis)
+    if basis is None:
+        state.__dict__.update(beta=gamma, basis=np.eye(gamma.shape[0]))
     return state
 
 
@@ -100,9 +113,9 @@ def _check_chunk(state, y, targets):
             raise ShapeError(
                 f"chunk has {y.shape[0]} feature rows, state expects {state.p.shape[0]}"
             )
-        if targets.shape[0] != state.beta.shape[1]:
+        if targets.shape[0] != state.gamma.shape[1]:
             raise ShapeError(
-                f"chunk has {targets.shape[0]} target rows, state expects {state.beta.shape[1]}"
+                f"chunk has {targets.shape[0]} target rows, state expects {state.gamma.shape[1]}"
             )
 
 
@@ -143,25 +156,25 @@ def os_update(state, y, targets):
 
     Rank-m update in gain form, through one Cholesky factor of the chunk
     gain G = I + Y' p Y = U'U (symmetric positive definite for any positive
-    semidefinite p, its eigenvalues all >= 1):
+    semidefinite p, its eigenvalues all >= 1), and one triangular solve
+    from the right:
 
-        W = U^-T [p Y, E]',  E = T - gamma' Y (the innovation)
-        p' = p - W_p' W_p = p - p Y G^-1 Y' p
-        gamma' = gamma + W_p' W_e = gamma + p' Y E'
+        X U = [p Y; E],  E = T - gamma' Y (the innovation)
+        p' = p - X_p X_p' = p - p Y G^-1 Y' p
+        gamma' = gamma + X_p X_e' = gamma + p' Y E'
 
-    with W_p and W_e the columns of W that p Y and E give.  W_p' W_p is one
+    with X_p and X_e the rows of X that p Y and E give.  X_p X_p' is one
     product of a factor with its own transpose, which numpy's matmul takes
     through syrk and mirrors, so p' is exactly symmetric whenever p is,
-    with no resymmetrization.  The new state keeps gamma' as its gamma.
-    The chunk is not retained.
+    with no resymmetrization.  The new state keeps gamma' as its gamma and
+    does not form beta.  The chunk is not retained.
     A G that does not factor can only come from a corrupted p; it raises
     np.linalg.LinAlgError.
     """
     _check_chunk(state, y, targets)
     gamma = state.gamma
     rows, cols = y.shape
-    # [p Y; E] in one C-ordered buffer, so its transpose is the Fortran-
-    # ordered right-hand side dtrsm solves in place.
+    # [p Y; E] in one buffer, the right-hand side of the solve.
     rhs = np.empty((rows + targets.shape[0], cols))
     py = np.matmul(state.p, y, out=rhs[:rows])
     innovation = np.matmul(gamma.T, y, out=rhs[rows:])
@@ -175,10 +188,10 @@ def os_update(state, y, targets):
             f"the gain of a {cols}-column chunk is not positive definite; "
             "the state's accumulator p is corrupted"
         )
-    w = dtrsm(1.0, u, rhs.T, trans_a=1, overwrite_b=1)
-    wp = w[:, :rows]
-    gamma = gamma + wp.T @ w[:, rows:]
-    return _seeded(state.p - wp.T @ wp, gamma, state.seen + cols, state.coeff, state.basis)
+    x = dtrsm(1.0, u, rhs, side=1)
+    xp = x[:rows]
+    gamma = gamma + xp @ x[rows:].T
+    return _seeded(state.p - xp @ xp.T, gamma, state.seen + cols, state.coeff, state.basis)
 
 
 def os_predict(state, y):

@@ -253,7 +253,7 @@ class HOselmModel:
         object.__setattr__(self, "class_labels", _label_values(self.class_labels))
         batch = self.config.mode == "batch"
         _check_readout(self.readout, self.config)
-        classes = self.readout.class_count if batch else self.readout.beta.shape[1]
+        classes = self.readout.class_count if batch else self.readout.gamma.shape[1]
         if len(self.class_labels) != classes:
             raise ValueError(
                 f"{len(self.class_labels)} class labels for a readout of {classes} classes"
@@ -370,13 +370,19 @@ def _check_layout(model, mats):
             )
 
 
-def _require_all_classes(targets, what):
-    present = (targets != 0).any(axis=1)
-    if not present.all():
-        missing = [int(i) for i in np.flatnonzero(~present)]
+def _boot_columns(targets, chunk):
+    """The column count of the fewest whole chunks, the last possibly
+    short, whose targets hold every class; ValueError if the targets lack
+    a class altogether."""
+    present = targets != 0
+    held = present.any(axis=1)
+    if not held.all():
+        missing = [int(i) for i in np.flatnonzero(~held)]
         raise ValueError(
-            f"{what} must contain every class; classes {missing} are absent"
+            f"the training targets must contain every class; classes {missing} are absent"
         )
+    last_first = int(present.argmax(axis=1).max())
+    return min(targets.shape[1], (last_first // chunk + 1) * chunk)
 
 
 def _fit_extractors(mats, targets, r, cfg):
@@ -403,10 +409,11 @@ def fit(groups, targets, cfg):
     Both modes boot on a first block: fit the extractors on it, then fit
     the readout (the additive classifier in batch mode, the sequential
     readout in sequential mode).  Batch mode boots on every column.
-    Sequential mode boots on the first chunk_size columns (all of them when
-    chunk_size is None), which must contain every class, and then folds
-    each later chunk into the readout as partial_fit does, the last one
-    possibly short.
+    Sequential mode boots on the fewest whole chunks of chunk_size columns
+    (all columns when chunk_size is None) whose targets hold every class,
+    and then folds each later chunk of chunk_size columns into the readout
+    as partial_fit does, the last one possibly short.  Only targets that
+    lack a class altogether raise ValueError.
 
     Every solve reads one R-only thin QR of the boot block,
     [x_1; ...; x_G; 1; T]' = Q R (as factor_inputs takes it), and H = B z
@@ -436,10 +443,9 @@ def fit(groups, targets, cfg):
     if tm.shape[1] != samples:
         raise ShapeError(f"targets have {tm.shape[1]} columns, groups have {samples}")
     batch = cfg.mode == "batch"
-    boot = samples if batch else min(cfg.chunk_size or samples, samples)
+    chunk = cfg.chunk_size or samples
+    boot = samples if batch else _boot_columns(tm, chunk)
     head = tm[:, :boot]
-    if not batch:
-        _require_all_classes(head, "the initial sequential chunk")
     boot_mats = [m[:, :boot] for m in mats]
     stack = augmented_inputs(boot_mats, head)
     r = _qr_r(stack)
@@ -462,9 +468,9 @@ def fit(groups, targets, cfg):
         config=cfg,
         class_labels=tuple(range(tm.shape[0])),
     )
-    # Later chunks have the boot chunk's length; batch mode has none.
-    for lo in range(boot, samples, boot):
-        model = _advance(model, [m[:, lo : lo + boot] for m in mats], tm[:, lo : lo + boot])
+    # Batch mode boots on every column, so it has no later chunk.
+    for lo in range(boot, samples, chunk):
+        model = _advance(model, [m[:, lo : lo + chunk] for m in mats], tm[:, lo : lo + chunk])
     return model
 
 
@@ -483,7 +489,7 @@ def _advance(model, mats, targets):
         isinstance(readout, OselmState)
         and readout.coeff == parent.coeff
         and readout.basis is parent.basis
-        and readout.beta.shape[1] == model.class_count
+        and readout.gamma.shape[1] == model.class_count
     ):
         return replace(model, readout=readout)
     child = object.__new__(HOselmModel)

@@ -1,6 +1,8 @@
 """Sequential readout tests against an independent batch ridge oracle."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -167,6 +169,39 @@ def test_replace_takes_gamma_from_the_new_beta():
     replaced = dataclasses.replace(state, beta=x)
     assert np.array_equal(replaced.gamma, state.basis.T @ x)
     assert not np.array_equal(replaced.gamma, state.gamma)
+
+
+def test_a_step_state_forms_beta_on_first_read_and_survives_copies():
+    """A state from os_update holds gamma and no beta; its first read of
+    beta forms U gamma and caches it, and pickle, deepcopy and
+    dataclasses.replace all keep working on such a state."""
+    rng = np.random.default_rng(31)
+    basis, _ = np.linalg.qr(rng.standard_normal((9, 5)))
+    y = rng.standard_normal((5, 16))
+    t = rng.standard_normal((3, 16))
+    state = os_update(os_boot(y[:, :7], t[:, :7], 50.0, basis), y[:, 7:], t[:, 7:])
+    assert "beta" not in vars(state)
+
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert "beta" not in vars(copied)
+        assert np.array_equal(copied.gamma, state.gamma)
+        assert np.array_equal(copied.p, state.p)
+        assert np.array_equal(copied.beta, basis @ state.gamma)
+
+    x = rng.standard_normal((9, 3))
+    replaced = dataclasses.replace(state, beta=x)
+    assert np.array_equal(replaced.gamma, basis.T @ x)
+    assert "beta" not in vars(state)
+
+    beta = state.beta
+    assert np.array_equal(beta, basis @ state.gamma)
+    assert state.beta is beta
+    with pytest.raises(AttributeError, match="no attribute 'weights'"):
+        state.weights
+
+    p = state.p * 2.0
+    moved = dataclasses.replace(state, p=p)
+    assert moved.p is p and moved.beta is beta and moved.seen == state.seen
 
 
 def test_update_rejects_a_gain_that_does_not_factor():

@@ -15,6 +15,7 @@ import hoselm.extractor
 import hoselm.pipeline
 from hoselm.classifier import fit_node
 from hoselm.combine import combine
+from hoselm.data import one_hot, synth_blobs
 from hoselm.errors import FormatError, ModeError, ShapeError
 from hoselm.extractor import project
 from hoselm.kernels import ridge_inverse
@@ -203,12 +204,46 @@ def test_sequential_matches_training_labels():
 
 
 def test_sequential_boot_needs_every_class():
+    """The boot grows by whole chunks until its targets hold every class;
+    only targets that lack a class altogether raise."""
     groups, targets, labels = toy_blobs(per_class=10, seed=2)
     order = np.argsort(labels, kind="stable")
-    sorted_groups = [FeatureGroup(x=groups[0].x[:, order])]
+    x = groups[0].x[:, order]
     sorted_targets = targets[:, order]
-    with pytest.raises(ValueError, match="class"):
-        fit(sorted_groups, sorted_targets, small_cfg(mode="sequential", chunk_size=5))
+    cfg = small_cfg(mode="sequential", chunk_size=5)
+    # Class 2 first appears in column 20, so the boot takes five chunks.
+    model = fit([FeatureGroup(x=x)], sorted_targets, cfg)
+    boot = fit([FeatureGroup(x=x[:, :25])], sorted_targets[:, :25], cfg)
+    assert model.readout.seen == 30
+    assert boot.readout.seen == 25
+    assert all(
+        np.array_equal(a.weights, b.weights)
+        for a, b in zip(model.extractors[0], boot.extractors[0])
+    )
+    with pytest.raises(ValueError, match=r"classes \[2\] are absent"):
+        fit([FeatureGroup(x=x[:, :20])], sorted_targets[:, :20], cfg)
+
+
+def test_sequential_fit_boots_on_the_first_chunks_that_hold_every_class():
+    """The first 20-column chunk of this stream lacks classes 1 and 7
+    (class 7 first appears in column 23), so fit boots on 40 columns and
+    then takes 20-column chunks: it equals a boot fit on the first 40
+    columns followed by partial_fit on 20-column chunks, bit for bit."""
+    group, labels = synth_blobs(10, 50, 16, 0.3, 1)
+    targets = one_hot(labels, 10)
+    assert not targets[[1, 7], :20].any() and targets[7, 23] == 1
+    cfg = PipelineConfig(mode="sequential", chunk_size=20, subspace_dim=20)
+
+    model = fit(group, targets, cfg)
+
+    by_hand = fit([FeatureGroup(x=group.x[:, :40])], targets[:, :40], cfg)
+    for lo in range(40, labels.size, 20):
+        chunk = [FeatureGroup(x=group.x[:, lo : lo + 20])]
+        by_hand = partial_fit(by_hand, chunk, targets[:, lo : lo + 20])
+    assert model.readout.seen == by_hand.readout.seen == labels.size
+    got, want = _model_arrays(model), _model_arrays(by_hand)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _model_arrays(model):

@@ -155,10 +155,11 @@ def test_boot_with_large_input_offset_matches_lstsq():
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """Records combine calls and the square shapes passed to the dense
-    inverse, solve and factorization routines the package uses: numpy's,
-    and the Cholesky hoselm.oselm takes of each chunk's gain."""
-    calls = {"combine": 0, "square": []}
+    """Records combine calls, and the square shapes of the operands passed
+    to the dense inverse, solve and factorization routines the package
+    uses: numpy's, and the Cholesky factor and triangular solve
+    hoselm.oselm takes of each chunk's gain."""
+    calls = {"combine": 0, "square": [], "called": set()}
 
     def counted_combine(fn):
         def wrapped(*args, **kwargs):
@@ -170,17 +171,20 @@ def inversions(monkeypatch):
     for module in (combine_module, hoselm.pipeline):
         monkeypatch.setattr(module, "combine", counted_combine(module.combine))
 
-    def recorded(fn):
-        def wrapped(a, *args, **kwargs):
-            if a.ndim == 2 and a.shape[0] == a.shape[1]:
-                calls["square"].append(a.shape[0])
-            return fn(a, *args, **kwargs)
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            calls["called"].add(name)
+            for a in args:
+                if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == a.shape[1]:
+                    calls["square"].append(a.shape[0])
+            return fn(*args, **kwargs)
 
         return wrapped
 
     for name in ("inv", "solve", "pinv"):
-        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
-    monkeypatch.setattr(hoselm.oselm, "dpotrf", recorded(hoselm.oselm.dpotrf))
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for name in ("dpotrf", "dtrsm"):
+        monkeypatch.setattr(hoselm.oselm, name, recorded(name, getattr(hoselm.oselm, name)))
     return calls
 
 
@@ -204,8 +208,30 @@ def test_sequential_fit_combines_nothing_and_inverts_no_d_by_d(
     assert dim == subspace_dim * (2 * len(widths) if operator == "concat" else 1)
     assert dim not in (11, samples % 11, samples)
     assert inversions["combine"] == 0
+    assert {"dpotrf", "dtrsm"} <= inversions["called"]
     assert inversions["square"], "the spies saw no inverse, solve or factorization at all"
     assert dim not in inversions["square"]
+
+
+def test_a_stream_of_steps_never_forms_beta():
+    """predict and partial_fit run on gamma alone: after 50 test-then-train
+    steps the readout holds no beta, and its first read is U gamma, cached."""
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.repeat(np.arange(4), 300))
+    x = np.eye(6, 4)[:, labels] + 0.3 * rng.standard_normal((6, labels.size))
+    targets = np.eye(4)[:, labels]
+    cfg = PipelineConfig(node_count=2, subspace_dim=10, mode="sequential", chunk_size=40)
+    model = fit([FeatureGroup(x=x[:, :200])], targets[:, :200], cfg)
+    for lo in range(200, 1200, 20):
+        chunk = [FeatureGroup(x=x[:, lo : lo + 20])]
+        predict(model, chunk)
+        model = partial_fit(model, chunk, targets[:, lo : lo + 20])
+    state = model.readout
+    assert state.seen == 1200
+    assert "beta" not in vars(state)
+    beta = state.beta
+    assert np.array_equal(beta, state.basis @ state.gamma)
+    assert state.beta is beta
 
 
 def test_sequential_fit_without_later_chunks_leaves_p_exactly_symmetric():

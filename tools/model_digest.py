@@ -10,8 +10,12 @@ for the held-out requests.  A stream digest covers the boot model and the
 first STREAM_STEPS predict/partial_fit steps, each step's labels and the final
 model, twice: once from the boot model in memory and once from its save_model
 -> load_model round trip, so a change that breaks continuation after a file
-round trip changes the digest.  A refactor that claims to change no number
-prints the same lines for the parent checkout and its own.
+round trip changes the digest.  Each stream seed also gets a line ending
+in "labels", a digest of the prequential labels over the whole stream
+(every step), so a change that moves rounding but no label shows as a
+changed stream digest beside an unchanged labels digest.  A refactor that
+claims to change no number prints the same lines for the parent checkout
+and its own.
 
 The inputs come from perfbench's own WORKLOADS, make_inputs and
 model_arrays, imported from --root, so both checkouts see their own
@@ -77,6 +81,18 @@ def stream_arrays(hp, wl, inputs):
     return arrays
 
 
+def stream_labels(hp, inputs):
+    """The labels of predict then partial_fit over every step of the stream."""
+    import numpy as np
+
+    model = hp.fit(inputs.train, inputs.train_targets, inputs.config)
+    labels = []
+    for request, targets in zip(inputs.requests, inputs.request_targets):
+        labels.append(hp.predict(model, request))
+        model = hp.partial_fit(model, request, targets)
+    return [np.concatenate(labels)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -89,7 +105,10 @@ def main(argv=None):
     for name, spec in wl.WORKLOADS.items():
         arrays = batch_arrays if spec.mode == "batch" else stream_arrays
         for seed in SEEDS:
-            print(f"{name} seed={seed} {digest(arrays(hp, wl, wl.make_inputs(spec, seed)))}")
+            inputs = wl.make_inputs(spec, seed)
+            print(f"{name} seed={seed} {digest(arrays(hp, wl, inputs))}")
+            if spec.mode != "batch":
+                print(f"{name} seed={seed} {digest(stream_labels(hp, inputs))} labels")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
