@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, ShapeError
 from .pipeline import FeatureGroup
 
 __all__ = [
@@ -89,11 +89,15 @@ def write_csv(path, groups, labels):
 
     Group columns appear in group order; the label is the last column.
     Floats are written with repr, so a written file reads back exactly.
+    Every group needs one column per label (ShapeError otherwise).
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
     mats = [np.asarray(g.x) for g in groups]
     labels = np.asarray(labels, dtype=int)
+    widths = [m.shape[1] for m in mats]
+    if any(w != labels.size for w in widths):
+        raise ShapeError(f"groups have {widths} columns for {labels.size} labels")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for j in range(labels.size):

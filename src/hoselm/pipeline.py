@@ -560,11 +560,14 @@ def classification_metrics(true_labels, predicted_labels, class_count):
 def evaluate(model, groups, targets):
     """Predict on a labeled set and report classification metrics.
 
-    Targets must be one-hot; true labels are their per-column argmax.
-    Inference wall-clock time is recorded; callers that want training time
-    measure fit themselves.
+    Targets must be one-hot with one row per class of the model (ShapeError
+    otherwise); true labels are their per-column argmax.  Inference
+    wall-clock time is recorded; callers that want training time measure
+    fit themselves.
     """
     tm = as_matrix(targets, "targets")
+    if tm.shape[0] != model.class_count:
+        raise ShapeError(f"targets have {tm.shape[0]} rows, the model {model.class_count} classes")
     start = time.perf_counter()
     predicted = predict(model, groups)
     infer_seconds = time.perf_counter() - start
@@ -595,7 +598,7 @@ def save_model(model, path):
     r x classes weights gamma, both in the readout's basis (which the
     extractors fix and load_model derives again), so a loaded model
     continues bit for bit.  See the README for the full layout and for what
-    formats v1 to v5 stored.
+    format v5 stored.
 
     path is a file name, written exactly as given (np.savez alone would
     append .npz), or a binary file object.  The rules on the model's
@@ -686,7 +689,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version not in (1, 2, 3, 4, 5, _FORMAT_VERSION):
+    if isinstance(version, bool) or version not in (5, _FORMAT_VERSION):
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -717,9 +720,8 @@ def _read_extractor(data, g, cfg):
     return tuple(SubnetNode(weights=w, bias=float(b)) for w, b in zip(weights, biases))
 
 
-def _read_classifier(data, count, cfg, classes, dim, version):
-    """The batch readout; its eps is the config's norm_eps.  Formats v1 to
-    v4 stored a copy of it on every normalization row, which must agree."""
+def _read_classifier(data, count, cfg, classes, dim):
+    """The batch readout; its eps is the config's norm_eps."""
     count = _count(count, "readout node_count")
     eps = cfg.norm_eps
     if not count:
@@ -728,45 +730,19 @@ def _read_classifier(data, count, cfg, classes, dim, version):
     weights = _array(data, "classifier_weights", (count, classes, dim))
     biases = _array(data, "classifier_biases", (count,))
     steps = _array(data, "classifier_steps", (count,))
-    norms = _array(data, "classifier_norm_in", (count, 2 if version >= 5 else 3))
-    if version < 5 and np.any(norms[:, 2] != eps):
-        raise FormatError(
-            f"format v{version} classifier_norm_in eps column disagrees with norm_eps {eps!r}"
-        )
-    if version == 1 and not np.array_equal(
-        _array(data, "classifier_norm_out", (count, 3)), norms
-    ):
-        raise FormatError("format v1 classifier_norm_out disagrees with classifier_norm_in")
+    norms = _array(data, "classifier_norm_in", (count, 2))
     return ClassifierModel(weights, biases, steps, norms[:, 0], norms[:, 1], eps)
-
-
-def _drop_v1_copies(header, meta, cfg, dim):
-    """Format v1 also stored the combiner and the readout's kind, coeff and
-    (batch) feature_dim; each must equal what the config and shapes fix."""
-    batch = cfg.mode == "batch"
-    copies = [
-        ("combine", header.get("combine"), {"operator": cfg.operator, "gamma": cfg.gamma}),
-        ("readout kind", meta.pop("kind", None), "classifier" if batch else "sequential"),
-        ("readout coeff", meta.pop("coeff", None), cfg.coeff),
-    ] + ([("readout feature_dim", meta.pop("feature_dim", None), dim)] if batch else [])
-    for what, stored, kept in copies:
-        if stored != kept:
-            raise FormatError(f"format v1 {what} {stored!r} disagrees with {kept!r}")
 
 
 def _load(data):
     header = _header(data)
-    version = header["format_version"]
     try:
         cfg = PipelineConfig(**header["config"])
         names = header["group_names"]
-        # Formats v1 to v3 stored the class count; their labels are 0 .. C-1.
-        labels = header["class_labels"] if version >= 4 else header["class_count"]
+        labels = header["class_labels"]
         meta = dict(header["readout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header is malformed: {exc!r}") from exc
-    if version < 4:
-        labels = list(range(_count(labels, "class_count", 1)))
     for what, value in (("group_names", names), ("class_labels", labels)):
         if not isinstance(value, list) or not value:
             raise FormatError(f"model header {what} must be a non-empty list, got {value!r}")
@@ -779,29 +755,21 @@ def _load(data):
     dim = combine(blocks, cfg.combine_spec).shape[0]
     # Arrays can overflow the maps, or hold NaN; that is checked below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        if version == 1:
-            _drop_v1_copies(header, meta, cfg, dim)
         key = "node_count" if batch else "seen"
         if list(meta) != [key]:
             raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
         if batch:
-            readout = _read_classifier(data, meta[key], cfg, classes, dim, version)
+            readout = _read_classifier(data, meta[key], cfg, classes, dim)
         else:
             try:
                 b = combine_affine(extractors, cfg.combine_spec)
                 basis, _, _ = svd(b, full_matrices=False)
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
-            if version < 3:
-                # Formats v1 and v2 stored the D x D accumulator U P U' + c (I - U U').
-                p = _array(data, "readout_p", (dim, dim))
-                p = basis.T @ p @ basis
-                p = (p + p.T) / 2.0
-            else:
-                p = _array(data, "readout_p", (basis.shape[1],) * 2)
+            p = _array(data, "readout_p", (basis.shape[1],) * 2)
             seen, coeff = _count(meta[key], "readout seen"), float(cfg.coeff)
-            if version < 6:
-                # Formats v1 to v5 stored beta; gamma = U'beta is taken from it.
+            if header["format_version"] == 5:
+                # Format v5 stored beta; gamma = U'beta is taken from it.
                 beta = _array(data, "readout_beta", (dim, classes))
                 readout = OselmState(p=p, beta=beta, seen=seen, coeff=coeff, basis=basis)
             else:
@@ -822,19 +790,14 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v1 to v6.
+    """Read back a model written by save_model, in format v5 or v6.
 
     Every array is checked against the header before the model is built:
-    presence, shape, dtype, and node and group counts; a v1 file's
-    duplicated facts, and the per-row classifier eps of files before v5,
-    must agree with the copies later formats keep.  The model built from
-    them must keep the rules on values that save_model checks.  A v1 or v2
-    sequential file holds the D x D accumulator P_D; it is read back in the
-    readout's basis U as U' P_D U.  Files before v6 stored a sequential
-    readout's D x classes weights beta; its gamma is read back as U'beta.
-    Files before v4 stored no label values, so their classes read back as
-    0 .. C-1.  A file that fails a check, or is not a readable NPZ archive,
-    raises FormatError.
+    presence, shape, dtype, and node and group counts.  The model built
+    from them must keep the rules on values that save_model checks.  A v5
+    file stored a sequential readout's D x classes weights beta; its gamma
+    is read back as U'beta.  A file in an older format, one that fails a
+    check, or one that is not a readable NPZ archive raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

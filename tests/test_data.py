@@ -5,7 +5,7 @@ import pytest
 
 from hoselm.classifier import decode_labels
 from hoselm.data import load_csv, one_hot, split, synth_blobs, write_csv
-from hoselm.errors import FormatError, ParseError
+from hoselm.errors import FormatError, ParseError, ShapeError
 from hoselm.pipeline import FeatureGroup
 
 
@@ -39,6 +39,20 @@ def test_write_read_round_trip_exact(tmp_path):
     groups, got_labels = load_csv(path)
     assert np.array_equal(groups[0].x, x)
     assert np.array_equal(got_labels, labels)
+
+
+@pytest.mark.parametrize(
+    "widths, label_count",
+    [((4,), 2), ((4,), 5), ((4, 3), 3)],
+)
+def test_write_csv_rejects_groups_without_a_column_per_label(tmp_path, widths, label_count):
+    """Every group must hold one sample per label: fewer labels would drop
+    samples, more would index past a group, unequal groups would mix."""
+    groups = [FeatureGroup(x=np.arange(3.0 * w).reshape(3, w)) for w in widths]
+    path = tmp_path / "out.csv"
+    with pytest.raises(ShapeError, match="labels"):
+        write_csv(path, groups, np.arange(label_count) % 2)
+    assert not path.exists()
 
 
 def test_lone_group_accepted_by_write_and_split(tmp_path):

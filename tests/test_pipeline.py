@@ -445,6 +445,17 @@ def test_evaluate_reports_timing_fields():
     assert report.confusion.sum() == targets.shape[1]
 
 
+@pytest.mark.parametrize("class_count", [2, 5])
+def test_evaluate_rejects_targets_of_another_class_count(class_count):
+    """Targets with fewer or more rows than the model has classes would
+    score against the wrong classes: ShapeError, not a rate."""
+    group, labels = synth_blobs(3, 30, 8, 0.2, 1)
+    model = fit([group], one_hot(labels, 3), PipelineConfig(subspace_dim=6))
+    targets = one_hot(np.minimum(labels, class_count - 1), class_count)
+    with pytest.raises(ShapeError, match="rows"):
+        evaluate(model, [group], targets)
+
+
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_model_round_trips_through_file(tmp_path, mode):
     groups, targets, _ = toy_blobs(seed=15)
@@ -562,15 +573,6 @@ def _header_edit(change):
     return edit
 
 
-def _v4_eps_one_ulp_off(arrays):
-    """The file as format v4 wrote it, whose normalization rows end in a
-    copy of norm_eps, but with that copy one ulp above norm_eps."""
-    _header_edit(lambda h: h.update(format_version=4))(arrays)
-    eps = json.loads(str(arrays["header"]))["config"]["norm_eps"]
-    lo_hi = arrays["classifier_norm_in"]
-    arrays["classifier_norm_in"] = np.column_stack((lo_hi, np.full(len(lo_hi), np.nextafter(eps, 1))))
-
-
 CORRUPTIONS = {
     "missing classifier array": ("batch", _drop("classifier_steps"), "classifier_steps"),
     "missing extractor array": ("sequential", _drop("extractor_1_biases"), "extractor_1_biases"),
@@ -607,6 +609,14 @@ CORRUPTIONS = {
         _header_edit(lambda h: h.update(format_version=7)),
         "version",
     ),
+    **{
+        f"retired format version {v}": (
+            mode,
+            _header_edit(lambda h, v=v: h.update(format_version=v)),
+            f"unsupported model format version: {v}",
+        )
+        for v, mode in ((1, "batch"), (2, "sequential"), (3, "batch"), (4, "sequential"))
+    },
     "format version true": (
         "sequential",
         _header_edit(lambda h: h.update(format_version=True)),
@@ -637,7 +647,6 @@ CORRUPTIONS = {
         _header_edit(lambda h: h["group_names"].append("ghost")),
         "extractor_2_weights",
     ),
-    "v4 eps column that is not norm_eps": ("batch", _v4_eps_one_ulp_off, "eps column"),
     "readout kind of the other mode": (
         "batch",
         _header_edit(lambda h: h["readout"].update(kind="sequential")),

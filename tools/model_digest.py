@@ -13,9 +13,12 @@ model, twice: once from the boot model in memory and once from its save_model
 round trip changes the digest.  Each stream seed also gets a line ending
 in "labels", a digest of the prequential labels over the whole stream
 (every step), so a change that moves rounding but no label shows as a
-changed stream digest beside an unchanged labels digest.  A refactor that
-claims to change no number prints the same lines for the parent checkout
-and its own.
+changed stream digest beside an unchanged labels digest.  Every
+(workload, seed) also gets a line ending in "file", the SHA-256 of the
+bytes save_model writes for the fitted (boot) model; save_model is
+deterministic, so a loader or format refactor shows that the writer is
+unchanged.  A refactor that claims to change no number prints the same
+lines for the parent checkout and its own.
 
 The inputs come from perfbench's own WORKLOADS, make_inputs and
 model_arrays, imported from --root, so both checkouts see their own
@@ -59,26 +62,28 @@ def digest(arrays):
     return h.hexdigest()
 
 
-def batch_arrays(hp, wl, inputs):
+def batch_arrays(hp, wl, model, inputs):
     import numpy as np
 
-    model = hp.fit(inputs.train, inputs.train_targets, inputs.config)
     labels = np.concatenate([hp.predict(model, r) for r in inputs.requests])
     return wl.model_arrays(model) + [labels]
 
 
-def stream_arrays(hp, wl, inputs):
-    boot = hp.fit(inputs.train, inputs.train_targets, inputs.config)
+def stream_arrays(hp, wl, boot, inputs):
     arrays = wl.model_arrays(boot)
-    saved = io.BytesIO()
-    hp.save_model(boot, saved)
-    saved.seek(0)
-    for model in (boot, hp.load_model(saved)):
+    for model in (boot, hp.load_model(io.BytesIO(saved_bytes(hp, boot)))):
         for request, targets in zip(inputs.requests[:STREAM_STEPS], inputs.request_targets):
             arrays.append(hp.predict(model, request))
             model = hp.partial_fit(model, request, targets)
         arrays += wl.model_arrays(model)
     return arrays
+
+
+def saved_bytes(hp, model):
+    """What save_model writes for model."""
+    saved = io.BytesIO()
+    hp.save_model(model, saved)
+    return saved.getvalue()
 
 
 def stream_labels(hp, inputs):
@@ -106,9 +111,12 @@ def main(argv=None):
         arrays = batch_arrays if spec.mode == "batch" else stream_arrays
         for seed in SEEDS:
             inputs = wl.make_inputs(spec, seed)
-            print(f"{name} seed={seed} {digest(arrays(hp, wl, inputs))}")
+            model = hp.fit(inputs.train, inputs.train_targets, inputs.config)
+            print(f"{name} seed={seed} {digest(arrays(hp, wl, model, inputs))}")
             if spec.mode != "batch":
                 print(f"{name} seed={seed} {digest(stream_labels(hp, inputs))} labels")
+            file_digest = hashlib.sha256(saved_bytes(hp, model)).hexdigest()
+            print(f"{name} seed={seed} {file_digest} file")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
