@@ -89,12 +89,13 @@ def write_csv(path, groups, labels):
 
     Group columns appear in group order; the label is the last column.
     Floats are written with repr, so a written file reads back exactly.
-    Every group needs one column per label (ShapeError otherwise).
+    Every group needs one column per label (ShapeError otherwise), and the
+    labels must be integer-valued (ValueError otherwise, as in one_hot).
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
     mats = [np.asarray(g.x) for g in groups]
-    labels = np.asarray(labels, dtype=int)
+    labels = _integer_labels(labels)
     widths = [m.shape[1] for m in mats]
     if any(w != labels.size for w in widths):
         raise ShapeError(f"groups have {widths} columns for {labels.size} labels")
@@ -111,10 +112,7 @@ def one_hot(labels, class_count):
     Labels must be integer-valued (ValueError otherwise); 1.0 is class 1,
     but 1.7 is not truncated to it.
     """
-    labels = np.asarray(labels)
-    fractional = ~(np.isfinite(labels) & (labels == np.round(labels)))
-    if fractional.any():
-        raise ValueError(f"labels must be integer-valued, got {labels[fractional][:5]}")
+    labels = _integer_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError(
             f"labels must lie in [0, {class_count}), got range "
@@ -123,6 +121,15 @@ def one_hot(labels, class_count):
     targets = np.zeros((class_count, labels.size))
     targets[labels.astype(int), np.arange(labels.size)] = 1.0
     return targets
+
+
+def _integer_labels(labels):
+    """labels as an array, or ValueError unless every one is integer-valued."""
+    labels = np.asarray(labels)
+    fractional = ~(np.isfinite(labels) & (labels == np.round(labels)))
+    if fractional.any():
+        raise ValueError(f"labels must be integer-valued, got {labels[fractional][:5]}")
+    return labels
 
 
 def _take(groups, labels, order):

@@ -22,13 +22,12 @@ the ridge readout over H is exactly one over Y:
     (I/c + H H')^-1 = U P U' + c (I - U U'),  P = (I/c + Y Y')^-1
 
 So the state keeps the r x r accumulator P and the recursion runs on r-row
-chunks; a chunk costs O(r^2 m), not O(D^2 m).  gamma is the state's own
-weights: boot and each update compute it and hand it to the next predict
-and the next update as it is, never recomputing it from beta.  beta = U
-gamma, for readers that want feature coordinates, is formed the first time
-it is read and then kept, so a stream of updates and predicts never forms
-it.  U defaults to the identity, for features that are their own
-coordinates.
+chunks; a chunk costs O(r^2 m), not O(D^2 m).  The state stores gamma:
+boot and each update compute it and hand it to the next predict and the
+next update as it is.  beta = U gamma, for readers that want feature
+coordinates, is derived the first time it is read and then cached, so a
+stream of updates and predicts never forms it.  U defaults to the
+identity, for features that are their own coordinates.
 """
 
 from dataclasses import dataclass
@@ -45,60 +44,49 @@ from .kernels import as_matrix, ridge_inverse  # noqa: F401  (wrapped by perfben
 __all__ = ["OselmState", "os_boot", "os_update", "os_predict"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OselmState:
     """Sequential readout state.
 
     basis is the orthonormal D x r basis U the readout works in (None means
     the D x D identity); p is the r x r accumulator (I/coeff + Y Y')^-1 over
-    the basis coordinates Y = U'H of all samples learned so far; beta the
-    current output weights in feature coordinates (D x outputs); seen the
+    the basis coordinates Y = U'H of all samples learned so far; gamma the
+    current output weights in basis coordinates (r x outputs); seen the
     running sample count.
 
-    The weights the recursion keeps are gamma (r x outputs), in basis
-    coordinates.  A state that os_boot, os_update or load_model builds holds
-    the gamma they computed, and its beta = U gamma is formed the first
-    time beta is read, then cached; beta is still a field, so fields(),
-    repr and dataclasses.replace see it.  A state built from a beta, by
-    OselmState(...) or dataclasses.replace, takes gamma = U'beta from that
-    beta when gamma is first read: gamma is not a field, so replace never
-    carries it over.
+    beta = U gamma, the weights in feature coordinates (D x outputs), is
+    formed the first time it is read and then cached.  A state may instead
+    be built from a beta, as OselmState(p, None, seen, coeff, basis,
+    beta=beta) or dataclasses.replace(state, beta=beta): gamma is then
+    U'beta, and beta is kept as given.  dataclasses.replace with any other
+    field keeps gamma as it is, so a replaced basis keeps the coordinates
+    gamma and p together.
     """
 
     p: np.ndarray
-    beta: np.ndarray
+    gamma: np.ndarray
     seen: int
     coeff: float
     basis: np.ndarray = None
 
-    def __post_init__(self):
-        if self.basis is None:
-            object.__setattr__(self, "basis", np.eye(self.beta.shape[0]))
+    def __init__(self, p, gamma, seen, coeff, basis=None, *, beta=None):
+        if basis is None:
+            basis = np.eye((gamma if beta is None else beta).shape[0])
+        if beta is not None:
+            # A given beta can overflow U'beta; save_model checks the result.
+            with np.errstate(over="ignore", invalid="ignore"):
+                gamma = basis.T @ beta
+            self.__dict__["beta"] = beta
+        self.__dict__.update(p=p, gamma=gamma, seen=seen, coeff=coeff, basis=basis)
 
     @cached_property
-    def gamma(self):
-        """Output weights in basis coordinates (r x outputs): the seeded
-        gamma of a state from _seeded, else U'beta, taken once."""
-        return self.basis.T @ self.beta
+    def beta(self):
+        """Output weights in feature coordinates, U gamma (D x outputs)."""
+        return self.basis @ self.gamma
 
-    def __getattr__(self, name):
-        """beta of a state from _seeded, U gamma, formed on its first read
-        and cached; every other missing attribute raises as usual."""
-        gamma = self.__dict__.get("gamma")
-        if name != "beta" or gamma is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        beta = self.__dict__["beta"] = self.basis @ gamma
-        return beta
-
-
-def _seeded(p, gamma, seen, coeff, basis):
-    """The state whose weights are gamma, kept as the state's gamma so
-    nothing takes it from beta; beta = U gamma waits for its first read."""
-    state = object.__new__(OselmState)
-    state.__dict__.update(p=p, gamma=gamma, seen=seen, coeff=coeff, basis=basis)
-    if basis is None:
-        state.__dict__.update(beta=gamma, basis=np.eye(gamma.shape[0]))
-    return state
+    @property
+    def class_count(self):
+        return self.gamma.shape[1]
 
 
 def _check_chunk(state, y, targets):
@@ -113,9 +101,9 @@ def _check_chunk(state, y, targets):
             raise ShapeError(
                 f"chunk has {y.shape[0]} feature rows, state expects {state.p.shape[0]}"
             )
-        if targets.shape[0] != state.gamma.shape[1]:
+        if targets.shape[0] != state.class_count:
             raise ShapeError(
-                f"chunk has {targets.shape[0]} target rows, state expects {state.gamma.shape[1]}"
+                f"chunk has {targets.shape[0]} target rows, state expects {state.class_count}"
             )
 
 
@@ -147,7 +135,7 @@ def os_boot(y, targets, coeff, basis=None, seen=None):
     vd = v * np.sqrt(np.concatenate((1.0 / ridge, np.full(rows - s.size, float(coeff)))))
     gamma = v[:, : s.size] @ ((s / ridge)[:, None] * (wt @ tq.T))
     seen = y.shape[1] if seen is None else seen
-    return _seeded(vd @ vd.T, gamma, seen, float(coeff), basis)
+    return OselmState(vd @ vd.T, gamma, seen, float(coeff), basis)
 
 
 def os_update(state, y, targets):
@@ -191,7 +179,7 @@ def os_update(state, y, targets):
     x = dtrsm(1.0, u, rhs, side=1)
     xp = x[:rows]
     gamma = gamma + xp @ x[rows:].T
-    return _seeded(state.p - xp @ xp.T, gamma, state.seen + cols, state.coeff, state.basis)
+    return OselmState(state.p - xp @ xp.T, gamma, state.seen + cols, state.coeff, state.basis)
 
 
 def os_predict(state, y):

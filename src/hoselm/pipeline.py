@@ -15,7 +15,7 @@ Extractor nodes are affine (W x + b) and both combiners are linear, so
 once fit returns, the combined feature is H = B [x_1; ...; x_G; 1] with one
 D x k coefficient B, D combined rows and k = sum of group widths + 1.
 hoselm.combine.combine_affine builds B; the combiner's layout is written
-nowhere else.  Each model derives its serving maps once (AffineMaps) by
+nowhere else.  A model derives its serving maps (AffineMaps) when built, by
 folding a left factor L of its readout into B: the columns of L B split
 into one weight per group and an offset, so a request costs one matrix
 product per group.  A batch model folds its classifier's stacked affine
@@ -38,6 +38,7 @@ an SVD, so no fit forms or inverts the Gram of its boot block.
 """
 
 import json
+import numbers
 import operator
 import os
 import time
@@ -53,7 +54,7 @@ from .combine import CombineSpec, combine, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
 from .kernels import _qr_r, as_matrix, augmented_inputs
-from .oselm import OselmState, _seeded, os_boot, os_predict, os_update
+from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps; these two stay for perfbench/tracing.py,
 # which also wraps combine.
@@ -76,6 +77,8 @@ __all__ = [
 ]
 
 _MODES = ("batch", "sequential")
+# PipelineConfig's integer fields and their least values; chunk_size may be None.
+_COUNTS = {"node_count": 1, "subspace_dim": 1, "classifier_nodes": 1, "chunk_size": 1, "seed": 0}
 _FORMAT_VERSION = 6
 # What numpy and zipfile raise on a damaged archive member.  RuntimeError
 # covers an encryption flag and, as its subclass NotImplementedError, an
@@ -104,7 +107,8 @@ class PipelineConfig:
     the combiner; coeff regularizes both readouts; classifier_nodes bounds
     the batch readout; chunk_size slices sequential training (None trains
     on a single boot chunk).  Construction rejects values fit cannot use,
-    with the bounds of extractor_config and combine_spec.
+    with the bounds of extractor_config and combine_spec: the counts and
+    the seed (>= 0) are integers, stored as Python ints.
     """
 
     node_count: int = 3
@@ -120,15 +124,14 @@ class PipelineConfig:
     norm_eps: float = 1e-4
 
     def __post_init__(self):
-        if self.classifier_nodes < 1:
-            raise ValueError(f"classifier_nodes must be >= 1, got {self.classifier_nodes}")
+        for name, low in _COUNTS.items():
+            if getattr(self, name) is not None or name != "chunk_size":
+                object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not 0 < self.coeff < np.inf:
             raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        self.extractor_config  # node_count, subspace_dim >= 1; damping; norm_eps
+        self.extractor_config  # damping; norm_eps
         self.combine_spec  # a known operator, finite gamma
 
     @property
@@ -147,6 +150,13 @@ class PipelineConfig:
         return CombineSpec(operator=self.operator, gamma=self.gamma)
 
 
+def _integer(value, what, low, error=ValueError):
+    """value as a Python int >= low (bools and floats are not), or error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AffineMaps:
     """Frozen layers below the readout as one affine map per feature group.
@@ -157,13 +167,11 @@ class AffineMaps:
     matrix, so apply gives the pre-activations that
     hoselm.classifier.activate turns into scores.  For a sequential model
     it is the transpose of the readout's basis U, so apply gives the basis
-    coordinates U'H the readout works in.  source is the (extractors,
-    config, batch readout or basis) the maps were derived from.
+    coordinates U'H the readout works in.
     """
 
     weights: tuple
     offset: np.ndarray
-    source: tuple = field(repr=False)
 
     def apply(self, mats):
         return _apply(self.weights, self.offset, mats)
@@ -206,7 +214,7 @@ def _derive_maps(extractors, cfg, fold):
     else:
         left, bias = fold.T, 0.0
     weights, offset = _split_maps(extractors, left @ combine_affine(extractors, cfg.combine_spec))
-    return AffineMaps(weights, offset + bias, (extractors, cfg, fold))
+    return AffineMaps(weights, offset + bias)
 
 
 @dataclass(frozen=True)
@@ -219,21 +227,17 @@ class HOselmModel:
     distinct integer label value of each class index, such as the original
     labels of a dataset (fit gives 0 .. C - 1); numpy integers are stored
     as Python ints, and bools and floats are rejected.  class_count is its
-    length, which must equal the readout's class count.  maps is derived
-    from the other fields when the model is built (see AffineMaps) and
-    reused as long as the fields it was derived from are the same objects:
-    partial_fit keeps the config and the readout's basis, so it shares the
-    maps.
+    length, which must equal the readout's class count.  maps is not a
+    constructor argument: building a model derives it from the other
+    fields (see AffineMaps), and partial_fit's child shares its parent's.
 
     Building a model checks the rules on its structure that its file format
-    relies on; a violation raises ValueError.  The labels, the group names
-    and the readout's kind (the one config.mode names; a sequential
-    readout's coeff is config.coeff) are checked every time.  The rules on
-    extractors, config and a batch readout are checked where the maps are
-    derived: every group has config.node_count nodes of config.subspace_dim
-    rows over one input width, and a batch readout has at most
-    config.classifier_nodes nodes and config.norm_eps as its eps.
-    save_model checks the rules on values, so any model it writes,
+    relies on; a violation raises ValueError: the labels, the group names,
+    the readout's kind (the one config.mode names; a sequential readout's
+    coeff is config.coeff), that every group has config.node_count nodes of
+    config.subspace_dim rows over one input width, and that a batch readout
+    has at most config.classifier_nodes nodes and config.norm_eps as its
+    eps.  save_model checks the rules on values, so any model it writes,
     load_model reads back.
 
     partial_fit's child model re-checks only what the step changed, the
@@ -247,13 +251,12 @@ class HOselmModel:
     readout: object
     config: PipelineConfig
     class_labels: tuple
-    maps: AffineMaps = field(default=None, repr=False, compare=False)
+    maps: AffineMaps = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_labels", _label_values(self.class_labels))
-        batch = self.config.mode == "batch"
-        _check_readout(self.readout, self.config)
-        classes = self.readout.class_count if batch else self.readout.gamma.shape[1]
+        _check_layers(self.extractors, self.config, self.readout)
+        classes = self.readout.class_count
         if len(self.class_labels) != classes:
             raise ValueError(
                 f"{len(self.class_labels)} class labels for a readout of {classes} classes"
@@ -264,11 +267,8 @@ class HOselmModel:
                 f"group_names must hold one string per group ({len(self.extractors)}), "
                 f"got {names!r}"
             )
-        fold = self.readout if batch else self.readout.basis
-        source = (self.extractors, self.config, fold)
-        if self.maps is None or any(a is not b for a, b in zip(self.maps.source, source)):
-            _check_layers(*source)
-            object.__setattr__(self, "maps", _derive_maps(*source))
+        fold = self.readout if self.config.mode == "batch" else self.readout.basis
+        object.__setattr__(self, "maps", _derive_maps(self.extractors, self.config, fold))
 
     @property
     def class_count(self):
@@ -295,9 +295,9 @@ def _label_values(labels):
     return values
 
 
-def _check_readout(readout, cfg):
-    """The readout is of config.mode's kind, and a sequential one is
-    regularized by config.coeff; see HOselmModel."""
+def _check_layers(extractors, cfg, readout):
+    """The rules a model's extractors and readout must keep with its
+    config; see HOselmModel."""
     kind = ClassifierModel if cfg.mode == "batch" else OselmState
     if not isinstance(readout, kind):
         raise ValueError(
@@ -305,11 +305,6 @@ def _check_readout(readout, cfg):
         )
     if kind is OselmState and readout.coeff != cfg.coeff:
         raise ValueError(f"readout coeff {readout.coeff!r} is not config.coeff {cfg.coeff}")
-
-
-def _check_layers(extractors, cfg, fold):
-    """The rules a model's extractors and batch readout (fold) must keep
-    with its config; see HOselmModel."""
     for g, nodes in enumerate(extractors):
         shapes = sorted({n.weights.shape for n in nodes})
         if len(nodes) != cfg.node_count or [rows for rows, _ in shapes] != [cfg.subspace_dim]:
@@ -318,14 +313,16 @@ def _check_layers(extractors, cfg, fold):
                 f"{cfg.node_count} and config.subspace_dim {cfg.subspace_dim} need "
                 f"{cfg.node_count} nodes of {cfg.subspace_dim} rows over one input width"
             )
-    if isinstance(fold, ClassifierModel):
-        if len(fold.step) > cfg.classifier_nodes:
+    if kind is ClassifierModel:
+        if len(readout.step) > cfg.classifier_nodes:
             raise ValueError(
-                f"readout has {len(fold.step)} nodes, config.classifier_nodes allows "
+                f"readout has {len(readout.step)} nodes, config.classifier_nodes allows "
                 f"{cfg.classifier_nodes}"
             )
-        if fold.eps != cfg.norm_eps:
-            raise ValueError(f"classifier eps {fold.eps!r} is not config.norm_eps {cfg.norm_eps}")
+        if readout.eps != cfg.norm_eps:
+            raise ValueError(
+                f"classifier eps {readout.eps!r} is not config.norm_eps {cfg.norm_eps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -489,7 +486,7 @@ def _advance(model, mats, targets):
         isinstance(readout, OselmState)
         and readout.coeff == parent.coeff
         and readout.basis is parent.basis
-        and readout.gamma.shape[1] == model.class_count
+        and readout.class_count == model.class_count
     ):
         return replace(model, readout=readout)
     child = object.__new__(HOselmModel)
@@ -641,10 +638,7 @@ def _checked_arrays(model):
     c = model.readout
     if model.config.mode == "sequential":
         arrays["readout_p"] = c.p
-        # A state built from a beta takes gamma = U'beta, which can overflow;
-        # that is checked below, not warned.
-        with np.errstate(over="ignore", invalid="ignore"):
-            arrays["readout_gamma"] = c.gamma
+        arrays["readout_gamma"] = c.gamma
     elif len(c.step):
         arrays["classifier_weights"] = c.weights
         arrays["classifier_biases"] = c.bias
@@ -708,12 +702,6 @@ def _array(data, name, shape):
     return a
 
 
-def _count(value, what, low=0):
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise FormatError(f"model header {what} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def _read_extractor(data, g, cfg):
     weights = _array(data, f"extractor_{g}_weights", (cfg.node_count, cfg.subspace_dim, None))
     biases = _array(data, f"extractor_{g}_biases", (cfg.node_count,))
@@ -722,7 +710,7 @@ def _read_extractor(data, g, cfg):
 
 def _read_classifier(data, count, cfg, classes, dim):
     """The batch readout; its eps is the config's norm_eps."""
-    count = _count(count, "readout node_count")
+    count = _integer(count, "model header readout node_count", 0, FormatError)
     eps = cfg.norm_eps
     if not count:
         empty = np.empty(0)
@@ -767,14 +755,13 @@ def _load(data):
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
             p = _array(data, "readout_p", (basis.shape[1],) * 2)
-            seen, coeff = _count(meta[key], "readout seen"), float(cfg.coeff)
+            seen = _integer(meta[key], "model header readout seen", 0, FormatError)
             if header["format_version"] == 5:
                 # Format v5 stored beta; gamma = U'beta is taken from it.
-                beta = _array(data, "readout_beta", (dim, classes))
-                readout = OselmState(p=p, beta=beta, seen=seen, coeff=coeff, basis=basis)
+                gamma, beta = None, _array(data, "readout_beta", (dim, classes))
             else:
-                gamma = _array(data, "readout_gamma", (basis.shape[1], classes))
-                readout = _seeded(p, gamma, seen, coeff, basis)
+                gamma, beta = _array(data, "readout_gamma", (basis.shape[1], classes)), None
+            readout = OselmState(p, gamma, seen, float(cfg.coeff), basis, beta=beta)
         try:
             model = HOselmModel(
                 extractors=extractors,

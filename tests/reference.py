@@ -143,7 +143,7 @@ def lu_update(state, y, targets):
     gamma = gamma + p_new @ (y @ (targets.T - y.T @ gamma))
     return OselmState(
         p=p_new,
-        beta=state.basis @ gamma,
+        gamma=gamma,
         seen=state.seen + y.shape[1],
         coeff=state.coeff,
         basis=state.basis,

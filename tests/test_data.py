@@ -55,6 +55,14 @@ def test_write_csv_rejects_groups_without_a_column_per_label(tmp_path, widths, l
     assert not path.exists()
 
 
+def test_write_csv_rejects_fractional_labels(tmp_path):
+    """A label of 0.7 or 1.9 is not truncated to 0 or 1: nothing is written."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="integer-valued"):
+        write_csv(path, FeatureGroup(x=np.ones((3, 2))), [0.7, 1.9])
+    assert not path.exists()
+
+
 def test_lone_group_accepted_by_write_and_split(tmp_path):
     group, labels = synth_blobs(classes=2, per_class=6, dim=3, spread=0.1, seed=5)
     path = tmp_path / "lone.csv"

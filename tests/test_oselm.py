@@ -201,13 +201,32 @@ def test_a_step_state_forms_beta_on_first_read_and_survives_copies():
 
     p = state.p * 2.0
     moved = dataclasses.replace(state, p=p)
-    assert moved.p is p and moved.beta is beta and moved.seen == state.seen
+    assert moved.p is p and moved.gamma is state.gamma and moved.seen == state.seen
+
+
+def test_replace_keeps_gamma_bit_for_bit():
+    """gamma is the stored fact: dataclasses.replace with p, seen or basis
+    hands it over as it is, never rebuilt as U'(U gamma), a replaced basis
+    forms beta = U gamma from the new basis, and a new gamma X gives
+    beta = U X."""
+    rng = np.random.default_rng(31)
+    basis, _ = np.linalg.qr(rng.standard_normal((9, 5)))
+    y = rng.standard_normal((5, 16))
+    t = rng.standard_normal((3, 16))
+    state = os_update(os_boot(y[:, :7], t[:, :7], 50.0, basis), y[:, 7:], t[:, 7:])
+    other, _ = np.linalg.qr(rng.standard_normal((9, 5)))
+    for change in ({"p": state.p * 2.0}, {"seen": state.seen}, {"basis": other}):
+        moved = dataclasses.replace(state, **change)
+        assert moved.gamma is state.gamma
+        assert np.array_equal(moved.beta, moved.basis @ state.gamma)
+    x = rng.standard_normal((5, 3))
+    assert np.array_equal(dataclasses.replace(state, gamma=x).beta, basis @ x)
 
 
 def test_update_rejects_a_gain_that_does_not_factor():
     """Only a corrupted p makes the gain I + Y' p Y indefinite: its
     eigenvalues are >= 1 for any positive semidefinite p."""
-    state = OselmState(p=-np.eye(3), beta=np.zeros((3, 2)), seen=5, coeff=1.0)
+    state = OselmState(p=-np.eye(3), gamma=np.zeros((3, 2)), seen=5, coeff=1.0)
     with pytest.raises(np.linalg.LinAlgError, match="4-column chunk"):
         os_update(state, np.full((3, 4), 2.0), np.zeros((2, 4)))
 
@@ -223,7 +242,7 @@ def test_p_matches_batch_accumulator():
 
 def test_predict_shape_and_values():
     state = OselmState(
-        p=np.eye(2), beta=np.array([[1.0, 0.0], [0.0, 2.0]]), seen=4, coeff=1.0
+        p=np.eye(2), gamma=np.array([[1.0, 0.0], [0.0, 2.0]]), seen=4, coeff=1.0
     )
     h = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     got = os_predict(state, h)

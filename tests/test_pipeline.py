@@ -331,7 +331,6 @@ def test_partial_fit_shares_the_maps_only_while_the_basis_is_the_parents(monkeyp
     monkeypatch.setattr(hoselm.pipeline, "os_update", with_copied_basis)
     child = partial_fit(model, groups, targets)
     assert child.maps is not model.maps
-    assert child.maps.source[2] is child.readout.basis
     assert all(map(np.array_equal, child.maps.weights, model.maps.weights))
 
 
@@ -739,7 +738,29 @@ def test_config_validation():
             PipelineConfig(norm_eps=bad)
     with pytest.raises(ValueError, match="operator"):
         PipelineConfig(operator="times")
+    # Counts and the seed are integers: fit would raise TypeError on these,
+    # or fit True as 1.
+    for name in ("node_count", "subspace_dim", "classifier_nodes", "chunk_size", "seed"):
+        for bad in (2.5, 3.0, True, np.float64(2.0), "3"):
+            with pytest.raises(ValueError, match=name):
+                PipelineConfig(**{name: bad})
+    with pytest.raises(ValueError, match="seed"):
+        PipelineConfig(seed=-1)
     PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0, norm_eps=0.49)
+    cfg = PipelineConfig(node_count=np.int64(2), chunk_size=np.int32(5), seed=np.uint8(3))
+    assert [type(v) for v in (cfg.node_count, cfg.chunk_size, cfg.seed)] == [int] * 3
+
+
+def test_a_numpy_integer_seed_saves_and_loads(tmp_path):
+    """A numpy integer seed is stored as a Python int, so the JSON header
+    takes it and the model reads back with the same config."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(seed=np.int64(3)))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.config == model.config and loaded.config.seed == 3
+    assert np.array_equal(predict(loaded, groups), predict(model, groups))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -835,9 +856,9 @@ def test_model_rejects_a_readout_of_the_other_mode(mode, other):
 
 
 def test_model_rejects_a_sequential_readout_coeff_the_config_does_not_hold(tmp_path):
-    """replace keeps the readout's basis, so the maps are not re-derived;
-    the coeff rule is checked on every build all the same.  Unchecked,
-    this model saved coeff 5.0 and loaded back with config.coeff."""
+    """The coeff rule is checked on every build, replace included.
+    Unchecked, this model saved coeff 5.0 and loaded back with
+    config.coeff."""
     groups, targets, _ = toy_blobs()
     model = fit(groups, targets, small_cfg(mode="sequential", chunk_size=20))
     with pytest.raises(ValueError, match="config.coeff"):

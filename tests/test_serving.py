@@ -136,7 +136,7 @@ def served_models(draw, modes=("batch", "sequential")):
         readout = _classifier(rng, classes, dim, draw(st.lists(st.booleans(), max_size=3)))
     else:
         readout = OselmState(
-            p=np.eye(dim), beta=rng.standard_normal((dim, classes)), seen=1, coeff=1.0
+            p=np.eye(dim), gamma=rng.standard_normal((dim, classes)), seen=1, coeff=1.0
         )
     model = HOselmModel(
         extractors=extractors,

@@ -10,7 +10,9 @@ for the held-out requests.  A stream digest covers the boot model and the
 first STREAM_STEPS predict/partial_fit steps, each step's labels and the final
 model, twice: once from the boot model in memory and once from its save_model
 -> load_model round trip, so a change that breaks continuation after a file
-round trip changes the digest.  Each stream seed also gets a line ending
+round trip changes the digest.  A stream model's readout enters through
+its fields, so the digest covers the stored weights gamma, not the beta
+derived from them.  Each stream seed also gets a line ending
 in "labels", a digest of the prequential labels over the whole stream
 (every step), so a change that moves rounding but no label shows as a
 changed stream digest beside an unchanged labels digest.  Every
