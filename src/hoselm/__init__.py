@@ -10,6 +10,11 @@ model and the bench module for the experiment harness.
 Top-level fit/predict/evaluate are the pipeline-level entry points; the
 building blocks live in their submodules (kernels, elm, oselm, extractor,
 combine, classifier, data, bench).
+
+Counts, config seeds and column indices are integers, numpy ones stored as
+Python ints: a bool, a float (even 3.0), a string or a value below the
+bound raises ValueError naming the argument.  No input is converted
+lossily, so a complex matrix raises ValueError too.
 """
 
 from .bench import (

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import load_csv, one_hot, split, synth_blobs
+from .kernels import _integer
 from .pipeline import PipelineConfig, evaluate, fit
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "write_report",
     "emit_report",
 ]
+
+_COUNTS = {"repetitions": 1, "synth_classes": 1, "synth_per_class": 1, "synth_dim": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class RunConfig:
     measure_time: bool = True
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        for name, low in _COUNTS.items():
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not self.modes:
             raise ValueError("modes is empty")
         for mode in self.modes:

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateNodeError, ShapeError
-from .kernels import as_matrix, sigmoid_map
+from .kernels import _integer, as_matrix, sigmoid_map
 from .kernels import ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The fit builds every matrix it normalizes or maps, so it calls the
@@ -149,11 +149,9 @@ def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
     joins the one-node models once.  Callers pass validated float arrays;
     only shapes are checked here.
     """
-    if node_count < 1:
-        raise ValueError(f"node_count must be >= 1, got {node_count}")
     e = targets
     nodes = []
-    for _ in range(node_count):
+    for _ in range(_integer(node_count, "node_count", 1)):
         try:
             node, e = fit_node(h, e, gram_inv, eps)
         except DegenerateNodeError:

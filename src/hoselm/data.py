@@ -6,10 +6,12 @@ samples-as-columns, matching the rest of the package.
 """
 
 import csv
+import numbers
 
 import numpy as np
 
 from .errors import FormatError, ParseError, ShapeError
+from .kernels import _integer
 from .pipeline import FeatureGroup
 
 __all__ = [
@@ -52,10 +54,10 @@ def load_csv(path, group_ranges=None, label_col=-1):
     table = np.array(rows)
     width = table.shape[1]
     if label_col is None:
-        labels = None
-        label_cols = set()
+        labels, label_cols = None, set()
     else:
-        if not -width <= label_col < width:
+        label_col = _integer(label_col, "label_col", -width)
+        if label_col >= width:
             raise ValueError(f"label column {label_col} is out of range for width {width}")
         label_col = label_col % width
         label_cols = {label_col}
@@ -65,11 +67,13 @@ def load_csv(path, group_ranges=None, label_col=-1):
             raise ParseError(f"label column {label_col} holds non-integer values")
     if group_ranges is None:
         feature_cols = [c for c in range(width) if c not in label_cols]
-        groups = [FeatureGroup(x=table[:, feature_cols].T, name="features")]
-        return groups, labels
+        return [FeatureGroup(x=table[:, feature_cols].T, name="features")], labels
     seen = set()
+    groups = []
     for start, stop in group_ranges:
-        if not 0 <= start < stop <= width:
+        start = _integer(start, "group_ranges start", 0)
+        stop = _integer(stop, "group_ranges stop", start + 1)
+        if stop > width:
             raise ValueError(f"range ({start}, {stop}) out of bounds for width {width}")
         span = set(range(start, stop))
         if span & label_cols:
@@ -77,10 +81,7 @@ def load_csv(path, group_ranges=None, label_col=-1):
         if span & seen:
             raise ValueError(f"range ({start}, {stop}) overlaps another group")
         seen |= span
-    groups = [
-        FeatureGroup(x=table[:, start:stop].T, name=f"cols{start}-{stop}")
-        for start, stop in group_ranges
-    ]
+        groups.append(FeatureGroup(x=table[:, start:stop].T, name=f"cols{start}-{stop}"))
     return groups, labels
 
 
@@ -150,14 +151,12 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     total = labels.size
     rng = np.random.default_rng(seed)
     per_class = fraction = None
-    if isinstance(train_size, (int, np.integer)):
-        per_class = int(train_size)
-        if per_class < 1:
-            raise ValueError(f"per-class train count must be >= 1, got {per_class}")
-    else:
+    if isinstance(train_size, numbers.Integral):
+        per_class = _integer(train_size, "train_size", 1)
+    elif isinstance(train_size, numbers.Real) and 0 < train_size < 1:
         fraction = float(train_size)
-        if not 0 < fraction < 1:
-            raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    else:
+        raise ValueError(f"train_size is neither in (0, 1) nor a positive integer: {train_size!r}")
     if per_class or stratified:
         train_idx = []
         for k in np.unique(labels):
@@ -186,10 +185,11 @@ def synth_blobs(classes, per_class, dim, spread, seed=0):
     Needs dim >= classes so every class gets its own axis; spread is the
     per-coordinate standard deviation.  Sample order is shuffled.
     """
-    if min(classes, per_class, dim) < 1:
-        raise ValueError("classes, per_class, dim must all be >= 1")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    classes = _integer(classes, "classes", 1)
+    per_class = _integer(per_class, "per_class", 1)
+    dim = _integer(dim, "dim", 1)
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     if dim < classes:
         raise ValueError(f"dim must be >= classes, got dim {dim} < {classes}")
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import _pinv, as_matrix, sigmoid_map
+from .kernels import _integer, _pinv, as_matrix, sigmoid_map
 
 __all__ = [
     "RandomHiddenLayer",
@@ -50,13 +50,10 @@ def init_hidden(input_dim, hidden_count, seed=0):
 
     Deterministic for a given seed.
     """
-    if input_dim < 1 or hidden_count < 1:
-        raise ValueError(
-            f"input_dim and hidden_count must be >= 1, got {input_dim}, {hidden_count}"
-        )
+    shape = (_integer(hidden_count, "hidden_count", 1), _integer(input_dim, "input_dim", 1))
     rng = np.random.default_rng(seed)
-    w = rng.uniform(-1.0, 1.0, size=(hidden_count, input_dim))
-    b = rng.uniform(-1.0, 1.0, size=hidden_count)
+    w = rng.uniform(-1.0, 1.0, size=shape)
+    b = rng.uniform(-1.0, 1.0, size=shape[0])
     return RandomHiddenLayer(weights=w, biases=b)
 
 

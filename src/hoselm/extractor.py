@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import _qr_r, augmented_inputs
+from .kernels import _integer, _qr_r, augmented_inputs
 from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The layer takes pseudoinverses only of matrices it built, so it calls the
@@ -94,11 +94,8 @@ class ExtractorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count < 1 or self.subspace_dim < 1:
-            raise ValueError(
-                f"node_count and subspace_dim must be >= 1, got "
-                f"{self.node_count} and {self.subspace_dim}"
-            )
+        for name, low in {"node_count": 1, "subspace_dim": 1, "seed": 0}.items():
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not 0 <= self.damping < np.inf:
             raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
         # error_feedback, into [eps, 1], and fit_node (same eps in a pipeline) need eps < 1/2.
@@ -108,12 +105,9 @@ class ExtractorConfig:
 
 def spawn_node(input_dim, subspace_dim, seed):
     """Draw a fresh node with i.i.d. uniform [-1, 1] weights and bias."""
-    if input_dim < 1 or subspace_dim < 1:
-        raise ValueError(
-            f"dimensions must be >= 1, got input {input_dim}, subspace {subspace_dim}"
-        )
+    shape = (_integer(subspace_dim, "subspace_dim", 1), _integer(input_dim, "input_dim", 1))
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-1.0, 1.0, size=(subspace_dim, input_dim))
+    weights = rng.uniform(-1.0, 1.0, size=shape)
     bias = float(rng.uniform(-1.0, 1.0))
     return SubnetNode(weights=weights, bias=bias)
 

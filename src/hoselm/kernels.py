@@ -22,12 +22,15 @@ pseudoinverses in (n+1)-space.  No fit calls ridge_inverse: the batch
 classifier's ridge inverse is a diagonal from an SVD the fit takes anyway
 (see hoselm.pipeline.fit).
 
-The public helpers validate their inputs.  The pseudoinverse also has an
-unchecked private core, and the logit and the normalization have only one:
-callers pass them matrices they built or checked.
+The public helpers validate their inputs; _integer is the package's one
+rule for counts, config seeds and column indices.  The pseudoinverse also
+has an unchecked private core, and the logit and the normalization have
+only one: callers pass them matrices they built or checked.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
+
+import numbers
 
 import numpy as np
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dtrtri
@@ -52,8 +55,11 @@ _LOGIT_CLIP = 1e-7
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return `a` as a non-empty, finite, 2-D float64 array."""
-    m = np.asarray(a, dtype=np.float64)
+    """Validate and return a real `a` as a non-empty, finite, 2-D float64 array."""
+    m = np.asarray(a)
+    if m.dtype.kind == "c":
+        raise ValueError(f"{name} is complex, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size == 0:
@@ -61,6 +67,13 @@ def as_matrix(a, name="matrix"):
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def _integer(value, what, low, error=ValueError):
+    """value as a Python int >= low (bools and floats are not), or error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def augmented_inputs(mats, targets=None):

@@ -38,7 +38,6 @@ an SVD, so no fit forms or inverts the Gram of its boot block.
 """
 
 import json
-import numbers
 import operator
 import os
 import time
@@ -50,15 +49,16 @@ from scipy.linalg import svd
 from scipy.linalg.blas import dgemm
 
 from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
-from .combine import CombineSpec, combine, combine_affine
+from .combine import CombineSpec, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
-from .kernels import _qr_r, as_matrix, augmented_inputs
+from .kernels import _integer, _qr_r, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
-# Requests go through the affine maps; these two stay for perfbench/tracing.py,
-# which also wraps combine.
+# Requests go through the affine maps, and fit and load_model through B;
+# these three stay only for perfbench/tracing.py, which wraps them.
 from .classifier import score as classifier_score  # noqa: F401
+from .combine import combine  # noqa: F401
 from .extractor import project  # noqa: F401
 
 __all__ = [
@@ -107,8 +107,8 @@ class PipelineConfig:
     the combiner; coeff regularizes both readouts; classifier_nodes bounds
     the batch readout; chunk_size slices sequential training (None trains
     on a single boot chunk).  Construction rejects values fit cannot use,
-    with the bounds of extractor_config and combine_spec: the counts and
-    the seed (>= 0) are integers, stored as Python ints.
+    with the bounds of extractor_config and combine_spec; the counts and
+    the seed (>= 0) follow the package's integer rule (see hoselm).
     """
 
     node_count: int = 3
@@ -148,13 +148,6 @@ class PipelineConfig:
     def combine_spec(self):
         """The combiner operator and gamma select."""
         return CombineSpec(operator=self.operator, gamma=self.gamma)
-
-
-def _integer(value, what, low, error=ValueError):
-    """value as a Python int >= low (bools and floats are not), or error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise error(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -737,20 +730,16 @@ def _load(data):
     classes = len(labels)
     batch = cfg.mode == "batch"
     extractors = tuple(_read_extractor(data, g, cfg) for g in range(len(names)))
-    # D is the row count of B; merging each node's zero-width block gives it
-    # without building B, which only the sequential basis needs here.
-    blocks = [n.weights[:, :0] for nodes in extractors for n in nodes]
-    dim = combine(blocks, cfg.combine_spec).shape[0]
     # Arrays can overflow the maps, or hold NaN; that is checked below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
+        b = combine_affine(extractors, cfg.combine_spec)
         key = "node_count" if batch else "seen"
         if list(meta) != [key]:
             raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
         if batch:
-            readout = _read_classifier(data, meta[key], cfg, classes, dim)
+            readout = _read_classifier(data, meta[key], cfg, classes, len(b))
         else:
             try:
-                b = combine_affine(extractors, cfg.combine_spec)
                 basis, _, _ = svd(b, full_matrices=False)
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
@@ -758,7 +747,7 @@ def _load(data):
             seen = _integer(meta[key], "model header readout seen", 0, FormatError)
             if header["format_version"] == 5:
                 # Format v5 stored beta; gamma = U'beta is taken from it.
-                gamma, beta = None, _array(data, "readout_beta", (dim, classes))
+                gamma, beta = None, _array(data, "readout_beta", (len(b), classes))
             else:
                 gamma, beta = _array(data, "readout_gamma", (basis.shape[1], classes)), None
             readout = OselmState(p, gamma, seen, float(cfg.coeff), basis, beta=beta)

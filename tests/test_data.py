@@ -107,9 +107,11 @@ def test_load_validates_ranges(tmp_path):
 def test_load_rejects_a_label_column_past_the_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2,3,0\n")
-    for col in (4, 9, -5):
+    for col in (4, 9):
         with pytest.raises(ValueError, match=f"label column {col} is out of range for width 4"):
             load_csv(path, label_col=col)
+    with pytest.raises(ValueError, match="label_col must be an integer >= -4, got -5"):
+        load_csv(path, label_col=-5)
     assert np.array_equal(load_csv(path, label_col=-4)[1], [1])
 
 
@@ -256,3 +258,6 @@ def test_synth_blobs_validation():
         synth_blobs(3, 5, 2, 0.1)
     with pytest.raises(ValueError):
         synth_blobs(3, 5, 4, 0.0)
+    for spread in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="spread"):
+            synth_blobs(2, 3, 2, spread, seed=1)

@@ -55,6 +55,11 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix([[1.0, np.nan]])
 
+    def test_rejects_complex_rather_than_drop_the_imaginary_part(self):
+        for a in (np.ones((2, 3)) + 5j, np.ones((2, 3), dtype=np.complex64), [[1.0, 2j]]):
+            with pytest.raises(ValueError, match="request is complex"):
+                as_matrix(a, "request")
+
 
 class TestPinv:
     def test_identity(self):

@@ -5,7 +5,7 @@ import json
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,13 @@ import scipy.linalg
 
 import hoselm.extractor
 import hoselm.pipeline
-from hoselm.classifier import fit_node
+from hoselm.bench import RunConfig
+from hoselm.classifier import fit_classifier, fit_node
 from hoselm.combine import combine
-from hoselm.data import one_hot, synth_blobs
+from hoselm.data import load_csv, one_hot, split, synth_blobs
+from hoselm.elm import init_hidden
 from hoselm.errors import FormatError, ModeError, ShapeError
-from hoselm.extractor import project
+from hoselm.extractor import ExtractorConfig, project, spawn_node
 from hoselm.kernels import ridge_inverse
 from hoselm.pipeline import (
     FeatureGroup,
@@ -738,17 +740,97 @@ def test_config_validation():
             PipelineConfig(norm_eps=bad)
     with pytest.raises(ValueError, match="operator"):
         PipelineConfig(operator="times")
-    # Counts and the seed are integers: fit would raise TypeError on these,
-    # or fit True as 1.
-    for name in ("node_count", "subspace_dim", "classifier_nodes", "chunk_size", "seed"):
-        for bad in (2.5, 3.0, True, np.float64(2.0), "3"):
-            with pytest.raises(ValueError, match=name):
-                PipelineConfig(**{name: bad})
-    with pytest.raises(ValueError, match="seed"):
-        PipelineConfig(seed=-1)
     PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0, norm_eps=0.49)
-    cfg = PipelineConfig(node_count=np.int64(2), chunk_size=np.int32(5), seed=np.uint8(3))
-    assert [type(v) for v in (cfg.node_count, cfg.chunk_size, cfg.seed)] == [int] * 3
+
+
+def _fit_classifier(node_count):
+    rng = np.random.default_rng(4)
+    h = rng.standard_normal((5, 30))
+    targets = one_hot(rng.integers(0, 3, 30), 3)
+    return fit_classifier(h, targets, node_count, ridge_inverse(h @ h.T, 100.0))
+
+
+def _load_csv(tmp_path, **kwargs):
+    """load_csv on a 3-column file, labels last."""
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,0\n3,4,1\n5,6,0\n")
+    return load_csv(path, **kwargs)
+
+
+def _site(callee, name, low, call):
+    return pytest.param(name, low, call, id=f"{callee}-{name.replace(' ', '-')}")
+
+
+# Every site that takes a count, a config seed or a column index, as
+# (argument name, least value, call); call(value, tmp_path) passes value
+# there and valid values everywhere else.
+INTEGER_SITES = [
+    *[
+        _site("PipelineConfig", name, low, lambda v, _, name=name: PipelineConfig(**{name: v}))
+        for name, low in [
+            ("node_count", 1),
+            ("subspace_dim", 1),
+            ("classifier_nodes", 1),
+            ("chunk_size", 1),
+            ("seed", 0),
+        ]
+    ],
+    _site("ExtractorConfig", "node_count", 1, lambda v, _: ExtractorConfig(v, 2)),
+    _site("ExtractorConfig", "subspace_dim", 1, lambda v, _: ExtractorConfig(2, v)),
+    _site("ExtractorConfig", "seed", 0, lambda v, _: ExtractorConfig(2, 2, seed=v)),
+    _site("spawn_node", "input_dim", 1, lambda v, _: spawn_node(v, 2, seed=0)),
+    _site("spawn_node", "subspace_dim", 1, lambda v, _: spawn_node(2, v, seed=0)),
+    _site("init_hidden", "input_dim", 1, lambda v, _: init_hidden(v, 2, seed=0)),
+    _site("init_hidden", "hidden_count", 1, lambda v, _: init_hidden(2, v, seed=0)),
+    *[
+        _site("RunConfig", name, low, lambda v, _, name=name: RunConfig(**{name: v}))
+        for name, low in [
+            ("repetitions", 1),
+            ("synth_classes", 1),
+            ("synth_per_class", 1),
+            ("synth_dim", 1),
+            ("seed", 0),
+        ]
+    ],
+    _site("fit_classifier", "node_count", 1, lambda v, _: _fit_classifier(v)),
+    _site("synth_blobs", "classes", 1, lambda v, _: synth_blobs(v, 2, 3, 0.1, seed=1)),
+    _site("synth_blobs", "per_class", 1, lambda v, _: synth_blobs(2, v, 3, 0.1, seed=1)),
+    _site("synth_blobs", "dim", 1, lambda v, _: synth_blobs(1, 2, v, 0.1, seed=1)),
+    _site("split", "train_size", 1, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), v)),
+    _site("load_csv", "label_col", -3, lambda v, tmp: _load_csv(tmp, label_col=v)),
+    _site(
+        "load_csv", "group_ranges start", 0, lambda v, tmp: _load_csv(tmp, group_ranges=[(v, 2)])
+    ),
+    _site(
+        "load_csv", "group_ranges stop", 1, lambda v, tmp: _load_csv(tmp, group_ranges=[(0, v)])
+    ),
+]
+
+
+def _leaves(result):
+    """Every array, number and string in a result, in order."""
+    if is_dataclass(result):
+        return [x for f in fields(result) for x in _leaves(getattr(result, f.name))]
+    if isinstance(result, (tuple, list)):
+        return [x for item in result for x in _leaves(item)]
+    return [result]
+
+
+@pytest.mark.parametrize("name, low, call", INTEGER_SITES)
+def test_every_count_seed_and_column_index_takes_integers_only(name, low, call, tmp_path):
+    """A bool, a float (even an integral one), a string or a value below
+    the bound raises ValueError naming the argument; a numpy integer is
+    taken as the Python int it equals, and a config stores it as one."""
+    for bad in (2.5, 3.0, True, np.float64(2.0), "3", low - 1):
+        with pytest.raises(ValueError, match=name):
+            call(bad, tmp_path)
+    plain = _leaves(call(low, tmp_path))
+    for kind in (np.int64, np.int32, np.int16):
+        given = call(kind(low), tmp_path)
+        assert len(_leaves(given)) == len(plain)
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(given), plain))
+        if is_dataclass(given) and name in {f.name for f in fields(given)}:
+            assert type(getattr(given, name)) is int
 
 
 def test_a_numpy_integer_seed_saves_and_loads(tmp_path):

@@ -349,6 +349,20 @@ def test_non_finite_inputs_are_rejected_where_they_enter(monkeypatch, where, val
             evaluate(model, bad_groups, bad_targets)
 
 
+def test_complex_inputs_are_rejected_where_they_enter():
+    """A complex group raises ValueError naming it from fit and predict in
+    both modes, rather than serving the labels of its real part."""
+    groups, targets = _two_group_data()
+    bad = [groups[0], FeatureGroup(x=groups[1].x + 5j, name=groups[1].name)]
+    match = f"group {groups[1].name} is complex"
+    for mode in ("batch", "sequential"):
+        cfg = PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4, mode=mode)
+        with pytest.raises(ValueError, match=match):
+            predict(fit(groups, targets, cfg), bad)
+        with pytest.raises(ValueError, match=match):
+            fit(bad, targets, cfg)
+
+
 def test_replaced_batch_readout_rebuilds_maps():
     groups, targets = _two_group_data()
     model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
