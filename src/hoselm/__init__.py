@@ -14,7 +14,8 @@ combine, classifier, data, bench).
 Counts, config seeds and column indices are integers, numpy ones stored as
 Python ints: a bool, a float (even 3.0), a string or a value below the
 bound raises ValueError naming the argument.  No input is converted
-lossily, so a complex matrix raises ValueError too.
+lossily, so a matrix that is not bool, integer or float (complex, strings,
+objects) raises ValueError too.
 """
 
 from .bench import (

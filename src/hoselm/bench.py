@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import load_csv, one_hot, split, synth_blobs
+from .data import _train_size, load_csv, one_hot, split, synth_blobs
 from .kernels import _integer
 from .pipeline import PipelineConfig, evaluate, fit
 
@@ -61,6 +61,7 @@ class RunConfig:
     def __post_init__(self):
         for name, low in _COUNTS.items():
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        object.__setattr__(self, "train_size", _train_size(self.train_size))
         if not self.modes:
             raise ValueError("modes is empty")
         for mode in self.modes:
@@ -126,46 +127,39 @@ def _aggregate(entries):
 
 
 def run_benchmark(cfg):
-    """Run all repetitions and modes; returns the assembled report.
-
-    Failures are re-raised with the repetition index prepended so a long
-    run points at the offending split.
-    """
+    """Run all repetitions and modes; returns the assembled report."""
     groups, labels, class_count = _load_dataset(cfg)
     rep_seeds = np.random.SeedSequence([cfg.seed, 1]).generate_state(cfg.repetitions * 2)
     entries = []
     for rep in range(cfg.repetitions):
-        try:
-            split_seed = int(rep_seeds[2 * rep])
-            model_seed = int(rep_seeds[2 * rep + 1])
-            (tr_groups, tr_labels), (te_groups, te_labels) = split(
-                groups, labels, cfg.train_size, seed=split_seed, stratified=cfg.stratified
-            )
-            tr_targets = one_hot(tr_labels, class_count)
-            te_targets = one_hot(te_labels, class_count)
-            for mode in cfg.modes:
-                pipe_cfg = replace(cfg.pipeline, mode=mode, seed=model_seed)
-                start = time.perf_counter()
-                model = fit(tr_groups, tr_targets, pipe_cfg)
-                train_seconds = time.perf_counter() - start
-                result = evaluate(model, te_groups, te_targets)
-                if not cfg.measure_time:
-                    train_seconds = 0.0
-                    result = replace(result, infer_seconds=0.0)
-                entries.append(
-                    RepetitionEntry(
-                        method=mode,
-                        dataset=cfg.dataset_name,
-                        repetition=rep,
-                        mean_per_class_rate=result.mean_per_class_rate,
-                        accuracy=result.accuracy,
-                        train_seconds=train_seconds,
-                        infer_seconds=result.infer_seconds,
-                        confusion=result.confusion,
-                    )
+        split_seed = int(rep_seeds[2 * rep])
+        model_seed = int(rep_seeds[2 * rep + 1])
+        (tr_groups, tr_labels), (te_groups, te_labels) = split(
+            groups, labels, cfg.train_size, seed=split_seed, stratified=cfg.stratified
+        )
+        tr_targets = one_hot(tr_labels, class_count)
+        te_targets = one_hot(te_labels, class_count)
+        for mode in cfg.modes:
+            pipe_cfg = replace(cfg.pipeline, mode=mode, seed=model_seed)
+            start = time.perf_counter()
+            model = fit(tr_groups, tr_targets, pipe_cfg)
+            train_seconds = time.perf_counter() - start
+            result = evaluate(model, te_groups, te_targets)
+            if not cfg.measure_time:
+                train_seconds = 0.0
+                result = replace(result, infer_seconds=0.0)
+            entries.append(
+                RepetitionEntry(
+                    method=mode,
+                    dataset=cfg.dataset_name,
+                    repetition=rep,
+                    mean_per_class_rate=result.mean_per_class_rate,
+                    accuracy=result.accuracy,
+                    train_seconds=train_seconds,
+                    infer_seconds=result.infer_seconds,
+                    confusion=result.confusion,
                 )
-        except Exception as exc:
-            raise RuntimeError(f"repetition {rep} failed: {exc}") from exc
+            )
     return MetricsReport(
         dataset=cfg.dataset_name, entries=tuple(entries), aggregates=_aggregate(entries)
     )

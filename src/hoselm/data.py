@@ -114,6 +114,7 @@ def one_hot(labels, class_count):
     but 1.7 is not truncated to it.
     """
     labels = _integer_labels(labels)
+    class_count = _integer(class_count, "class_count", 1)
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError(
             f"labels must lie in [0, {class_count}), got range "
@@ -138,6 +139,16 @@ def _take(groups, labels, order):
     return picked, labels[order]
 
 
+def _train_size(value):
+    """value as an int per-class count >= 1 or a float fraction in (0, 1),
+    or ValueError naming train_size."""
+    if isinstance(value, numbers.Integral):
+        return _integer(value, "train_size", 1)
+    if isinstance(value, numbers.Real) and 0 < value < 1:
+        return float(value)
+    raise ValueError(f"train_size is neither in (0, 1) nor a positive integer: {value!r}")
+
+
 def split(groups, labels, train_size, seed=0, stratified=False):
     """Partition samples into disjoint train/test sets, deterministically.
 
@@ -150,18 +161,13 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     labels = np.asarray(labels, dtype=int)
     total = labels.size
     rng = np.random.default_rng(seed)
-    per_class = fraction = None
-    if isinstance(train_size, numbers.Integral):
-        per_class = _integer(train_size, "train_size", 1)
-    elif isinstance(train_size, numbers.Real) and 0 < train_size < 1:
-        fraction = float(train_size)
-    else:
-        raise ValueError(f"train_size is neither in (0, 1) nor a positive integer: {train_size!r}")
+    train_size = _train_size(train_size)
+    per_class = train_size if isinstance(train_size, int) else None
     if per_class or stratified:
         train_idx = []
         for k in np.unique(labels):
             members = np.flatnonzero(labels == k)
-            count = per_class or int(round(fraction * members.size))
+            count = per_class or int(round(train_size * members.size))
             if count > members.size:
                 raise ValueError(
                     f"class {k} has only {members.size} samples, "
@@ -170,7 +176,7 @@ def split(groups, labels, train_size, seed=0, stratified=False):
             train_idx.append(rng.permutation(members)[:count])
         train_idx = np.concatenate(train_idx)
     else:
-        train_idx = rng.permutation(total)[: int(round(fraction * total))]
+        train_idx = rng.permutation(total)[: int(round(train_size * total))]
     mask = np.zeros(total, dtype=bool)
     mask[train_idx] = True
     test_idx = np.flatnonzero(~mask)

@@ -57,8 +57,9 @@ _LOGIT_CLIP = 1e-7
 def as_matrix(a, name="matrix"):
     """Validate and return a real `a` as a non-empty, finite, 2-D float64 array."""
     m = np.asarray(a)
-    if m.dtype.kind == "c":
-        raise ValueError(f"{name} is complex, got dtype {m.dtype}")
+    if m.dtype.kind not in "biuf":
+        what = "complex" if m.dtype.kind == "c" else "not real numbers"
+        raise ValueError(f"{name} is {what}, got dtype {m.dtype}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")

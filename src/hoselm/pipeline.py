@@ -587,8 +587,7 @@ def save_model(model, path):
     stacked arrays, sequential readouts their r x r accumulator and
     r x classes weights gamma, both in the readout's basis (which the
     extractors fix and load_model derives again), so a loaded model
-    continues bit for bit.  See the README for the full layout and for what
-    format v5 stored.
+    continues bit for bit.  See the README for the full layout.
 
     path is a file name, written exactly as given (np.savez alone would
     append .npz), or a binary file object.  The rules on the model's
@@ -676,7 +675,7 @@ def _header(data):
     if not isinstance(header, dict):
         raise FormatError("model header is not a JSON object")
     version = header.get("format_version")
-    if isinstance(version, bool) or version not in (5, _FORMAT_VERSION):
+    if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported model format version: {version!r}")
     return header
 
@@ -744,13 +743,9 @@ def _load(data):
             except ValueError as exc:  # numpy's LinAlgError included
                 raise FormatError(f"extractor weights give no readout basis: {exc}") from exc
             p = _array(data, "readout_p", (basis.shape[1],) * 2)
+            gamma = _array(data, "readout_gamma", (basis.shape[1], classes))
             seen = _integer(meta[key], "model header readout seen", 0, FormatError)
-            if header["format_version"] == 5:
-                # Format v5 stored beta; gamma = U'beta is taken from it.
-                gamma, beta = None, _array(data, "readout_beta", (len(b), classes))
-            else:
-                gamma, beta = _array(data, "readout_gamma", (basis.shape[1], classes)), None
-            readout = OselmState(p, gamma, seen, float(cfg.coeff), basis, beta=beta)
+            readout = OselmState(p, gamma, seen, float(cfg.coeff), basis)
         try:
             model = HOselmModel(
                 extractors=extractors,
@@ -766,14 +761,13 @@ def _load(data):
 
 
 def load_model(path):
-    """Read back a model written by save_model, in format v5 or v6.
+    """Read back a model written by save_model, in format v6.
 
     Every array is checked against the header before the model is built:
     presence, shape, dtype, and node and group counts.  The model built
-    from them must keep the rules on values that save_model checks.  A v5
-    file stored a sequential readout's D x classes weights beta; its gamma
-    is read back as U'beta.  A file in an older format, one that fails a
-    check, or one that is not a readable NPZ archive raises FormatError.
+    from them must keep the rules on values that save_model checks.  A file
+    in an older format, one that fails a check, or one that is not a
+    readable NPZ archive raises FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestAsMatrix:
         for a in (np.ones((2, 3)) + 5j, np.ones((2, 3), dtype=np.complex64), [[1.0, 2j]]):
             with pytest.raises(ValueError, match="request is complex"):
                 as_matrix(a, "request")
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([["1.5", "2"]]), np.array([[b"1.5", b"2"]]), np.array([[1.5, 2]], dtype=object)],
+        ids=["str", "bytes", "object"],
+    )
+    def test_rejects_arrays_that_are_not_real_numbers_rather_than_cast_them(self, a):
+        match = re.escape(f"request is not real numbers, got dtype {a.dtype}")
+        with pytest.raises(ValueError, match=match):
+            as_matrix(a, "request")
+
+    def test_casts_bool_and_integer_arrays(self):
+        for dtype in (bool, np.uint8, np.int64):
+            m = as_matrix(np.array([[1, 0]], dtype=dtype))
+            assert m.dtype == np.float64 and m.tolist() == [[1.0, 0.0]]
 
 
 class TestPinv:

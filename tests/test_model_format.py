@@ -1,26 +1,20 @@
-"""Model files: the current format v6, compatibility with v5, and damaged
-archives.
+"""Model files: the format v6 that save_model writes and load_model reads,
+a stream continued across a file, and damaged archives.
 
-tests/data holds two tiny format-v5 files written by the v5 save_model: a
-batch model (plus combiner, norm_eps 1e-3, label values 3, 0, 9) and a
-sequential one (concat, chunk_size 10, one more partial_fit of 7 columns,
-label values 2, 8, 4), each over two feature groups "a" (3 rows) and "b"
-(2 rows) and 3 classes.  The sequential file stores the D x classes
-weights readout_beta, which format v6 replaced by readout_gamma.
-model_v5_labels.json holds a fixed 12-column input, the class indices each
-model predicted for it when it was written and the label values.
-
-The format-v6 files were written by the v6 save_model from models fitted
-with the v5 files' configs on that 12-column input, its v5 class indices
-as targets, and the v5 label values put in place of 0, 1, 2.
-model_v6_labels.json holds the same input, the class indices each model
-predicts for it and the label values.  Formats v1 to v4 are no longer
-read; test_pipeline pins that loading one raises FormatError.
+tests/data holds two tiny format-v6 files, each over two feature groups
+"a" (3 rows) and "b" (2 rows) and 3 classes: a batch model (plus combiner,
+4 classifier nodes, norm_eps 1e-3, label values 3, 0, 9) and a sequential
+one (concat, chunk_size 10, 12 columns seen, label values 2, 8, 4).
+model_v6_labels.json holds the fixed 12-column input they were fitted on,
+the class indices each model predicts for it and the label values.
+Formats v1 to v5 are no longer read; test_pipeline pins that loading one
+raises FormatError.
 """
 
 import io
 import json
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +32,12 @@ from hoselm.pipeline import (
     partial_fit,
     predict,
     save_model,
-    scores,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
-EXPECTED_V5 = json.loads((DATA / "model_v5_labels.json").read_text())
 EXPECTED_V6 = json.loads((DATA / "model_v6_labels.json").read_text())
 REQUEST = [
-    FeatureGroup(x=np.array(rows), name=name) for name, rows in EXPECTED_V5["inputs"].items()
+    FeatureGroup(x=np.array(rows), name=name) for name, rows in EXPECTED_V6["inputs"].items()
 ]
 MODES = ("batch", "sequential")
 
@@ -77,7 +69,6 @@ def test_v6_files_load_predict_their_labels_and_save_to_the_same_bytes(tmp_path,
     path = fixture(6, mode)
     with np.load(path) as data:
         assert json.loads(str(data["header"]))["format_version"] == 6
-    assert EXPECTED_V6["inputs"] == EXPECTED_V5["inputs"]
     model = load_model(path)
     assert model.config.mode == mode
     assert model.class_labels == tuple(EXPECTED_V6[f"{mode}_class_labels"])
@@ -85,35 +76,6 @@ def test_v6_files_load_predict_their_labels_and_save_to_the_same_bytes(tmp_path,
     again = tmp_path / "model.npz"
     save_model(model, again)
     assert again.read_bytes() == path.read_bytes()
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_v5_files_load_and_predict_their_labels(tmp_path, mode):
-    """A v5 file loads with its label values and predicts its labels; its
-    v6 resave serves identical scores.  A sequential v5 file stored beta;
-    its resave stores gamma = U'beta in its place, and both continue a
-    stream alike."""
-    path = fixture(5, mode)
-    with np.load(path) as data:
-        assert json.loads(str(data["header"]))["format_version"] == 5
-        assert ("readout_beta" in data.files) == (mode == "sequential")
-    model = load_model(path)
-    assert model.class_labels == tuple(EXPECTED_V5[f"{mode}_class_labels"])
-    assert predict(model, REQUEST).tolist() == EXPECTED_V5[mode]
-    resaved_path = tmp_path / "model.npz"
-    save_model(model, resaved_path)
-    with np.load(resaved_path) as data:
-        assert json.loads(str(data["header"]))["format_version"] == 6
-        assert "readout_beta" not in data.files
-        assert ("readout_gamma" in data.files) == (mode == "sequential")
-    resaved = load_model(resaved_path)
-    assert resaved.class_labels == model.class_labels
-    assert np.array_equal(scores(resaved, REQUEST), scores(model, REQUEST))
-    if mode == "sequential":
-        assert np.array_equal(resaved.readout.gamma, model.readout.basis.T @ model.readout.beta)
-        targets = np.eye(3)[:, EXPECTED_V5[mode]]
-        a, b = (partial_fit(m, REQUEST, targets).readout for m in (model, resaved))
-        assert np.array_equal(a.p, b.p) and np.array_equal(a.gamma, b.gamma)
 
 
 def _central_entry(raw, name):
@@ -154,7 +116,7 @@ ARCHIVE_DAMAGE = {
 
 @pytest.mark.parametrize("case", sorted(ARCHIVE_DAMAGE))
 def test_targeted_archive_damage_raises_format_error(tmp_path, case):
-    path = saved_again(fixture(5, "batch"), tmp_path / "model.npz")
+    path = saved_again(fixture(6, "batch"), tmp_path / "model.npz")
     damage, match = ARCHIVE_DAMAGE[case]
     raw = bytearray(path.read_bytes())
     damage(raw)
@@ -166,7 +128,7 @@ def test_targeted_archive_damage_raises_format_error(tmp_path, case):
 def test_member_that_is_not_npy_raises_format_error(tmp_path):
     """An intact archive whose member lacks the .npy magic: NpzFile hands
     back the member's raw bytes instead of an array."""
-    path = saved_again(fixture(5, "batch"), tmp_path / "model.npz")
+    path = saved_again(fixture(6, "batch"), tmp_path / "model.npz")
     with zipfile.ZipFile(path) as archive:
         members = {name: archive.read(name) for name in archive.namelist()}
     members["extractor_0_weights.npy"] = b"not an array"
@@ -184,10 +146,14 @@ def model_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def model_files(model_dir):
-    """The v5 and v6 fixtures, and the v5 ones saved again as v6."""
-    sources = [fixture(v, m) for v in (5, 6) for m in MODES]
-    again = [saved_again(fixture(5, m), model_dir / f"v6_of_v5_{m}.npz") for m in MODES]
-    return [p.read_bytes() for p in sources + again]
+    """The v6 fixtures, and per mode a model this test fits on the fixture's
+    config but the other combiner, and saves."""
+    paths = [fixture(6, m) for m in MODES]
+    for mode, operator in (("batch", "concat"), ("sequential", "plus")):
+        cfg = replace(load_model(fixture(6, mode)).config, operator=operator)
+        paths.append(model_dir / f"{mode}_{operator}.npz")
+        save_model(fit(REQUEST, np.eye(3)[:, EXPECTED_V6[mode]], cfg), paths[-1])
+    return [p.read_bytes() for p in paths]
 
 
 @st.composite
@@ -221,7 +187,7 @@ def test_extractor_weights_that_overflow_raise_format_error(tmp_path):
     sequential readout without a basis: FormatError, not a LAPACK error."""
     cfg = PipelineConfig(node_count=2, subspace_dim=4, mode="sequential", chunk_size=10, seed=6)
     path = tmp_path / "model.npz"
-    save_model(fit(REQUEST, np.eye(3)[:, EXPECTED_V5["sequential"]], cfg), path)
+    save_model(fit(REQUEST, np.eye(3)[:, EXPECTED_V6["sequential"]], cfg), path)
     arrays = arrays_of(path)
     arrays["extractor_0_weights"] = np.full_like(arrays["extractor_0_weights"], 1.7e308)
     with pytest.raises(FormatError, match="basis"):
@@ -242,7 +208,7 @@ def _widest_range(norms):
 def test_batch_arrays_that_overflow_their_maps_raise_format_error(tmp_path, member, edit):
     """Finite batch arrays whose folded maps or normalization span overflow
     would serve inf scores: FormatError at load."""
-    arrays = arrays_of(fixture(5, "batch"))
+    arrays = arrays_of(fixture(6, "batch"))
     arrays[member] = edit(arrays[member])
     with pytest.raises(FormatError, match="overflow"):
         load_model(write(tmp_path / "model.npz", arrays))

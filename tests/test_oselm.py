@@ -167,6 +167,7 @@ def test_replace_takes_gamma_from_the_new_beta():
     assert np.array_equal(state.beta, basis @ state.gamma)
     x = state.beta * (1 + 1e-3)
     replaced = dataclasses.replace(state, beta=x)
+    assert replaced.beta is x
     assert np.array_equal(replaced.gamma, state.basis.T @ x)
     assert not np.array_equal(replaced.gamma, state.gamma)
 

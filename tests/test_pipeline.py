@@ -510,7 +510,7 @@ def test_saved_header_holds_the_full_config(tmp_path):
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_saved_model_stores_each_fact_once(tmp_path, mode):
-    """Format v5 keeps no copy of what the config or the array shapes fix:
+    """Format v6 keeps no copy of what the config or the array shapes fix:
     the classifier's normalization rows hold lo and hi, not norm_eps."""
     groups, targets, _ = toy_blobs(seed=6)
     path = tmp_path / "model.npz"
@@ -616,7 +616,13 @@ CORRUPTIONS = {
             _header_edit(lambda h, v=v: h.update(format_version=v)),
             f"unsupported model format version: {v}",
         )
-        for v, mode in ((1, "batch"), (2, "sequential"), (3, "batch"), (4, "sequential"))
+        for v, mode in (
+            (1, "batch"),
+            (2, "sequential"),
+            (3, "batch"),
+            (4, "sequential"),
+            (5, "sequential"),
+        )
     },
     "format version true": (
         "sequential",
@@ -790,12 +796,14 @@ INTEGER_SITES = [
             ("synth_per_class", 1),
             ("synth_dim", 1),
             ("seed", 0),
+            ("train_size", 1),
         ]
     ],
     _site("fit_classifier", "node_count", 1, lambda v, _: _fit_classifier(v)),
     _site("synth_blobs", "classes", 1, lambda v, _: synth_blobs(v, 2, 3, 0.1, seed=1)),
     _site("synth_blobs", "per_class", 1, lambda v, _: synth_blobs(2, v, 3, 0.1, seed=1)),
     _site("synth_blobs", "dim", 1, lambda v, _: synth_blobs(1, 2, v, 0.1, seed=1)),
+    _site("one_hot", "class_count", 1, lambda v, _: one_hot([0], v)),
     _site("split", "train_size", 1, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), v)),
     _site("load_csv", "label_col", -3, lambda v, tmp: _load_csv(tmp, label_col=v)),
     _site(
@@ -868,7 +876,7 @@ def test_affine_maps_accumulate_groups_in_place(order):
 
 
 def test_save_model_rejects_a_classifier_eps_the_config_does_not_hold(tmp_path):
-    """Format v5 keeps config.norm_eps in place of the classifier's eps, so a
+    """Format v6 keeps config.norm_eps in place of the classifier's eps, so a
     model whose two differ cannot be saved without changing its scores: it
     cannot be built at all."""
     groups, targets, _ = toy_blobs()

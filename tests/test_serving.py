@@ -363,6 +363,16 @@ def test_complex_inputs_are_rejected_where_they_enter():
             fit(bad, targets, cfg)
 
 
+def test_string_groups_are_rejected_where_they_enter():
+    """A group of numeric strings raises ValueError naming it from predict,
+    rather than serving the labels of the numbers they spell."""
+    groups, targets = _two_group_data()
+    model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
+    bad = [groups[0], FeatureGroup(x=groups[1].x.astype(str), name=groups[1].name)]
+    with pytest.raises(ValueError, match=f"group {groups[1].name} is not real numbers"):
+        predict(model, bad)
+
+
 def test_replaced_batch_readout_rebuilds_maps():
     groups, targets = _two_group_data()
     model = fit(groups, targets, PipelineConfig(node_count=2, subspace_dim=6, classifier_nodes=4))
