@@ -13,9 +13,13 @@ combine, classifier, data, bench).
 
 Counts, config seeds and column indices are integers, numpy ones stored as
 Python ints: a bool, a float (even 3.0), a string or a value below the
-bound raises ValueError naming the argument.  No input is converted
-lossily, so a matrix that is not bool, integer or float (complex, strings,
-objects) raises ValueError too.
+bound raises ValueError naming the argument.  Class labels are bool,
+integer or integer-valued float arrays, taken as ints: a fraction, NaN,
+infinity, a string or an object raises ValueError naming the labels
+(ParseError for a CSV label column).  No input is converted lossily, so a
+matrix that is not bool, integer or float (complex, strings, objects)
+raises ValueError too, and an entry point given something other than a
+model where it takes one raises TypeError.
 """
 
 from .bench import (

@@ -1,8 +1,8 @@
 """Command-line interface: train, predict, bench, and synth subcommands.
 
-Options can come from a JSON config file (--config) using the same names
-as the long flags with dashes turned into underscores; flags given on the
-command line override the file, and options set by neither take the
+Options can come from a JSON config file (--config), all but --both-modes,
+named as the long flags with dashes turned into underscores; flags given on
+the command line override the file, and options set by neither take the
 defaults of PipelineConfig and RunConfig.  All randomness flows from --seed.
 """
 
@@ -33,7 +33,6 @@ _PIPELINE_FIELDS = {
     for f in dataclasses.fields(PipelineConfig)
     if f.name != "norm_eps"
 }
-_PIPELINE_DEFAULTS = {o: getattr(PipelineConfig, name) for o, name in _PIPELINE_FIELDS.items()}
 
 # Option name -> RunConfig field, for the synthetic-data and split options.
 _RUN_FIELDS = {
@@ -45,21 +44,6 @@ _RUN_FIELDS = {
     "stratified": "stratified",
     "repetitions": "repetitions",
 }
-_RUN_DEFAULTS = {o: getattr(RunConfig, name) for o, name in _RUN_FIELDS.items()}
-
-_DATA_DEFAULTS = {"data": None, "groups": None, "label_col": RunConfig.label_col}
-
-_BENCH_DEFAULTS = {
-    **_DATA_DEFAULTS,
-    **_PIPELINE_DEFAULTS,
-    **_RUN_DEFAULTS,
-    "dataset_name": None,
-    "no_timing": False,
-    "format": "json",
-    "out": None,
-}
-
-_TRAIN_DEFAULTS = {**_DATA_DEFAULTS, **_PIPELINE_DEFAULTS, "out": None}
 
 # The type a config file must give each option whose default is None, which
 # may also be set to null; any other option takes its default's type, and a
@@ -102,16 +86,17 @@ def _add_data_options(parser):
         help="feature-group column ranges, e.g. 0:256,256:512 (default: all columns)",
     )
     parser.add_argument(
-        "--label-col", type=int, help="label column index (default: last)"
+        "--label-col",
+        type=int,
+        default=RunConfig.label_col,
+        help="label column index (default: last)",
     )
 
 
 def _add_pipeline_options(parser):
     parser.add_argument("--nodes", type=int, help="extractor nodes per feature group")
     parser.add_argument("--hidden", type=int, help="neurons per extractor node")
-    parser.add_argument(
-        "--lambda", dest="damping", type=float, help="refinement damping weight"
-    )
+    parser.add_argument("--lambda", dest="damping", type=float, help="refinement damping weight")
     parser.add_argument("--gamma", type=float, help="combiner weight for later features")
     parser.add_argument("--operator", choices=("plus", "concat"), help="combiner")
     parser.add_argument("--coeff", type=float, help="ridge coefficient")
@@ -119,6 +104,16 @@ def _add_pipeline_options(parser):
     parser.add_argument("--mode", choices=("batch", "sequential"), help="training mode")
     parser.add_argument("--chunk-size", type=int, help="sequential chunk length")
     parser.add_argument("--seed", type=int, help="master random seed")
+    parser.set_defaults(**{o: getattr(PipelineConfig, f) for o, f in _PIPELINE_FIELDS.items()})
+
+
+def _add_synth_options(parser):
+    parser.add_argument("--classes", type=int, help="synthetic class count")
+    parser.add_argument("--per-class", type=int, help="synthetic samples per class")
+    parser.add_argument("--dim", type=int, help="synthetic feature dimension")
+    parser.add_argument("--spread", type=float, help="synthetic cluster spread")
+    # Also the defaults of the split options that bench adds after these.
+    parser.set_defaults(**{o: getattr(RunConfig, f) for o, f in _RUN_FIELDS.items()})
 
 
 def _build_parser():
@@ -133,7 +128,7 @@ def _build_parser():
     _add_pipeline_options(train)
     train.add_argument("--config", help="JSON config file; flags override it")
     train.add_argument("--out", help="model file to write (NPZ format, under the name given)")
-    train.set_defaults(func=_cmd_train, defaults=_TRAIN_DEFAULTS)
+    train.set_defaults(func=_cmd_train, parser=train)
 
     pred = sub.add_parser("predict", help="predict labels with a trained model")
     pred.add_argument("--model", required=True, help="model file from train")
@@ -151,40 +146,30 @@ def _build_parser():
     _add_pipeline_options(bench)
     bench.add_argument("--config", help="JSON config file; flags override it")
     bench.add_argument("--dataset-name", help="dataset label used in reports")
-    bench.add_argument("--classes", type=int, help="synthetic class count")
-    bench.add_argument("--per-class", type=int, help="synthetic samples per class")
-    bench.add_argument("--dim", type=int, help="synthetic feature dimension")
-    bench.add_argument("--spread", type=float, help="synthetic cluster spread")
+    _add_synth_options(bench)
     bench.add_argument(
         "--train-size",
         type=_parse_train_size,
         help="train fraction in (0,1) or integer per-class count",
     )
-    bench.add_argument(
-        "--stratified", action="store_true", default=None, help="stratify fraction splits"
-    )
+    bench.add_argument("--stratified", action="store_true", help="stratify fraction splits")
     bench.add_argument("--repetitions", type=int, help="number of split/train runs")
     bench.add_argument(
         "--both-modes",
         action="store_true",
-        default=None,
         help="run batch and sequential on the same splits",
     )
     bench.add_argument(
         "--no-timing",
         action="store_true",
-        default=None,
         help="zero the timing fields so reports are byte-identical",
     )
-    bench.add_argument("--format", choices=("json", "csv"), help="report format")
+    bench.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     bench.add_argument("--out", help="report file (default: stdout)")
-    bench.set_defaults(func=_cmd_bench, defaults=_BENCH_DEFAULTS)
+    bench.set_defaults(func=_cmd_bench, parser=bench)
 
     synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
-    synth.add_argument("--classes", type=int, default=RunConfig.synth_classes)
-    synth.add_argument("--per-class", type=int, default=RunConfig.synth_per_class)
-    synth.add_argument("--dim", type=int, default=RunConfig.synth_dim)
-    synth.add_argument("--spread", type=float, default=RunConfig.synth_spread)
+    _add_synth_options(synth)
     synth.add_argument("--seed", type=int, default=RunConfig.seed)
     synth.add_argument("--out", required=True, help="CSV file to write")
     synth.set_defaults(func=_cmd_synth)
@@ -207,75 +192,76 @@ def _check_config_value(key, value, default):
         raise ValueError(f"config key groups must list [start, stop] integer pairs, got {value!r}")
 
 
-def _merged_options(args, defaults):
-    """defaults < config file < explicitly passed flags."""
-    values = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = sorted(set(file_values) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in file_values.items():
-            _check_config_value(key, value, defaults[key])
-        if file_values.get("groups") is not None:
-            file_values["groups"] = tuple(map(tuple, file_values["groups"]))
-        values.update(file_values)
-    for key in defaults:
-        given = getattr(args, key, None)
-        if given is not None:
-            values[key] = given
-    return values
+def _parse(argv):
+    """argv parsed over a --config file's values, over the defaults.
+
+    argparse passes a string default through its option's type=, so no
+    option that a config file may set to a string has a type=.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    path = getattr(args, "config", None)
+    if not path:
+        return args
+    with open(path) as fh:
+        file_values = json.load(fh)
+    if not isinstance(file_values, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    options = vars(args).keys() - {"command", "func", "parser", "config", "both_modes"}
+    unknown = sorted(file_values.keys() - options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in file_values.items():
+        _check_config_value(key, value, args.parser.get_default(key))
+    if file_values.get("groups") is not None:
+        file_values["groups"] = tuple(map(tuple, file_values["groups"]))
+    args.parser.set_defaults(**file_values)  # so flags given still win
+    return parser.parse_args(argv)
 
 
-def _pipeline_config(values):
+def _pipeline_config(args, **changes):
+    values = {**vars(args), **changes}
     return PipelineConfig(**{name: values[option] for option, name in _PIPELINE_FIELDS.items()})
 
 
-def _run_config(values, modes):
+def _run_config(args, modes):
     return RunConfig(
-        pipeline=_pipeline_config({**values, "mode": modes[0]}),
+        pipeline=_pipeline_config(args, mode=modes[0]),
         modes=modes,
-        dataset=values["data"],
-        dataset_name=values["dataset_name"] or values["data"] or RunConfig.dataset_name,
-        group_ranges=values["groups"],
-        label_col=values["label_col"],
-        seed=values["seed"],
-        measure_time=not values["no_timing"],
-        **{name: values[option] for option, name in _RUN_FIELDS.items()},
+        dataset=args.data,
+        dataset_name=args.dataset_name or args.data or RunConfig.dataset_name,
+        group_ranges=args.groups,
+        label_col=args.label_col,
+        seed=args.seed,
+        measure_time=not args.no_timing,
+        **{name: getattr(args, option) for option, name in _RUN_FIELDS.items()},
     )
 
 
 def _cmd_train(args):
-    values = _merged_options(args, args.defaults)
-    if not values["data"]:
+    if not args.data:
         raise ValueError("train needs --data (or a config file setting it)")
-    if not values["out"]:
+    if not args.out:
         raise ValueError("train needs --out for the model file")
-    groups, labels = load_csv(values["data"], values["groups"], values["label_col"])
+    groups, labels = load_csv(args.data, args.groups, args.label_col)
     # Class k is the k-th smallest label present; the model keeps the values.
     classes, labels = np.unique(labels, return_inverse=True)
     targets = one_hot(labels, len(classes))
-    model = fit(groups, targets, _pipeline_config(values))
+    model = fit(groups, targets, _pipeline_config(args))
     model = dataclasses.replace(model, class_labels=tuple(classes))
-    save_model(model, values["out"])
+    save_model(model, args.out)
     training = evaluate(model, groups, targets)
     print(
         f"trained {model.config.mode} model on {labels.size} samples, "
         f"{len(classes)} classes; training mean per-class rate "
-        f"{training.mean_per_class_rate:.4f}; wrote {values['out']}"
+        f"{training.mean_per_class_rate:.4f}; wrote {args.out}"
     )
     return 0
 
 
 def _cmd_predict(args):
     model = load_model(args.model)
-    label_col = None if args.no_labels else (
-        _DATA_DEFAULTS["label_col"] if args.label_col is None else args.label_col
-    )
+    label_col = None if args.no_labels else args.label_col
     groups, labels = load_csv(args.data, args.groups, label_col)
     if labels is not None:
         index = {c: k for k, c in enumerate(model.class_labels)}
@@ -306,12 +292,11 @@ def _cmd_predict(args):
 
 
 def _cmd_bench(args):
-    values = _merged_options(args, args.defaults)
-    modes = ("batch", "sequential") if getattr(args, "both_modes", None) else (values["mode"],)
-    cfg = _run_config(values, modes)
+    modes = ("batch", "sequential") if args.both_modes else (args.mode,)
+    cfg = _run_config(args, modes)
     report = run_benchmark(cfg)
-    if values["out"]:
-        emit_report(report, values["out"], values["format"])
+    if args.out:
+        emit_report(report, args.out, args.format)
         for method, stats in report.aggregates.items():
             rate = stats["mean_per_class_rate"]
             print(
@@ -320,7 +305,7 @@ def _cmd_bench(args):
                 file=sys.stderr,
             )
     else:
-        write_report(sys.stdout, report, values["format"])
+        write_report(sys.stdout, report, args.format)
     return 0
 
 
@@ -337,8 +322,8 @@ def _cmd_synth(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse(argv)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ import numbers
 import numpy as np
 
 from .errors import FormatError, ParseError, ShapeError
-from .kernels import _integer
+from .kernels import _integer, _labels
 from .pipeline import FeatureGroup
 
 __all__ = [
@@ -61,10 +61,7 @@ def load_csv(path, group_ranges=None, label_col=-1):
             raise ValueError(f"label column {label_col} is out of range for width {width}")
         label_col = label_col % width
         label_cols = {label_col}
-        raw_labels = table[:, label_col]
-        labels = raw_labels.astype(int)
-        if not np.array_equal(labels, raw_labels):
-            raise ParseError(f"label column {label_col} holds non-integer values")
+        labels = _labels(table[:, label_col], f"label column {label_col}", ParseError)
     if group_ranges is None:
         feature_cols = [c for c in range(width) if c not in label_cols]
         return [FeatureGroup(x=table[:, feature_cols].T, name="features")], labels
@@ -96,10 +93,8 @@ def write_csv(path, groups, labels):
     if isinstance(groups, FeatureGroup):
         groups = [groups]
     mats = [np.asarray(g.x) for g in groups]
-    labels = _integer_labels(labels)
-    widths = [m.shape[1] for m in mats]
-    if any(w != labels.size for w in widths):
-        raise ShapeError(f"groups have {widths} columns for {labels.size} labels")
+    labels = _labels(labels, "labels")
+    _check_columns(mats, labels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for j in range(labels.size):
@@ -113,7 +108,7 @@ def one_hot(labels, class_count):
     Labels must be integer-valued (ValueError otherwise); 1.0 is class 1,
     but 1.7 is not truncated to it.
     """
-    labels = _integer_labels(labels)
+    labels = _labels(labels, "labels")
     class_count = _integer(class_count, "class_count", 1)
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ValueError(
@@ -121,17 +116,14 @@ def one_hot(labels, class_count):
             f"[{labels.min()}, {labels.max()}]"
         )
     targets = np.zeros((class_count, labels.size))
-    targets[labels.astype(int), np.arange(labels.size)] = 1.0
+    targets[labels, np.arange(labels.size)] = 1.0
     return targets
 
 
-def _integer_labels(labels):
-    """labels as an array, or ValueError unless every one is integer-valued."""
-    labels = np.asarray(labels)
-    fractional = ~(np.isfinite(labels) & (labels == np.round(labels)))
-    if fractional.any():
-        raise ValueError(f"labels must be integer-valued, got {labels[fractional][:5]}")
-    return labels
+def _check_columns(mats, labels):
+    widths = [np.shape(m)[1] for m in mats]
+    if any(w != labels.size for w in widths):
+        raise ShapeError(f"groups have {widths} columns for {labels.size} labels")
 
 
 def _take(groups, labels, order):
@@ -155,12 +147,15 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     train_size is either a fraction in (0, 1) or an integer per-class train
     count (the latter is inherently stratified).  Both partitions come back
     in shuffled order, so a sequential consumer sees class-mixed chunks.
+    Labels must be integer-valued, as in one_hot, and every group needs
+    one column per label (ShapeError otherwise).
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
-    labels = np.asarray(labels, dtype=int)
+    labels = _labels(labels, "labels")
+    _check_columns([g.x for g in groups], labels)
     total = labels.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     train_size = _train_size(train_size)
     per_class = train_size if isinstance(train_size, int) else None
     if per_class or stratified:
@@ -198,7 +193,7 @@ def synth_blobs(classes, per_class, dim, spread, seed=0):
         raise ValueError(f"spread must be positive and finite, got {spread}")
     if dim < classes:
         raise ValueError(f"dim must be >= classes, got dim {dim} < {classes}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     labels = np.repeat(np.arange(classes), per_class)
     rng.shuffle(labels)
     # x = means[:, labels] + spread * noise, built in the noise array: the

@@ -23,9 +23,10 @@ classifier's ridge inverse is a diagonal from an SVD the fit takes anyway
 (see hoselm.pipeline.fit).
 
 The public helpers validate their inputs; _integer is the package's one
-rule for counts, config seeds and column indices.  The pseudoinverse also
-has an unchecked private core, and the logit and the normalization have
-only one: callers pass them matrices they built or checked.
+rule for counts, config seeds and column indices, and _labels its one rule
+for class labels.  The pseudoinverse also has an unchecked private core,
+and the logit and the normalization have only one: callers pass them
+matrices they built or checked.
 
 All matrices are dense float64 numpy arrays, samples as columns.
 """
@@ -75,6 +76,19 @@ def _integer(value, what, low, error=ValueError):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise error(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _labels(labels, name, error=ValueError):
+    """labels as an int array, or error naming name unless they are bool,
+    integer or float and every one is finite and integer-valued."""
+    a = np.asarray(labels)
+    if a.dtype.kind not in "biuf":
+        raise error(f"{name} must be integer-valued, got dtype {a.dtype}")
+    if a.dtype.kind == "f":
+        fractional = ~(np.isfinite(a) & (a == np.round(a)))
+        if fractional.any():
+            raise error(f"{name} must be integer-valued, got {a[fractional][:5]}")
+    return a.astype(int, copy=False)
 
 
 def augmented_inputs(mats, targets=None):

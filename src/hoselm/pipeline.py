@@ -52,7 +52,7 @@ from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
 from .combine import CombineSpec, combine_affine
 from .errors import FormatError, ModeError, ShapeError
 from .extractor import ExtractorConfig, SubnetNode, extract_features
-from .kernels import _integer, _qr_r, as_matrix, augmented_inputs
+from .kernels import _integer, _labels, _qr_r, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps, and fit and load_model through B;
@@ -335,6 +335,12 @@ class Evaluation:
     infer_seconds: float
 
 
+def _check_model(model):
+    """TypeError unless model is an HOselmModel."""
+    if not isinstance(model, HOselmModel):
+        raise TypeError(f"model must be an HOselmModel, got {type(model).__name__}")
+
+
 def _checked_groups(groups):
     if isinstance(groups, FeatureGroup):
         groups = [groups]
@@ -493,6 +499,7 @@ def partial_fit(model, groups, targets):
     Extractor weights are frozen; only the readout advances, and the new
     model shares the parent's maps.  The chunk is not retained.
     """
+    _check_model(model)
     if model.config.mode != "sequential":
         raise ModeError("partial_fit requires a sequential-mode model")
     mats, _ = _checked_groups(groups)
@@ -502,6 +509,7 @@ def partial_fit(model, groups, targets):
 
 def scores(model, groups):
     """Raw readout scores (classes x samples) for aligned groups."""
+    _check_model(model)
     mats, _ = _checked_groups(groups)
     _check_layout(model, mats)
     z = model.maps.apply(mats)
@@ -521,8 +529,8 @@ def classification_metrics(true_labels, predicted_labels, class_count):
     Classes with no true samples get recall None and are excluded from the
     mean; they are reported so callers can flag them.
     """
-    true_labels = np.asarray(true_labels, dtype=int)
-    predicted_labels = np.asarray(predicted_labels, dtype=int)
+    true_labels = _labels(true_labels, "true_labels")
+    predicted_labels = _labels(predicted_labels, "predicted_labels")
     if true_labels.shape != predicted_labels.shape:
         raise ShapeError(
             f"label shapes differ: {true_labels.shape} vs {predicted_labels.shape}"
@@ -555,6 +563,7 @@ def evaluate(model, groups, targets):
     wall-clock time is recorded; callers that want training time measure
     fit themselves.
     """
+    _check_model(model)
     tm = as_matrix(targets, "targets")
     if tm.shape[0] != model.class_count:
         raise ShapeError(f"targets have {tm.shape[0]} rows, the model {model.class_count} classes")
@@ -590,14 +599,12 @@ def save_model(model, path):
     continues bit for bit.  See the README for the full layout.
 
     path is a file name, written exactly as given (np.savez alone would
-    append .npz), or a binary file object.  The rules on the model's
+    append .npz) and only once whole, so a failed write leaves any old file
+    there intact; or it is a binary file object.  The rules on the model's
     structure were checked when it was built (see HOselmModel); those on
     its values are checked before anything is written, raising ValueError.
     """
-    if not isinstance(model, HOselmModel):
-        raise TypeError(
-            f"save_model takes (model, path), got {type(model).__name__} first"
-        )
+    _check_model(model)
     arrays = _checked_arrays(model)
     batch = model.config.mode == "batch"
     readout = model.readout
@@ -609,11 +616,19 @@ def save_model(model, path):
         "readout": {"node_count": len(readout.step)} if batch else {"seen": readout.seen},
     }
     arrays["header"] = np.array(json.dumps(header, sort_keys=True))
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-    else:
+    if not isinstance(path, (str, os.PathLike)):
         np.savez(path, **arrays)
+        return
+    # A temporary beside path, created under the umask as path would be.
+    temp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **arrays)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _checked_arrays(model):

@@ -11,7 +11,7 @@ import pytest
 
 import hoselm
 from hoselm.bench import RunConfig
-from hoselm.cli import _build_parser, _merged_options, _pipeline_config, _run_config, main
+from hoselm.cli import _parse, _pipeline_config, _run_config, main
 from hoselm.pipeline import PipelineConfig
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -188,11 +188,16 @@ def test_config_file_merging(tmp_path, capsys):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    """A file sets every bench option but --config and --both-modes."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"per_class": 40, "chunk": 10}))
-    code = main(["bench", "--config", str(config)])
-    assert code == 2
-    assert "unknown config keys: chunk" in capsys.readouterr().err
+    for contents, unknown in [
+        ({"per_class": 40, "chunk": 10}, "chunk"),
+        ({"both_modes": True}, "both_modes"),
+    ]:
+        config.write_text(json.dumps(contents))
+        code = main(["bench", "--config", str(config)])
+        assert code == 2
+        assert f"unknown config keys: {unknown}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -219,10 +224,9 @@ def test_config_file_of_the_wrong_shape_is_reported(tmp_path, capsys, contents, 
 def test_config_file_keeps_null_options_and_integer_floats(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"chunk_size": None, "coeff": 50, "groups": [[0, 8]]}))
-    args = _build_parser().parse_args(["train", "--config", str(config)])
-    values = _merged_options(args, args.defaults)
-    assert values["chunk_size"] is None and values["groups"] == ((0, 8),)
-    assert _pipeline_config(values).coeff == 50
+    args = _parse(["train", "--config", str(config)])
+    assert args.chunk_size is None and args.groups == ((0, 8),)
+    assert _pipeline_config(args).coeff == 50
 
 
 def test_train_writes_the_model_file_it_names(tmp_path, dataset, capsys):
@@ -409,13 +413,10 @@ def test_bench_models_are_unchanged(monkeypatch, tmp_path):
 
 
 def test_option_defaults_are_the_config_defaults():
-    parser = _build_parser()
-    train = parser.parse_args(["train"])
-    assert _pipeline_config(_merged_options(train, train.defaults)) == PipelineConfig()
-    bench = parser.parse_args(["bench"])
-    values = _merged_options(bench, bench.defaults)
-    assert _run_config(values, (values["mode"],)) == RunConfig()
-    synth = parser.parse_args(["synth", "--out", "unused.csv"])
+    assert _pipeline_config(_parse(["train"])) == PipelineConfig()
+    bench = _parse(["bench"])
+    assert _run_config(bench, (bench.mode,)) == RunConfig()
+    synth = _parse(["synth", "--out", "unused.csv"])
     run = RunConfig()
     assert (synth.classes, synth.per_class, synth.dim, synth.spread, synth.seed) == (
         run.synth_classes, run.synth_per_class, run.synth_dim, run.synth_spread, run.seed

@@ -6,7 +6,7 @@ import pytest
 from hoselm.classifier import decode_labels
 from hoselm.data import load_csv, one_hot, split, synth_blobs, write_csv
 from hoselm.errors import FormatError, ParseError, ShapeError
-from hoselm.pipeline import FeatureGroup
+from hoselm.pipeline import FeatureGroup, classification_metrics
 
 
 def test_load_single_group(tmp_path):
@@ -47,12 +47,15 @@ def test_write_read_round_trip_exact(tmp_path):
 )
 def test_write_csv_rejects_groups_without_a_column_per_label(tmp_path, widths, label_count):
     """Every group must hold one sample per label: fewer labels would drop
-    samples, more would index past a group, unequal groups would mix."""
+    samples, more would index past a group, unequal groups would mix.
+    split keeps the same rule; more labels used to raise IndexError there."""
     groups = [FeatureGroup(x=np.arange(3.0 * w).reshape(3, w)) for w in widths]
     path = tmp_path / "out.csv"
     with pytest.raises(ShapeError, match="labels"):
         write_csv(path, groups, np.arange(label_count) % 2)
     assert not path.exists()
+    with pytest.raises(ShapeError, match=f"groups have \\[{widths[0]}"):
+        split(groups, np.arange(label_count) % 2, 0.5)
 
 
 def test_write_csv_rejects_fractional_labels(tmp_path):
@@ -126,12 +129,66 @@ def test_one_hot_examples():
         one_hot([-1], 3)
 
 
-def test_one_hot_rejects_labels_that_are_not_integers():
-    """Fractional labels used to truncate silently: 1.7 became class 1."""
-    for bad in ([0.5, 1.7], [0, 1, np.nan], [np.inf]):
-        with pytest.raises(ValueError, match="integer-valued"):
-            one_hot(bad, 2)
-    assert np.array_equal(one_hot(np.array([1.0, 0.0]), 2), one_hot([1, 0], 2))
+def _labels_file(labels, tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("".join(f"1.0,{v!r}\n" for v in labels))
+    return load_csv(path)
+
+
+# Two labels that are not both integers, by kind.
+NOT_INTEGERS = {
+    "fraction": [0.5, 1.7],
+    "nan": [0.0, np.nan],
+    "inf": [np.inf, 1.0],
+    "string": ["0", "1"],
+    "object": np.array([0, 1], dtype=object),
+}
+
+# Every caller of the label rule: (call(labels, tmp_path), name, error).
+LABEL_TAKERS = {
+    "one_hot": (lambda labels, _: one_hot(labels, 2), "labels", ValueError),
+    "write_csv": (
+        lambda labels, tmp: write_csv(tmp / "out.csv", FeatureGroup(x=np.ones((1, 2))), labels),
+        "labels",
+        ValueError,
+    ),
+    "split": (
+        lambda labels, _: split(FeatureGroup(x=np.ones((1, 2))), labels, 0.5), "labels", ValueError
+    ),
+    "classification_metrics-true": (
+        lambda labels, _: classification_metrics(labels, [0, 1], 2), "true_labels", ValueError
+    ),
+    "classification_metrics-predicted": (
+        lambda labels, _: classification_metrics([0, 1], labels, 2), "predicted_labels", ValueError
+    ),
+    "load_csv": (_labels_file, "label column 1", ParseError),
+}
+
+
+@pytest.mark.parametrize(
+    "taker, kind",
+    [
+        pytest.param(taker, kind, id=f"{taker}-{kind}")
+        for taker in LABEL_TAKERS
+        for kind in NOT_INTEGERS
+        # A CSV cell is a number, so load_csv meets no string or object label.
+        if taker != "load_csv" or kind not in ("string", "object")
+    ],
+)
+def test_every_label_taker_refuses_labels_that_are_not_integers(tmp_path, taker, kind):
+    """Fractional labels used to truncate silently (1.7 became class 1),
+    and string or object labels raised numpy's TypeError: each raises the
+    taker's error naming the labels, and write_csv writes nothing."""
+    call, name, error = LABEL_TAKERS[taker]
+    with pytest.raises(error, match=f"{name} must be integer-valued"):
+        call(NOT_INTEGERS[kind], tmp_path)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_integer_valued_labels_of_every_kind_are_taken():
+    """Bool, integer and integer-valued float labels are the classes they equal."""
+    for labels in (np.array([1.0, 0.0]), np.array([True, False]), np.array([1, 0], np.uint8)):
+        assert np.array_equal(one_hot(labels, 2), one_hot([1, 0], 2))
 
 
 def test_one_hot_decode_round_trip():

@@ -706,6 +706,56 @@ def test_save_model_rejects_values_load_model_would_reject(tmp_path, case):
     assert not path.exists()
 
 
+def test_a_failed_save_leaves_the_old_model_file_intact(tmp_path, monkeypatch):
+    """save_model used to open its path for writing before np.savez ran, so
+    a failure part-way left a truncated file where the old model was.  It
+    now writes a temporary beside the path, created under the umask as a
+    plain open would, and renames it onto the path once whole."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg())
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    old = path.read_bytes()
+    with open(tmp_path / "probe", "wb"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "probe").stat().st_mode
+    (tmp_path / "probe").unlink()
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(old[: len(old) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        save_model(model, path)
+    assert path.read_bytes() == old
+    with pytest.raises(OSError, match="no space left"):
+        save_model(model, tmp_path / "new.npz")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda model, groups, targets, _: predict(model, groups),
+        lambda model, groups, targets, _: scores(model, groups),
+        lambda model, groups, targets, _: partial_fit(model, groups, targets),
+        lambda model, groups, targets, _: evaluate(model, groups, targets),
+        lambda model, groups, targets, tmp: save_model(model, tmp / "model.npz"),
+    ],
+    ids=["predict", "scores", "partial_fit", "evaluate", "save_model"],
+)
+def test_every_entry_point_that_takes_a_model_refuses_a_non_model(tmp_path, entry):
+    """predict, scores, partial_fit and evaluate used to raise AttributeError
+    on None; like save_model, each raises TypeError naming the model."""
+    groups, targets, _ = toy_blobs()
+    readout = fit(groups, targets, small_cfg()).readout
+    for bad in (None, "model.npz", readout):
+        with pytest.raises(TypeError, match="model must be an HOselmModel"):
+            entry(bad, groups, targets, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_load_model_rejects_files_that_are_not_archives(tmp_path):
     path = tmp_path / "model.npz"
     path.write_bytes(b"not a zip archive")
@@ -803,8 +853,12 @@ INTEGER_SITES = [
     _site("synth_blobs", "classes", 1, lambda v, _: synth_blobs(v, 2, 3, 0.1, seed=1)),
     _site("synth_blobs", "per_class", 1, lambda v, _: synth_blobs(2, v, 3, 0.1, seed=1)),
     _site("synth_blobs", "dim", 1, lambda v, _: synth_blobs(1, 2, v, 0.1, seed=1)),
+    _site("synth_blobs", "seed", 0, lambda v, _: synth_blobs(2, 3, 2, 0.1, seed=v)),
     _site("one_hot", "class_count", 1, lambda v, _: one_hot([0], v)),
     _site("split", "train_size", 1, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), v)),
+    _site(
+        "split", "seed", 0, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), 0.5, seed=v)
+    ),
     _site("load_csv", "label_col", -3, lambda v, tmp: _load_csv(tmp, label_col=v)),
     _site(
         "load_csv", "group_ranges start", 0, lambda v, tmp: _load_csv(tmp, group_ranges=[(v, 2)])
