@@ -22,6 +22,9 @@ __all__ = ["CombineSpec", "combine", "combine_affine"]
 
 _OPERATORS = ("plus", "concat")
 
+# Entries per block of gamma * M_i that plus adds into its result (512 KB).
+_PLUS_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CombineSpec:
@@ -48,20 +51,30 @@ def _checked(features):
 
 
 def _merge(mats, spec):
-    """plus -> M1 + gamma*M2 + ...; concat -> row stack."""
+    """plus -> M1 + gamma*M2 + ...; concat -> row stack.
+
+    Only the result is allocated in full: plus adds gamma * M_i into a copy
+    of M1 one block of about _PLUS_BLOCK entries (whole rows) at a time, so
+    its only temporary is one block, and every entry is the one the full
+    expression gives.
+    """
     if spec.operator == "plus":
         shapes = {m.shape for m in mats}
         if len(shapes) > 1:
             raise ShapeError(f"plus needs equal shapes, got {sorted(shapes)}")
         out = mats[0].copy()
+        step = max(1, _PLUS_BLOCK // max(1, out.shape[1]))
         for m in mats[1:]:
-            out += spec.gamma * m
+            for lo in range(0, out.shape[0], step):
+                out[lo : lo + step] += spec.gamma * m[lo : lo + step]
         return out
     return np.vstack(mats)
 
 
 def combine(features, spec):
-    """Merge features: plus -> F1 + gamma*F2 + ...; concat -> row stack."""
+    """Merge features: plus -> F1 + gamma*F2 + ...; concat -> row stack.
+    Either way the merged d x M matrix is the only sample-sized array
+    allocated."""
     return _merge(_checked(features), spec)
 
 

@@ -87,14 +87,14 @@ def write_csv(path, groups, labels):
 
     Group columns appear in group order; the label is the last column.
     Floats are written with repr, so a written file reads back exactly.
-    Every group needs one column per label (ShapeError otherwise), and the
-    labels must be integer-valued (ValueError otherwise, as in one_hot).
+    Every group needs to be 2-D with one column per label (ShapeError
+    otherwise), and the labels must be integer-valued (ValueError
+    otherwise, as in one_hot).
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
-    mats = [np.asarray(g.x) for g in groups]
     labels = _labels(labels, "labels")
-    _check_columns(mats, labels)
+    mats = _check_columns(groups, labels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for j in range(labels.size):
@@ -120,14 +120,23 @@ def one_hot(labels, class_count):
     return targets
 
 
-def _check_columns(mats, labels):
-    widths = [np.shape(m)[1] for m in mats]
+def _check_columns(groups, labels):
+    """Each group's x as an array, or ShapeError unless every one is 2-D
+    with one column per label."""
+    mats = [np.asarray(g.x) for g in groups]
+    for i, (g, m) in enumerate(zip(groups, mats)):
+        if m.ndim != 2:
+            raise ShapeError(f"group {g.name or i!r} must be 2-D, got ndim={m.ndim}")
+    widths = [m.shape[1] for m in mats]
     if any(w != labels.size for w in widths):
         raise ShapeError(f"groups have {widths} columns for {labels.size} labels")
+    return mats
 
 
-def _take(groups, labels, order):
-    picked = [FeatureGroup(x=g.x[:, order], name=g.name) for g in groups]
+def _take(groups, mats, labels, order):
+    """The columns order of every group, gathered by np.take into new
+    C-ordered arrays, and their labels."""
+    picked = [FeatureGroup(x=np.take(m, order, axis=1), name=g.name) for g, m in zip(groups, mats)]
     return picked, labels[order]
 
 
@@ -148,12 +157,14 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     count (the latter is inherently stratified).  Both partitions come back
     in shuffled order, so a sequential consumer sees class-mixed chunks.
     Labels must be integer-valued, as in one_hot, and every group needs
-    one column per label (ShapeError otherwise).
+    to be 2-D with one column per label (ShapeError otherwise).  The
+    partitioned groups, C-ordered, are the only sample-sized arrays
+    allocated.
     """
     if isinstance(groups, FeatureGroup):
         groups = [groups]
     labels = _labels(labels, "labels")
-    _check_columns([g.x for g in groups], labels)
+    mats = _check_columns(groups, labels)
     total = labels.size
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     train_size = _train_size(train_size)
@@ -177,7 +188,10 @@ def split(groups, labels, train_size, seed=0, stratified=False):
     test_idx = np.flatnonzero(~mask)
     train_order = rng.permutation(np.sort(train_idx))
     test_order = rng.permutation(test_idx)
-    return _take(groups, labels, train_order), _take(groups, labels, test_order)
+    return (
+        _take(groups, mats, labels, train_order),
+        _take(groups, mats, labels, test_order),
+    )
 
 
 def synth_blobs(classes, per_class, dim, spread, seed=0):

@@ -59,13 +59,16 @@ def init_hidden(input_dim, hidden_count, seed=0):
 
 def hidden_activations(layer, x):
     """Map samples-as-columns input (input_dim x M) to sigmoid activations
-    (hidden x M)."""
+    (hidden x M).  The biases and the sigmoid are applied in place, so the
+    activations are the only hidden x M array allocated."""
     xm = as_matrix(x, "input")
     if xm.shape[0] != layer.input_dim:
         raise ShapeError(
             f"input has {xm.shape[0]} rows, layer expects {layer.input_dim}"
         )
-    return sigmoid_map(layer.weights @ xm + layer.biases[:, None])
+    h = layer.weights @ xm
+    h += layer.biases[:, None]
+    return sigmoid_map(h, out=h)
 
 
 def fit_output(h, targets):

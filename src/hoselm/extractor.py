@@ -113,13 +113,16 @@ def spawn_node(input_dim, subspace_dim, seed):
 
 
 def project(node, x):
-    """Subspace feature weights @ X + bias; linear, no activation.  Callers
-    pass validated float arrays; only shapes are checked here."""
+    """Subspace feature weights @ X + bias; linear, no activation.  The bias
+    is added in place, so the d x M feature is the only array allocated.
+    Callers pass validated float arrays; only shapes are checked here."""
     if x.shape[0] != node.input_dim:
         raise ShapeError(
             f"inputs have {x.shape[0]} rows, node expects {node.input_dim}"
         )
-    return node.weights @ x + node.bias
+    out = node.weights @ x
+    out += node.bias
+    return out
 
 
 def factor_inputs(mats, targets):

@@ -80,14 +80,16 @@ def _integer(value, what, low, error=ValueError):
 
 def _labels(labels, name, error=ValueError):
     """labels as an int array, or error naming name unless they are bool,
-    integer or float and every one is finite and integer-valued."""
+    integer or float and every one is integer-valued with |label| < 2**63,
+    so the int64 cast neither warns nor wraps."""
     a = np.asarray(labels)
     if a.dtype.kind not in "biuf":
         raise error(f"{name} must be integer-valued, got dtype {a.dtype}")
-    if a.dtype.kind == "f":
-        fractional = ~(np.isfinite(a) & (a == np.round(a)))
-        if fractional.any():
-            raise error(f"{name} must be integer-valued, got {a[fractional][:5]}")
+    if a.dtype.kind in "fu":
+        # NaN, Inf and an unsigned label the cast would wrap fail the bound.
+        bad = ~((np.abs(a) < 2**63) & (a == np.round(a)))
+        if bad.any():
+            raise error(f"{name} must be integer-valued, below 2**63 in magnitude, got {a[bad][:5]}")
     return a.astype(int, copy=False)
 
 
@@ -197,12 +199,13 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid_map(x):
-    """Elementwise 1/(1 + exp(-x)) as 1/2 + tanh(x/2)/2 in one new array:
-    within ulp(1) of it in absolute (not far-tail relative) terms, inside
-    (0, 1), never overflows, keeps NaN.  Callers pass pre-activations they
-    computed from validated operands, so the input is not checked again."""
-    y = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+def sigmoid_map(x, out=None):
+    """Elementwise 1/(1 + exp(-x)) as 1/2 + tanh(x/2)/2 in out (one new
+    array by default; out=x works in place): within ulp(1) of it in absolute
+    (not far-tail relative) terms, inside (0, 1), never overflows, keeps
+    NaN.  Callers pass pre-activations they computed from validated
+    operands, so the input is not checked again."""
+    y = np.multiply(x, 0.5, out=np.empty(np.shape(x)) if out is None else out)
     np.tanh(y, out=y)
     y *= 0.5
     y += 0.5

@@ -1,6 +1,7 @@
 """Combiner tests: fold semantics, permutation behavior, dimension accounting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,3 +146,23 @@ def test_combine_affine_equals_combined_projections(case):
     assert (b @ stacked).shape == want.shape
     scale = (np.abs(b) @ np.abs(stacked)).max()
     assert np.all(np.abs(b @ stacked - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_plus_allocates_only_its_result(gamma):
+    """plus adds every operand after the first into its result one block of
+    rows at a time: for 3 features of 200 x 5000 (a row count the block does
+    not divide) the tracemalloc peak stays under 1.25 times the result,
+    where an operand-sized temporary reaches 2 times, and the result is
+    F1 + gamma*F2 + gamma*F3 bit for bit."""
+    rng = np.random.default_rng(14)
+    feats = [rng.standard_normal((200, 5000)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        out = combine(feats, CombineSpec("plus", gamma))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes
+    f1, f2, f3 = feats
+    assert np.array_equal(out, f1 + gamma * f2 + gamma * f3)

@@ -1,5 +1,7 @@
 """Data plumbing tests: CSV round-trips, encoding, splits, synthetic blobs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,19 @@ def test_write_csv_rejects_groups_without_a_column_per_label(tmp_path, widths, l
     assert not path.exists()
     with pytest.raises(ShapeError, match=f"groups have \\[{widths[0]}"):
         split(groups, np.arange(label_count) % 2, 0.5)
+
+
+@pytest.mark.parametrize("name, shown", [("", "group 0"), ("flat", "group 'flat'")])
+def test_write_csv_and_split_reject_a_group_that_is_not_2d(tmp_path, name, shown):
+    """A 1-D group used to raise IndexError reading its column count: both
+    takers raise ShapeError naming the group, and write_csv writes nothing."""
+    group = FeatureGroup(x=np.ones(4), name=name)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ShapeError, match=f"{shown} must be 2-D, got ndim=1"):
+        write_csv(path, group, [0, 1, 0, 1])
+    assert not path.exists()
+    with pytest.raises(ShapeError, match=f"{shown} must be 2-D, got ndim=1"):
+        split(group, [0, 1, 0, 1], 0.5)
 
 
 def test_write_csv_rejects_fractional_labels(tmp_path):
@@ -142,6 +157,9 @@ NOT_INTEGERS = {
     "inf": [np.inf, 1.0],
     "string": ["0", "1"],
     "object": np.array([0, 1], dtype=object),
+    # Integer-valued, but the int64 cast warned and wrapped them.
+    "float-beyond-int64": [1e20, 0.0],
+    "uint-beyond-int64": np.array([2**63 + 5, 0], dtype=np.uint64),
 }
 
 # Every caller of the label rule: (call(labels, tmp_path), name, error).
@@ -171,14 +189,16 @@ LABEL_TAKERS = {
         pytest.param(taker, kind, id=f"{taker}-{kind}")
         for taker in LABEL_TAKERS
         for kind in NOT_INTEGERS
-        # A CSV cell is a number, so load_csv meets no string or object label.
-        if taker != "load_csv" or kind not in ("string", "object")
+        # A CSV cell is a float, so load_csv meets no string, object or
+        # unsigned label.
+        if taker != "load_csv" or kind not in ("string", "object", "uint-beyond-int64")
     ],
 )
 def test_every_label_taker_refuses_labels_that_are_not_integers(tmp_path, taker, kind):
     """Fractional labels used to truncate silently (1.7 became class 1),
-    and string or object labels raised numpy's TypeError: each raises the
-    taker's error naming the labels, and write_csv writes nothing."""
+    string or object labels raised numpy's TypeError, and labels beyond
+    int64 became -2**63 or wrapped negative: each raises the taker's error
+    naming the labels, and write_csv writes nothing."""
     call, name, error = LABEL_TAKERS[taker]
     with pytest.raises(error, match=f"{name} must be integer-valued"):
         call(NOT_INTEGERS[kind], tmp_path)
@@ -318,3 +338,26 @@ def test_synth_blobs_validation():
     for spread in (np.nan, np.inf):
         with pytest.raises(ValueError, match="spread"):
             synth_blobs(2, 3, 2, spread, seed=1)
+
+
+def test_split_gathers_into_c_ordered_groups_only():
+    """split gathers each partition with np.take: its tracemalloc peak stays
+    under 1.25 times the groups and labels it returns, every group is
+    C-ordered (x[:, order] was F-ordered), and each is x[:, order] bit for
+    bit, with order read back from a row of column numbers."""
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((64, 4000))
+    x[0] = np.arange(4000)
+    labels = rng.integers(0, 3, 4000)
+    tracemalloc.start()
+    try:
+        parts = split(FeatureGroup(x=x), labels, 0.5, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(g.x.nbytes + part_labels.nbytes for (g,), part_labels in parts)
+    for (g,), part_labels in parts:
+        order = g.x[0].astype(int)
+        assert g.x.flags.c_contiguous
+        assert np.array_equal(g.x, x[:, order])
+        assert np.array_equal(part_labels, labels[order])

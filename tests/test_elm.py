@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hoselm.elm import (
     predict,
 )
 from hoselm.errors import ShapeError
+from hoselm.kernels import sigmoid_map
 
 
 def normal_equations_lstsq(h, t):
@@ -155,3 +158,20 @@ class TestPredict:
         lhs = predict(layer, both, x)
         rhs = predict(layer, b1, x) + predict(layer, b2, x)
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_hidden_activations_allocate_only_their_result():
+    """The biases and the sigmoid are applied in place on the product: at
+    200 x 5000 the tracemalloc peak stays under 1.25 times the activations,
+    and they are sigmoid_map(W @ x + b) bit for bit."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((50, 5000))
+    layer = init_hidden(50, 200, seed=6)
+    tracemalloc.start()
+    try:
+        out = hidden_activations(layer, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes
+    assert np.array_equal(out, sigmoid_map(layer.weights @ x + layer.biases[:, None]))

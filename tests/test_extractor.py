@@ -650,3 +650,20 @@ def test_config_rejects_nan_damping_and_norm_eps_outside_the_open_half():
     for bad in (0.7, -0.5):
         with pytest.raises(ValueError, match="norm_eps"):
             ExtractorConfig(node_count=1, subspace_dim=3, norm_eps=bad)
+
+
+def test_project_allocates_only_its_feature():
+    """project adds the bias into the product in place: at 200 x 5000 its
+    tracemalloc peak stays under 1.25 times the feature it returns, and the
+    feature is W @ x + b bit for bit."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((50, 5000))
+    node = spawn_node(50, 200, seed=4)
+    tracemalloc.start()
+    try:
+        out = project(node, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes
+    assert np.array_equal(out, node.weights @ x + node.bias)
