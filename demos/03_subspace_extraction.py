@@ -12,7 +12,6 @@ import numpy as np
 
 from hoselm.combine import CombineSpec, combine
 from hoselm.extractor import (
-    ExtractorConfig,
     error_feedback,
     extract_features,
     factor_inputs,
@@ -22,6 +21,7 @@ from hoselm.extractor import (
     spawn_node,
 )
 from hoselm.kernels import pinv
+from hoselm.pipeline import PipelineConfig
 
 
 def readout_error(node, x, targets, factor):
@@ -37,12 +37,13 @@ def main():
     targets = np.zeros((3, samples))
     targets[labels, np.arange(samples)] = 1.0
     factor = factor_inputs(x, targets)
-    cfg = ExtractorConfig(node_count=4, subspace_dim=3, seed=11)
+    # The layer reads node_count, subspace_dim, damping and seed.
+    cfg = PipelineConfig(node_count=4, subspace_dim=3, seed=11)
 
     print("one node, step by step:")
     node = spawn_node(inputs, cfg.subspace_dim, np.random.SeedSequence(cfg.seed).spawn(1)[0])
     readout = ls_readout(node, factor, samples)
-    feedback = error_feedback(node, readout, x, targets, factor, cfg.norm_eps)
+    feedback = error_feedback(node, readout, x, targets, factor)
     # The least squares a x ~ f goes through the pseudoinverse of the
     # factor's leading triangle, at the cutoff pinv(X X') would use.
     r11_pinv = pinv(factor[:inputs, :inputs].T, rcond=np.sqrt(np.finfo(float).eps * inputs))

@@ -19,7 +19,8 @@ infinity, a string or an object raises ValueError naming the labels
 (ParseError for a CSV label column).  No input is converted lossily, so a
 matrix that is not bool, integer or float (complex, strings, objects)
 raises ValueError too, and an entry point given something other than a
-model where it takes one raises TypeError.
+model, a FeatureGroup or a PipelineConfig where it takes one raises
+TypeError.
 """
 
 from .bench import (
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .extractor import ExtractorConfig, SubnetNode, extract_features
+from .extractor import SubnetNode, extract_features
 from .oselm import OselmState, os_boot, os_predict, os_update
 from .pipeline import (
     Evaluation,
@@ -79,7 +80,6 @@ __all__ = [
     "ModeError",
     "ParseError",
     "ShapeError",
-    "ExtractorConfig",
     "SubnetNode",
     "extract_features",
     "OselmState",

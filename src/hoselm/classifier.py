@@ -14,12 +14,12 @@ coordinates U'H, whose ridge inverse is a diagonal it read off an SVD, and
 maps the weights back (see pipeline.fit).
 
 A fitted model holds its nodes stacked: one nodes x classes x D weight
-array, one bias, step and normalization range per node, and the eps every
-node's normalization shares; fit_node returns a one-node model.  A score
-is one matrix product for the affine half, then activate: one sigmoid, and
-each node's denormalization and step folded into one scale per node and
-one offset.  Fit and serve share it; the pipeline folds the affine half
-into its frozen input maps.
+array, one bias, step and normalization range per node (each normalizes
+into [_NORM_EPS, 1]); fit_node returns a one-node model.  A score is one
+matrix product for the affine half, then activate: one sigmoid, and each
+node's denormalization and step folded into one scale per node and one
+offset.  Fit and serve share it; the pipeline folds the affine half into
+its frozen input maps.
 
 The fitting functions take arrays the pipeline validated and check shapes
 only; every matrix they normalize or map is one they built, so they call
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateNodeError, ShapeError
-from .kernels import _integer, as_matrix, sigmoid_map
+from .kernels import _NORM_EPS, _integer, as_matrix, sigmoid_map
 from .kernels import ridge_inverse  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The fit builds every matrix it normalizes or maps, so it calls the
@@ -56,8 +56,7 @@ class ClassifierModel:
 
     weights is nodes x classes x D; bias, step, lo and hi hold one value
     per node, lo and hi being the range of the residual the node was fitted
-    on (lo == hi marks the degenerate case); eps is the lower target of
-    every node's normalization.
+    on (lo == hi marks the degenerate case).
     """
 
     weights: np.ndarray
@@ -65,7 +64,6 @@ class ClassifierModel:
     step: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    eps: float
 
     @property
     def class_count(self):
@@ -78,8 +76,8 @@ class ClassifierModel:
     @cached_property
     def _folded(self):
         """activate's scale a and offset c; derived once, never stored."""
-        a = self.step * (self.hi - self.lo) / (1.0 - self.eps)
-        return a, float(np.sum(self.step * self.lo - a * self.eps))
+        a = self.step * (self.hi - self.lo) / (1.0 - _NORM_EPS)
+        return a, float(np.sum(self.step * self.lo - a * _NORM_EPS))
 
 
 def activate(model, z):
@@ -88,15 +86,17 @@ def activate(model, z):
     z = weights @ h + bias per node, however it was computed, with node k's
     rows at k*C .. k*C + C - 1 (C = class_count).  Node k adds its sigmoid
     s_k denormalized and stepped, step_k (lo_k + (s_k - eps)(hi_k - lo_k) /
-    (1 - eps)) = a_k s_k + step_k lo_k - a_k eps; the score is sum_k a_k s_k
-    plus those constants summed into one offset c.  hi == lo gives a_k = 0.
+    (1 - eps)) = a_k s_k + step_k lo_k - a_k eps, with eps = _NORM_EPS; the
+    score is sum_k a_k s_k plus those constants summed into one offset c.
+    hi == lo gives a_k = 0.  The sigmoid is taken in z's buffer, so z is
+    overwritten: callers pass a temporary.
     """
     classes, cols = model.class_count, z.shape[-1]
     a, c = model._folded
-    return (a @ sigmoid_map(z).reshape(len(a), classes * cols)).reshape(classes, cols) + c
+    return (a @ sigmoid_map(z, out=z).reshape(len(a), classes * cols)).reshape(classes, cols) + c
 
 
-def fit_node(h, e_prev, gram_inv, eps=1e-4):
+def fit_node(h, e_prev, gram_inv):
     """Fit one node against the current residual; return (node, next residual).
 
     The residual is normalized into (0, 1], pulled back through the logit,
@@ -117,9 +117,7 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
         raise ShapeError(f"sample counts differ: features {cols}, residual {e_prev.shape[1]}")
     if gram_inv.shape != (rows, rows):
         raise ShapeError(f"ridge inverse shape {gram_inv.shape}, features have {rows} rows")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    scaled, lo, hi = _normalize_unit(e_prev, eps)
+    scaled, lo, hi = _normalize_unit(e_prev)
     z = _logit_map(scaled)
     weights = z @ h.T @ gram_inv
     pre = weights @ h
@@ -130,7 +128,6 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
         step=np.ones(1),
         lo=np.array([lo]),
         hi=np.array([hi]),
-        eps=float(eps),
     )
     v = activate(node, pre + bias)
     v_sq = float(np.sum(v * v))
@@ -140,7 +137,7 @@ def fit_node(h, e_prev, gram_inv, eps=1e-4):
     return replace(node, step=np.array([step])), e_prev - step * v
 
 
-def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
+def fit_classifier(h, targets, node_count, gram_inv):
     """Fit up to node_count nodes greedily, threading the residual.
 
     gram_inv = (I/c + h h')^-1 is the caller's, shared by every node as in
@@ -153,7 +150,7 @@ def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
     nodes = []
     for _ in range(_integer(node_count, "node_count", 1)):
         try:
-            node, e = fit_node(h, e, gram_inv, eps)
+            node, e = fit_node(h, e, gram_inv)
         except DegenerateNodeError:
             break
         nodes.append(node)
@@ -162,7 +159,7 @@ def fit_classifier(h, targets, node_count, gram_inv, eps=1e-4):
         for name in ("weights", "bias", "step", "lo", "hi")
     }
     arrays["weights"] = arrays["weights"].reshape(len(nodes), len(targets), len(h))
-    return ClassifierModel(**arrays, eps=float(eps))
+    return ClassifierModel(**arrays)
 
 
 def score(model, h):

@@ -25,13 +25,10 @@ from .pipeline import (
     save_model,
 )
 
-# Option name -> PipelineConfig field for every field but norm_eps, which
-# the CLI does not expose; two options are named differently.
+# Option name -> PipelineConfig field; two options are named differently.
 _RENAMED = {"node_count": "nodes", "subspace_dim": "hidden"}
 _PIPELINE_FIELDS = {
-    _RENAMED.get(f.name, f.name): f.name
-    for f in dataclasses.fields(PipelineConfig)
-    if f.name != "norm_eps"
+    _RENAMED.get(f.name, f.name): f.name for f in dataclasses.fields(PipelineConfig)
 }
 
 # Option name -> RunConfig field, for the synthetic-data and split options.

@@ -36,9 +36,10 @@ def load_csv(path, group_ranges=None, label_col=-1):
     """Read a numeric CSV into feature groups and an integer label vector.
 
     group_ranges is a list of half-open (start, stop) column ranges, one
-    FeatureGroup per range; None means a single group of every non-label
-    column.  Row order is preserved as column order.  label_col=None reads
-    a label-free file and returns labels as None.
+    FeatureGroup per range, each a C-ordered array of its own; None means a
+    single group of every non-label column.  Row order is preserved as
+    column order.  label_col=None reads a label-free file and returns
+    labels as None.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -78,7 +79,7 @@ def load_csv(path, group_ranges=None, label_col=-1):
         if span & seen:
             raise ValueError(f"range ({start}, {stop}) overlaps another group")
         seen |= span
-        groups.append(FeatureGroup(x=table[:, start:stop].T, name=f"cols{start}-{stop}"))
+        groups.append(FeatureGroup(x=table[:, start:stop].T.copy(), name=f"cols{start}-{stop}"))
     return groups, labels
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import _integer, _qr_r, augmented_inputs
+from .kernels import _NORM_EPS, _integer, _qr_r, augmented_inputs
 from .kernels import as_matrix  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 # The layer takes pseudoinverses only of matrices it built, so it calls the
@@ -50,7 +50,6 @@ from .kernels import _pinv as pinv
 
 __all__ = [
     "SubnetNode",
-    "ExtractorConfig",
     "spawn_node",
     "project",
     "factor_inputs",
@@ -76,31 +75,6 @@ class SubnetNode:
     @property
     def input_dim(self):
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class ExtractorConfig:
-    """Layer settings: node_count nodes of subspace_dim neurons each.
-
-    damping controls how far the refined projection extrapolates past the
-    least-squares solution; norm_eps is the lower edge of the (0, 1]
-    normalization used on feedback targets.
-    """
-
-    node_count: int
-    subspace_dim: int
-    damping: float = 0.5
-    norm_eps: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in {"node_count": 1, "subspace_dim": 1, "seed": 0}.items():
-            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
-        if not 0 <= self.damping < np.inf:
-            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
-        # error_feedback, into [eps, 1], and fit_node (same eps in a pipeline) need eps < 1/2.
-        if not 0 < self.norm_eps < 0.5:
-            raise ValueError(f"norm_eps must lie in (0, 0.5), got {self.norm_eps}")
 
 
 def spawn_node(input_dim, subspace_dim, seed):
@@ -167,12 +141,12 @@ def ls_readout(node, r, samples):
     return r[:k1, n1:].T @ pinv(wb @ r[:k1, :n1].T, rcond=rcond)
 
 
-def error_feedback(node, readout, x, targets, r, norm_eps):
+def error_feedback(node, readout, x, targets, r):
     """Coefficient on [x; 1; T] of the node's feedback target.
 
     The readout misfit e = T - (readout h + its RMS bias) is pulled back
     through pinv(readout), the feature h is added, and the sum g is
-    normalized into [norm_eps, 1] by its global range.  Only that range
+    normalized into [_NORM_EPS, 1] by its global range.  Only that range
     needs M-sized work: one product (I - pinv(w) w) W x + pinv(w) T, whose
     rows then shift by a constant, taken over blocks of _RANGE_BLOCK sample
     columns so that no d x M matrix is held at once.
@@ -196,9 +170,9 @@ def error_feedback(node, readout, x, targets, r, norm_eps):
         c_f = np.zeros_like(c_g)
         c_f[:, n] = 1.0
     else:
-        scale = (1.0 - norm_eps) / (hi - lo)
+        scale = (1.0 - _NORM_EPS) / (hi - lo)
         c_f = scale * c_g
-        c_f[:, n] = norm_eps + scale * (c_g[:, n] - lo)
+        c_f[:, n] = _NORM_EPS + scale * (c_g[:, n] - lo)
     return c_f
 
 
@@ -220,20 +194,20 @@ def refine_node(node, feedback, r, refine_pinv, damping, samples):
 
 
 def extract_features(x, targets, cfg, factor):
-    """Build a layer of cfg.node_count refined nodes.
+    """Build a layer of cfg.node_count refined nodes; cfg is a PipelineConfig.
 
     Each node is spawned from a seed derived from cfg.seed and refined by
-    ls_readout -> error_feedback -> refine_node.  factor is the R of a thin
-    QR [x; 1; T]' = Q R, such as factor_inputs(x, targets); any such R
-    serves, since the layer uses it only through products with R' and the
-    triangle's pseudoinverse.  The least squares a x ~ f of every
-    refinement is solved through one pinv(R11') of the leading n x n
-    triangle, which equals f x' pinv(X X') with pinv(X X')'s cutoff (rcond
-    sqrt(eps n) on R11 is eps n on its square).  A triangle whose condition
-    is certified below that cutoff is inverted directly; any other takes
-    the SVD.  Returns the refined nodes; their features are
-    project(node, x).  Callers pass validated float arrays; only shapes are
-    checked here.
+    ls_readout -> error_feedback -> refine_node, the last at cfg.damping.
+    factor is the R of a thin QR [x; 1; T]' = Q R, such as
+    factor_inputs(x, targets); any such R serves, since the layer uses it
+    only through products with R' and the triangle's pseudoinverse.  The
+    least squares a x ~ f of every refinement is solved through one
+    pinv(R11') of the leading n x n triangle, which equals f x' pinv(X X')
+    with pinv(X X')'s cutoff (rcond sqrt(eps n) on R11 is eps n on its
+    square).  A triangle whose condition is certified below that cutoff is
+    inverted directly; any other takes the SVD.  Returns the refined nodes;
+    their features are project(node, x).  Callers pass validated float
+    arrays and a validated config; only shapes are checked here.
     """
     n, samples = x.shape
     width = n + 1 + targets.shape[0]
@@ -247,6 +221,6 @@ def extract_features(x, targets, cfg, factor):
     for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.node_count):
         node = spawn_node(n, cfg.subspace_dim, seed)
         readout = ls_readout(node, factor, samples)
-        feedback = error_feedback(node, readout, x, targets, factor, cfg.norm_eps)
+        feedback = error_feedback(node, readout, x, targets, factor)
         nodes.append(refine_node(node, feedback, factor, refine_pinv, cfg.damping, samples))
     return nodes

@@ -53,6 +53,8 @@ _QR_BLOCK = 32
 _COPY_BLOCK = 128
 # The logit's inputs are clipped this far inside (0, 1).
 _LOGIT_CLIP = 1e-7
+# The floor of the (0, 1] normalization of feedback targets and residuals.
+_NORM_EPS = 1e-4
 
 
 def as_matrix(a, name="matrix"):
@@ -219,12 +221,12 @@ def _logit_map(x):
     return -np.log(1.0 / xc - 1.0)
 
 
-def _normalize_unit(x, eps):
-    """Affinely map x into [eps, 1] by its global min lo and max hi; return
-    (scaled, lo, hi).  A constant input (lo == hi) maps to all ones (1 lies
-    in the (0, 1] codomain)."""
+def _normalize_unit(x):
+    """Affinely map x into [_NORM_EPS, 1] by its global min lo and max hi;
+    return (scaled, lo, hi).  A constant input (lo == hi) maps to all ones
+    (1 lies in the (0, 1] codomain)."""
     lo = float(x.min())
     hi = float(x.max())
     if hi == lo:
         return np.ones_like(x), lo, hi
-    return eps + (1.0 - eps) * (x - lo) / (hi - lo), lo, hi
+    return _NORM_EPS + (1.0 - _NORM_EPS) * (x - lo) / (hi - lo), lo, hi

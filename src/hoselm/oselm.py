@@ -125,8 +125,8 @@ def os_boot(y, targets, coeff, basis=None, seen=None):
     block's Grams instead (see there) and the block's sample count as seen,
     which defaults to y's column count.
     """
-    if coeff <= 0:
-        raise ValueError(f"ridge coefficient must be positive, got {coeff}")
+    if not 0 < coeff < np.inf:
+        raise ValueError(f"ridge coefficient must be positive and finite, got {coeff}")
     _check_chunk(None, y, targets)
     rows = y.shape[0]
     tq, r = qr_multiply(y.T, targets, mode="right")

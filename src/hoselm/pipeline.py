@@ -51,8 +51,8 @@ from scipy.linalg.blas import dgemm
 from .classifier import ClassifierModel, activate, decode_labels, fit_classifier
 from .combine import CombineSpec, combine_affine
 from .errors import FormatError, ModeError, ShapeError
-from .extractor import ExtractorConfig, SubnetNode, extract_features
-from .kernels import _integer, _labels, _qr_r, as_matrix, augmented_inputs
+from .extractor import SubnetNode, extract_features
+from .kernels import _NORM_EPS, _integer, _labels, _qr_r, as_matrix, augmented_inputs
 from .oselm import OselmState, os_boot, os_predict, os_update
 
 # Requests go through the affine maps, and fit and load_model through B;
@@ -103,11 +103,11 @@ class PipelineConfig:
     """Settings for the full model.
 
     node_count extractor nodes of subspace_dim neurons per group; damping
-    and norm_eps feed the extractor refinement; operator and gamma select
-    the combiner; coeff regularizes both readouts; classifier_nodes bounds
-    the batch readout; chunk_size slices sequential training (None trains
-    on a single boot chunk).  Construction rejects values fit cannot use,
-    with the bounds of extractor_config and combine_spec; the counts and
+    (>= 0 and finite) feeds the extractor refinement; operator and gamma
+    select the combiner; coeff regularizes both readouts; classifier_nodes
+    bounds the batch readout; chunk_size slices sequential training (None
+    trains on a single boot chunk).  Construction rejects values fit cannot
+    use, with the bounds of combine_spec for the combiner; the counts and
     the seed (>= 0) follow the package's integer rule (see hoselm).
     """
 
@@ -121,7 +121,6 @@ class PipelineConfig:
     mode: str = "batch"
     chunk_size: int = None
     seed: int = 0
-    norm_eps: float = 1e-4
 
     def __post_init__(self):
         for name, low in _COUNTS.items():
@@ -129,20 +128,11 @@ class PipelineConfig:
                 object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not 0 < self.coeff < np.inf:
             raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
+        if not 0 <= self.damping < np.inf:
+            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        self.extractor_config  # damping; norm_eps
         self.combine_spec  # a known operator, finite gamma
-
-    @property
-    def extractor_config(self):
-        """Every group's extractor settings; fit seeds each group apart."""
-        return ExtractorConfig(
-            node_count=self.node_count,
-            subspace_dim=self.subspace_dim,
-            damping=self.damping,
-            norm_eps=self.norm_eps,
-        )
 
     @property
     def combine_spec(self):
@@ -229,9 +219,8 @@ class HOselmModel:
     the readout's kind (the one config.mode names; a sequential readout's
     coeff is config.coeff), that every group has config.node_count nodes of
     config.subspace_dim rows over one input width, and that a batch readout
-    has at most config.classifier_nodes nodes and config.norm_eps as its
-    eps.  save_model checks the rules on values, so any model it writes,
-    load_model reads back.
+    has at most config.classifier_nodes nodes.  save_model checks the rules
+    on values, so any model it writes, load_model reads back.
 
     partial_fit's child model re-checks only what the step changed, the
     readout: its kind and coeff, its class count and that it keeps the
@@ -306,16 +295,11 @@ def _check_layers(extractors, cfg, readout):
                 f"{cfg.node_count} and config.subspace_dim {cfg.subspace_dim} need "
                 f"{cfg.node_count} nodes of {cfg.subspace_dim} rows over one input width"
             )
-    if kind is ClassifierModel:
-        if len(readout.step) > cfg.classifier_nodes:
-            raise ValueError(
-                f"readout has {len(readout.step)} nodes, config.classifier_nodes allows "
-                f"{cfg.classifier_nodes}"
-            )
-        if readout.eps != cfg.norm_eps:
-            raise ValueError(
-                f"classifier eps {readout.eps!r} is not config.norm_eps {cfg.norm_eps}"
-            )
+    if kind is ClassifierModel and len(readout.step) > cfg.classifier_nodes:
+        raise ValueError(
+            f"readout has {len(readout.step)} nodes, config.classifier_nodes allows "
+            f"{cfg.classifier_nodes}"
+        )
 
 
 @dataclass(frozen=True)
@@ -342,10 +326,13 @@ def _check_model(model):
 
 
 def _checked_groups(groups):
-    if isinstance(groups, FeatureGroup):
-        groups = [groups]
+    """The groups' validated matrices and names; TypeError unless FeatureGroups."""
+    groups = [groups] if isinstance(groups, FeatureGroup) else list(groups)
     if not groups:
         raise ValueError("group list is empty")
+    for g in groups:
+        if not isinstance(g, FeatureGroup):
+            raise TypeError(f"groups must be FeatureGroups, got {type(g).__name__}")
     mats = [as_matrix(g.x, f"group {g.name or i}") for i, g in enumerate(groups)]
     cols = {m.shape[1] for m in mats}
     if len(cols) > 1:
@@ -394,8 +381,8 @@ def _fit_extractors(mats, targets, r, cfg):
         if len(mats) > 1:
             cols = np.r_[lo:hi, starts[-1] : r.shape[1]]
             factor = _qr_r(r.T[cols].T)
-        ecfg = replace(cfg.extractor_config, seed=int(group_seed))
-        extractors.append(tuple(extract_features(m, targets, ecfg, factor)))
+        layer = extract_features(m, targets, replace(cfg, seed=int(group_seed)), factor)
+        extractors.append(tuple(layer))
     return tuple(extractors)
 
 
@@ -433,6 +420,8 @@ def fit(groups, targets, cfg):
     F = U'B R[:, :k]' and G = R[:, k:]', whose Grams F F' and F G' equal
     Y Y' and Y T' over the boot block.
     """
+    if not isinstance(cfg, PipelineConfig):
+        raise TypeError(f"cfg must be a PipelineConfig, got {type(cfg).__name__}")
     mats, names = _checked_groups(groups)
     tm = as_matrix(targets, "targets")
     samples = mats[0].shape[1]
@@ -452,7 +441,7 @@ def fit(groups, targets, cfg):
         u, s, _ = svd(b @ r[: min(k, boot), :k].T, full_matrices=False)
         y = _apply(*_split_maps(extractors, u.T @ b), boot_mats, out=stack[:, : u.shape[1]].T)
         gram_inv = np.diag(1.0 / (1.0 / cfg.coeff + s * s))
-        readout = fit_classifier(y, head, cfg.classifier_nodes, gram_inv, cfg.norm_eps)
+        readout = fit_classifier(y, head, cfg.classifier_nodes, gram_inv)
         readout = replace(readout, weights=readout.weights @ u.T)
     else:
         u, _, _ = svd(b, full_matrices=False)
@@ -529,6 +518,7 @@ def classification_metrics(true_labels, predicted_labels, class_count):
     Classes with no true samples get recall None and are excluded from the
     mean; they are reported so callers can flag them.
     """
+    class_count = _integer(class_count, "class_count", 1)
     true_labels = _labels(true_labels, "true_labels")
     predicted_labels = _labels(predicted_labels, "predicted_labels")
     if true_labels.shape != predicted_labels.shape:
@@ -588,10 +578,10 @@ def save_model(model, path):
     """Write a fitted model to an NPZ file with a versioned JSON header.
 
     Format v6 stores each fact once.  The header holds the full config
-    (which also fixes the combiner, the readout's ridge coefficient and the
-    classifier's normalization eps), the group names, the classes' label
-    values, and the batch readout's node count or the sequential readout's
-    sample count.  Arrays: per group g, extractor_{g}_weights (nodes x dim
+    (which also fixes the combiner and the readout's ridge coefficient)
+    plus norm_eps, the normalization floor, always 1e-4; the group names;
+    the classes' label values; and the batch readout's node count or the
+    sequential readout's sample count.  Arrays: per group g, extractor_{g}_weights (nodes x dim
     x inputs) and extractor_{g}_biases; batch readouts add the classifier's
     stacked arrays, sequential readouts their r x r accumulator and
     r x classes weights gamma, both in the readout's basis (which the
@@ -610,7 +600,7 @@ def save_model(model, path):
     readout = model.readout
     header = {
         "format_version": _FORMAT_VERSION,
-        "config": asdict(model.config),
+        "config": {**asdict(model.config), "norm_eps": _NORM_EPS},
         "group_names": list(model.group_names),
         "class_labels": list(model.class_labels),
         "readout": {"node_count": len(readout.step)} if batch else {"seen": readout.seen},
@@ -715,29 +705,32 @@ def _read_extractor(data, g, cfg):
     return tuple(SubnetNode(weights=w, bias=float(b)) for w, b in zip(weights, biases))
 
 
-def _read_classifier(data, count, cfg, classes, dim):
-    """The batch readout; its eps is the config's norm_eps."""
+def _read_classifier(data, count, classes, dim):
+    """The batch readout."""
     count = _integer(count, "model header readout node_count", 0, FormatError)
-    eps = cfg.norm_eps
     if not count:
         empty = np.empty(0)
-        return ClassifierModel(np.empty((0, classes, dim)), empty, empty, empty, empty, eps)
+        return ClassifierModel(np.empty((0, classes, dim)), empty, empty, empty, empty)
     weights = _array(data, "classifier_weights", (count, classes, dim))
     biases = _array(data, "classifier_biases", (count,))
     steps = _array(data, "classifier_steps", (count,))
     norms = _array(data, "classifier_norm_in", (count, 2))
-    return ClassifierModel(weights, biases, steps, norms[:, 0], norms[:, 1], eps)
+    return ClassifierModel(weights, biases, steps, norms[:, 0], norms[:, 1])
 
 
 def _load(data):
     header = _header(data)
     try:
-        cfg = PipelineConfig(**header["config"])
+        config = {**header["config"]}
+        norm_eps = config.pop("norm_eps", None)
+        cfg = PipelineConfig(**config)
         names = header["group_names"]
         labels = header["class_labels"]
         meta = dict(header["readout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header is malformed: {exc!r}") from exc
+    if norm_eps != _NORM_EPS:
+        raise FormatError(f"model header config norm_eps is {norm_eps!r}, not {_NORM_EPS}")
     for what, value in (("group_names", names), ("class_labels", labels)):
         if not isinstance(value, list) or not value:
             raise FormatError(f"model header {what} must be a non-empty list, got {value!r}")
@@ -751,7 +744,7 @@ def _load(data):
         if list(meta) != [key]:
             raise FormatError(f"model header readout holds {sorted(meta)}, not just {key!r}")
         if batch:
-            readout = _read_classifier(data, meta[key], cfg, classes, len(b))
+            readout = _read_classifier(data, meta[key], classes, len(b))
         else:
             try:
                 basis, _, _ = svd(b, full_matrices=False)
@@ -779,10 +772,11 @@ def load_model(path):
     """Read back a model written by save_model, in format v6.
 
     Every array is checked against the header before the model is built:
-    presence, shape, dtype, and node and group counts.  The model built
-    from them must keep the rules on values that save_model checks.  A file
-    in an older format, one that fails a check, or one that is not a
-    readable NPZ archive raises FormatError.
+    presence, shape, dtype, and node and group counts; the header's
+    norm_eps must be 1e-4.  The model built from them must keep the rules
+    on values that save_model checks.  A file in an older format, one that
+    fails a check, or one that is not a readable NPZ archive raises
+    FormatError.
     """
     try:
         data = np.load(path, allow_pickle=False)

@@ -82,7 +82,7 @@ def residual(h, readout, targets):
     return targets - pred
 
 
-def error_feedback(e, readout, h, norm_eps):
+def error_feedback(e, readout, h):
     """Feedback target: residual pulled back into the subspace, renormalized.
 
     pinv(readout.weights) @ e lands in the subspace (d x M); adding the
@@ -94,7 +94,7 @@ def error_feedback(e, readout, h, norm_eps):
         raise ShapeError(
             f"pulled-back residual shape {pulled.shape} does not match feature {h.shape}"
         )
-    values, _, _ = _normalize_unit(pulled + h, norm_eps)
+    values, _, _ = _normalize_unit(pulled + h)
     return values
 
 

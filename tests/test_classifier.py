@@ -24,7 +24,6 @@ def node_slice(model, keep):
         model.step[keep],
         model.lo[keep],
         model.hi[keep],
-        model.eps,
     )
 
 
@@ -139,7 +138,7 @@ def test_fit_classifier_equals_fit_node_threaded_by_hand():
         want, e = fit_node(h, e, gram_inv)
         assert np.array_equal(model.weights[k], want.weights[0])
         assert model.bias[k] == want.bias[0] and model.step[k] == want.step[0]
-        assert (model.lo[k], model.hi[k], model.eps) == (want.lo[0], want.hi[0], want.eps)
+        assert (model.lo[k], model.hi[k]) == (want.lo[0], want.hi[0])
 
 
 def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
@@ -163,7 +162,7 @@ def test_fit_classifier_takes_one_ridge_inverse(monkeypatch):
     model = fit_classifier(h, t, 6, gram_inv)
     assert len(model.step) == 6
     assert calls == []
-    z = _logit_map(_normalize_unit(t, 1e-4)[0])
+    z = _logit_map(_normalize_unit(t)[0])
     assert np.array_equal(model.weights[0], z @ h.T @ gram_inv)
 
 
@@ -174,7 +173,7 @@ def test_fit_node_bias_is_the_mean_logit_gap():
     h = rng.standard_normal((3, 9))
     e = rng.standard_normal((2, 9))
     node, _ = fit_node(h, e, gram_inverse(h))
-    gap = _logit_map(_normalize_unit(e, 1e-4)[0]) - node.weights[0] @ h
+    gap = _logit_map(_normalize_unit(e)[0]) - node.weights[0] @ h
     assert abs(np.median(gap) - np.mean(gap)) > 1e-2
     assert node.bias[0] == np.mean(gap)
 

@@ -32,6 +32,21 @@ def test_load_two_group_ranges(tmp_path):
     assert np.array_equal(labels, [0, 1, 2])
 
 
+def test_group_ranges_give_c_ordered_groups_that_own_their_data(tmp_path):
+    """Each group was a strided view table[:, start:stop].T of the whole
+    table; it is a C-ordered array of its own, and no two groups share
+    memory."""
+    path = tmp_path / "d.csv"
+    path.write_text("1,2,3,4,5,0\n6,7,8,9,10,1\n11,12,13,14,15,2\n")
+    groups, _ = load_csv(path, group_ranges=[(0, 2), (2, 3), (3, 5)], label_col=5)
+    for g in groups:
+        assert g.x.flags.c_contiguous and g.x.flags.owndata
+    assert np.array_equal(groups[2].x, [[4, 9, 14], [5, 10, 15]])
+    for i, a in enumerate(groups):
+        for b in groups[i + 1 :]:
+            assert not np.shares_memory(a.x, b.x)
+
+
 def test_write_read_round_trip_exact(tmp_path):
     rng = np.random.default_rng(31)
     x = rng.standard_normal((5, 12))

@@ -17,14 +17,13 @@ import hoselm.kernels
 import hoselm.pipeline
 from hoselm.errors import ShapeError
 from hoselm.extractor import (
-    ExtractorConfig,
     SubnetNode,
     extract_features,
     factor_inputs,
     project,
     spawn_node,
 )
-from hoselm.kernels import _normalize_unit, pinv
+from hoselm.kernels import _NORM_EPS, _normalize_unit, pinv
 from hoselm.pipeline import FeatureGroup, PipelineConfig, fit
 from reference import LsReadout, error_feedback, ls_readout, refine_node, residual
 
@@ -248,8 +247,8 @@ def test_error_feedback_zero_residual_is_normalized_feature():
     rng = np.random.default_rng(3)
     h = rng.standard_normal((3, 5))
     r = LsReadout(weights=rng.standard_normal((2, 3)), bias=0.0)
-    got = error_feedback(np.zeros((2, 5)), r, h, 1e-4)
-    want, _, _ = _normalize_unit(h, 1e-4)
+    got = error_feedback(np.zeros((2, 5)), r, h)
+    want, _, _ = _normalize_unit(h)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -258,7 +257,7 @@ def test_error_feedback_codomain():
     h = rng.standard_normal((3, 7))
     r = LsReadout(weights=rng.standard_normal((2, 3)), bias=0.1)
     e = rng.standard_normal((2, 7))
-    got = error_feedback(e, r, h, 1e-4)
+    got = error_feedback(e, r, h)
     assert got.shape == (3, 7)
     assert got.min() > 0 and got.max() <= 1
 
@@ -270,8 +269,8 @@ def test_error_feedback_square_invertible_matches_direct_inverse():
     h = rng.standard_normal((3, 6))
     e = rng.standard_normal((3, 6))
     pulled = np.linalg.inv(w) @ e
-    want, _, _ = _normalize_unit(pulled + h, 1e-4)
-    got = error_feedback(e, r, h, 1e-4)
+    want, _, _ = _normalize_unit(pulled + h)
+    got = error_feedback(e, r, h)
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -322,7 +321,7 @@ def test_extract_single_node_and_determinism():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 16))
     y = rng.standard_normal((2, 16))
-    cfg = ExtractorConfig(node_count=1, subspace_dim=3, seed=11)
+    cfg = PipelineConfig(node_count=1, subspace_dim=3, seed=11)
     nodes = layer(x, y, cfg)
     assert len(nodes) == 1
     assert nodes[0].weights.shape == (3, 5)
@@ -335,7 +334,7 @@ def test_extract_features_share_shape():
     rng = np.random.default_rng(19)
     x = rng.standard_normal((6, 20))
     y = rng.standard_normal((3, 20))
-    cfg = ExtractorConfig(node_count=4, subspace_dim=5, seed=1)
+    cfg = PipelineConfig(node_count=4, subspace_dim=5, seed=1)
     nodes = layer(x, y, cfg)
     assert len(nodes) == 4
     assert all(n.weights.shape == (5, 6) and np.isscalar(n.bias) for n in nodes)
@@ -365,7 +364,7 @@ def test_layer_factors_once_and_projects_nothing(monkeypatch, subspace_dim):
     rng = np.random.default_rng(31)
     x = rng.standard_normal((6, 40)) + 2.0
     y = rng.standard_normal((3, 40))
-    cfg = ExtractorConfig(node_count=3, subspace_dim=subspace_dim, seed=4)
+    cfg = PipelineConfig(node_count=3, subspace_dim=subspace_dim, seed=4)
     nodes = layer(x, y, cfg)
     # One QR of [x; 1; T]' (factor_inputs) and one pinv(R11') for the layer;
     # per node each step once, one readout and one feedback pseudoinverse,
@@ -382,7 +381,7 @@ def test_warm_layer_fit_holds_no_d_by_m_matrix():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((256, 5000))
     targets = np.eye(10)[:, rng.integers(0, 10, 5000)]
-    cfg = ExtractorConfig(node_count=3, subspace_dim=200)
+    cfg = PipelineConfig(node_count=3, subspace_dim=200)
     factor = factor_inputs(x, targets)
     extract_features(x, targets, cfg, factor)
     tracemalloc.start()
@@ -410,7 +409,7 @@ def test_layer_scans_no_sample_sized_matrix(monkeypatch):
     samples = 97
     x = rng.standard_normal((7, samples)) + 3.0
     y = np.eye(4)[:, rng.integers(0, 4, samples)]
-    layer(x, y, ExtractorConfig(node_count=3, subspace_dim=20, seed=2))
+    layer(x, y, PipelineConfig(node_count=3, subspace_dim=20, seed=2))
     assert shapes == []
 
 
@@ -427,7 +426,7 @@ def node_by_node(x, targets, cfg):
         h = project(node, x)
         readout = ls_readout(node, h, targets, factor)
         e = residual(h, readout, targets)
-        feedback = error_feedback(e, readout, h, cfg.norm_eps)
+        feedback = error_feedback(e, readout, h)
         refined, _ = refine_node(node, x, feedback, cfg.damping, gram_pinv)
         nodes.append(refined)
         readouts.append(readout.weights)
@@ -463,7 +462,7 @@ def layer_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = draw_group(draw, rng, n, samples, offset)
     targets = rng.standard_normal((draw(st.integers(1, 4)), samples))
-    cfg = ExtractorConfig(
+    cfg = PipelineConfig(
         node_count=draw(st.integers(1, 3)),
         subspace_dim=draw(st.integers(1, 30)),
         damping=draw(st.floats(0.1, 1.0)),
@@ -517,7 +516,7 @@ def test_refinement_drops_what_pinv_of_the_gram_drops():
     s = np.linalg.svd(x, compute_uv=False)
     assert EPS * 5 < s[-1] / s[0] < np.sqrt(EPS * 5) / 4
     targets = rng.standard_normal((3, 40))
-    cfg = ExtractorConfig(node_count=2, subspace_dim=8, seed=0)
+    cfg = PipelineConfig(node_count=2, subspace_dim=8, seed=0)
     want, readouts = node_by_node(x, targets, cfg)
     assert_within_the_gate(layer(x, targets, cfg), want, x, readouts)
 
@@ -587,7 +586,7 @@ def chain_to_50_digits(x, targets, cfg, mp):
         e -= rms(e) * mp.ones(classes, samples)
         g = readout.T * mp.inverse(readout * readout.T) * e + h
         lo, hi = min(g), max(g)
-        f = g.apply(lambda v: cfg.norm_eps + (1 - cfg.norm_eps) * (v - lo) / (hi - lo))
+        f = g.apply(lambda v: _NORM_EPS + (1 - _NORM_EPS) * (v - lo) / (hi - lo))
         a = f * xm.T * mp.inverse(xm * xm.T)
         weights = a + cfg.damping * (a - w0)
         return np.array(weights.tolist(), dtype=float), float(rms(weights * xm - f))
@@ -601,7 +600,7 @@ def test_refine_solve_keeps_the_digits_the_gram_loses():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((10, 10)) + 1e3
     targets = rng.standard_normal((4, 10))
-    cfg = ExtractorConfig(node_count=1, subspace_dim=4, seed=0)
+    cfg = PipelineConfig(node_count=1, subspace_dim=4, seed=0)
     weights, bias = chain_to_50_digits(x, targets, cfg, mp)
     (got,) = layer(x, targets, cfg)
     (chain,), _ = node_by_node(x, targets, cfg)
@@ -623,33 +622,15 @@ def test_refinement_reduces_readout_residual_wide_subspace(damping):
         x = rng.standard_normal((n, 40))
         y = rng.standard_normal((2, 40))
         seed = int(rng.integers(1 << 31))
-        cfg = ExtractorConfig(node_count=1, subspace_dim=n + 3, damping=damping, seed=seed)
+        cfg = PipelineConfig(node_count=1, subspace_dim=n + 3, damping=damping, seed=seed)
         node = spawn_node(n, n + 3, seed)
         h0 = project(node, x)
         r0 = ls_readout(node, h0, y, factor_inputs(x, y))
         e0 = residual(h0, r0, y)
-        fb = error_feedback(e0, r0, h0, cfg.norm_eps)
+        fb = error_feedback(e0, r0, h0)
         refined = refine(node, x, fb, cfg.damping)
         wins += readout_rms(refined, x, y) <= readout_rms(node, x, y) + 1e-9
     assert wins >= 40
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExtractorConfig(node_count=0, subspace_dim=3)
-    with pytest.raises(ValueError):
-        ExtractorConfig(node_count=1, subspace_dim=3, damping=-0.1)
-
-
-def test_config_rejects_nan_damping_and_norm_eps_outside_the_open_half():
-    """The bounds PipelineConfig takes from its extractor_config: a NaN
-    damping would give non-finite node weights, and error_feedback's
-    normalization and fit_node need norm_eps in (0, 0.5)."""
-    with pytest.raises(ValueError, match="damping"):
-        ExtractorConfig(node_count=1, subspace_dim=3, damping=np.nan)
-    for bad in (0.7, -0.5):
-        with pytest.raises(ValueError, match="norm_eps"):
-            ExtractorConfig(node_count=1, subspace_dim=3, norm_eps=bad)
 
 
 def test_project_allocates_only_its_feature():

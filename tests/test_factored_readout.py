@@ -97,7 +97,7 @@ def test_factored_readout_equals_svd_reference(case):
     groups, targets, cfg = case
     model = fit(groups, targets, cfg)
     h = combined_feature(model, groups)
-    z = _logit_map(_normalize_unit(targets, cfg.norm_eps)[0])
+    z = _logit_map(_normalize_unit(targets)[0])
     want = svd_ridge_weights(h, z, cfg.coeff)
     (weights,) = model.readout.weights
     assert weights.shape == want.shape
@@ -148,9 +148,9 @@ def readout_calls(monkeypatch):
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, counted_inverse(name, getattr(np.linalg, name)))
 
-    def fit_spy(y, targets, node_count, gram_inv, eps):
+    def fit_spy(y, targets, node_count, gram_inv):
         calls["fitted"].append((y, gram_inv))
-        return fit_classifier(y, targets, node_count, gram_inv, eps)
+        return fit_classifier(y, targets, node_count, gram_inv)
 
     monkeypatch.setattr(hoselm.pipeline, "fit_classifier", fit_spy)
     return calls
@@ -175,9 +175,7 @@ def test_wide_batch_fit_takes_the_factored_path(readout_calls):
     y = handed_ridge_inverse(readout_calls, cfg.coeff)
     assert y.shape[0] == k
     h = combined_feature(model, groups)
-    formed = fit_classifier(
-        h, targets, cfg.classifier_nodes, ridge_inverse(h @ h.T, cfg.coeff), cfg.norm_eps
-    )
+    formed = fit_classifier(h, targets, cfg.classifier_nodes, ridge_inverse(h @ h.T, cfg.coeff))
     assert len(model.readout.step) == len(formed.step) == cfg.classifier_nodes
 
 
@@ -231,7 +229,7 @@ def test_factored_concat_labels_equal_the_formed_readout():
     model = fit(groups, targets, cfg)
     h = combined_feature(model, groups)
     gram_inv = ridge_inverse(h @ h.T, cfg.coeff)
-    formed = fit_classifier(h, targets, cfg.classifier_nodes, gram_inv, cfg.norm_eps)
+    formed = fit_classifier(h, targets, cfg.classifier_nodes, gram_inv)
     want = decode_labels(score(formed, h))
     assert np.array_equal(predict(model, groups), want)
     assert np.mean(want == labels) > 0.9

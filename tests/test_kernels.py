@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from hoselm.errors import ShapeError
-from hoselm.extractor import ExtractorConfig, extract_features, factor_inputs
+from hoselm.extractor import extract_features, factor_inputs
 from hoselm.kernels import (
     _certified_pinv,
     _logit_map,
@@ -20,6 +20,7 @@ from hoselm.kernels import (
     ridge_inverse,
     sigmoid_map,
 )
+from hoselm.pipeline import PipelineConfig
 
 
 def svd_pinv(a, rcond):
@@ -183,20 +184,20 @@ class TestSigmoidLogit:
 
 class TestNormalization:
     def test_endpoints(self):
-        y, lo, hi = _normalize_unit(np.array([[0.0, 1.0]]), 1e-4)
+        y, lo, hi = _normalize_unit(np.array([[0.0, 1.0]]))
         assert y[0, 0] == pytest.approx(1e-4)
         assert y[0, 1] == pytest.approx(1.0)
         assert (lo, hi) == (0.0, 1.0)
 
     def test_constant_matrix_maps_to_ones(self):
-        y, lo, hi = _normalize_unit(np.array([[5.0, 5.0]]), 1e-4)
+        y, lo, hi = _normalize_unit(np.array([[5.0, 5.0]]))
         assert np.all(y == 1.0)
         assert lo == hi
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6)) * 10.0
-        y, lo, hi = _normalize_unit(x, 1e-4)
+        y, lo, hi = _normalize_unit(x)
         assert np.all((y >= 1e-4) & (y <= 1.0 + 1e-15))
         back = lo + (y - 1e-4) * (hi - lo) / (1.0 - 1e-4)
         assert np.allclose(back, x, rtol=1e-10, atol=1e-10)
@@ -338,7 +339,7 @@ def test_a_well_conditioned_layer_takes_no_svd(svd_calls):
     labels = np.arange(samples) % 10
     x = rng.standard_normal((256, samples)) + 0.5 * np.eye(256, 10)[:, labels]
     targets = np.eye(10)[:, labels]
-    cfg = ExtractorConfig(node_count=3, subspace_dim=200, seed=1)
+    cfg = PipelineConfig(node_count=3, subspace_dim=200, seed=1)
     nodes = extract_features(x, targets, cfg, factor_inputs(x, targets))
     assert len(nodes) == 3
     assert svd_calls == []

@@ -3,8 +3,9 @@ a stream continued across a file, and damaged archives.
 
 tests/data holds two tiny format-v6 files, each over two feature groups
 "a" (3 rows) and "b" (2 rows) and 3 classes: a batch model (plus combiner,
-4 classifier nodes, norm_eps 1e-3, label values 3, 0, 9) and a sequential
-one (concat, chunk_size 10, 12 columns seen, label values 2, 8, 4).
+4 classifier nodes, label values 3, 0, 9) and a sequential one (concat,
+chunk_size 10, 12 columns seen, label values 2, 8, 4).  Both headers name
+the normalization floor, norm_eps, as 1e-4.
 model_v6_labels.json holds the fixed 12-column input they were fitted on,
 the class indices each model predicts for it and the label values.
 Formats v1 to v5 are no longer read; test_pipeline pins that loading one
@@ -123,6 +124,23 @@ def test_targeted_archive_damage_raises_format_error(tmp_path, case):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=match):
         load_model(path)
+
+
+@pytest.mark.parametrize("norm_eps", [1e-3, 0.5, None, "missing"])
+def test_a_header_norm_eps_other_than_the_floor_raises_format_error(tmp_path, norm_eps):
+    """Every model normalizes at the floor 1e-4, which the header's
+    norm_eps names.  A file naming another floor, or none, would load with
+    scores it was not fitted for, so it raises FormatError naming
+    norm_eps."""
+    arrays = arrays_of(fixture(6, "batch"))
+    header = json.loads(str(arrays["header"]))
+    if norm_eps == "missing":
+        del header["config"]["norm_eps"]
+    else:
+        header["config"]["norm_eps"] = norm_eps
+    arrays["header"] = np.array(json.dumps(header, sort_keys=True))
+    with pytest.raises(FormatError, match="norm_eps"):
+        load_model(write(tmp_path / "model.npz", arrays))
 
 
 def test_member_that_is_not_npy_raises_format_error(tmp_path):

@@ -251,13 +251,12 @@ def test_predict_shape_and_values():
     assert np.array_equal(got, np.array([[1.0, 2.0, 3.0], [8.0, 10.0, 12.0]]))
 
 
-def test_boot_rejects_bad_coeff():
-    h = np.ones((2, 3))
-    t = np.ones((1, 3))
-    with pytest.raises(ValueError):
-        os_boot(h, t, 0.0)
-    with pytest.raises(ValueError):
-        os_boot(h, t, -1.0)
+@pytest.mark.parametrize("coeff", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_boot_rejects_bad_coeff(coeff):
+    """os_boot keeps PipelineConfig's bound 0 < coeff < inf: NaN used to
+    boot a state whose p and gamma were all NaN, and inf was accepted."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        os_boot(np.ones((2, 3)), np.ones((1, 3)), coeff)
 
 
 def test_rejects_mismatched_chunks():

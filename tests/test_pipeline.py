@@ -19,7 +19,7 @@ from hoselm.combine import combine
 from hoselm.data import load_csv, one_hot, split, synth_blobs
 from hoselm.elm import init_hidden
 from hoselm.errors import FormatError, ModeError, ShapeError
-from hoselm.extractor import ExtractorConfig, project, spawn_node
+from hoselm.extractor import project, spawn_node
 from hoselm.kernels import ridge_inverse
 from hoselm.pipeline import (
     FeatureGroup,
@@ -83,7 +83,7 @@ def test_batch_training_scores_reconstruct_targets():
     e = targets
     gram_inv = ridge_inverse(combined @ combined.T, cfg.coeff)
     for _ in range(len(model.readout.step)):
-        _, e = fit_node(combined, e, gram_inv, cfg.norm_eps)
+        _, e = fit_node(combined, e, gram_inv)
     assert np.allclose(scores(model, groups) + e, targets, atol=1e-9)
 
 
@@ -487,7 +487,6 @@ def test_saved_header_holds_the_full_config(tmp_path):
         mode="sequential",
         chunk_size=30,
         seed=11,
-        norm_eps=1e-3,
     )
     path = tmp_path / "model.npz"
     save_model(fit(groups, targets, cfg), path)
@@ -504,14 +503,15 @@ def test_saved_header_holds_the_full_config(tmp_path):
         "mode": "sequential",
         "chunk_size": 30,
         "seed": 11,
-        "norm_eps": 1e-3,
+        "norm_eps": 1e-4,
     }
 
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
 def test_saved_model_stores_each_fact_once(tmp_path, mode):
     """Format v6 keeps no copy of what the config or the array shapes fix:
-    the classifier's normalization rows hold lo and hi, not norm_eps."""
+    the classifier's normalization rows hold lo and hi, not the floor the
+    header's norm_eps names."""
     groups, targets, _ = toy_blobs(seed=6)
     path = tmp_path / "model.npz"
     save_model(fit(groups, targets, small_cfg(mode=mode, chunk_size=20)), path)
@@ -756,6 +756,27 @@ def test_every_entry_point_that_takes_a_model_refuses_a_non_model(tmp_path, entr
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda g, t, m: fit([g.x], t, small_cfg()), "groups must be FeatureGroups"),
+        (lambda g, t, m: fit([g, "g"], t, small_cfg()), "groups must be FeatureGroups"),
+        (lambda g, t, m: scores(m, [g.x]), "groups must be FeatureGroups"),
+        (lambda g, t, m: partial_fit(m, [None], t), "groups must be FeatureGroups"),
+        (lambda g, t, m: fit(g, t, None), "cfg must be a PipelineConfig"),
+        (lambda g, t, m: fit(g, t, m.config.__dict__), "cfg must be a PipelineConfig"),
+    ],
+    ids=["fit-array", "fit-str", "scores-array", "partial_fit-None", "fit-None", "fit-dict"],
+)
+def test_wrong_argument_types_raise_type_error(call, match):
+    """A group that is not a FeatureGroup, or a cfg that is not a
+    PipelineConfig, used to raise AttributeError; each raises TypeError."""
+    groups, targets, _ = toy_blobs()
+    model = fit(groups, targets, small_cfg(mode="sequential"))
+    with pytest.raises(TypeError, match=match):
+        call(groups[0], targets, model)
+
+
 def test_load_model_rejects_files_that_are_not_archives(tmp_path):
     path = tmp_path / "model.npz"
     path.write_bytes(b"not a zip archive")
@@ -767,8 +788,6 @@ def test_load_model_rejects_files_that_are_not_archives(tmp_path):
 
 
 def test_config_validation():
-    # node_count and subspace_dim are bounded by extractor_config, which
-    # construction runs; classifier_nodes by the pipeline itself.
     for name in ("node_count", "subspace_dim", "classifier_nodes"):
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: 0})
@@ -778,8 +797,6 @@ def test_config_validation():
         PipelineConfig(mode="stream")
     with pytest.raises(ValueError):
         PipelineConfig(chunk_size=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(norm_eps=0.0)
     # Values that used to pass here and then fail inside fit, or give a
     # model that cannot be loaded back.
     for bad in (np.nan, np.inf, -np.inf):
@@ -791,12 +808,9 @@ def test_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma"):
             PipelineConfig(gamma=bad)
-    for bad in (0.5, 0.6, 0.99, 1.0, np.nan):
-        with pytest.raises(ValueError, match="norm_eps"):
-            PipelineConfig(norm_eps=bad)
     with pytest.raises(ValueError, match="operator"):
         PipelineConfig(operator="times")
-    PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0, norm_eps=0.49)
+    PipelineConfig(coeff=1e-12, damping=0.0, gamma=-2.0)
 
 
 def _fit_classifier(node_count):
@@ -831,9 +845,6 @@ INTEGER_SITES = [
             ("seed", 0),
         ]
     ],
-    _site("ExtractorConfig", "node_count", 1, lambda v, _: ExtractorConfig(v, 2)),
-    _site("ExtractorConfig", "subspace_dim", 1, lambda v, _: ExtractorConfig(2, v)),
-    _site("ExtractorConfig", "seed", 0, lambda v, _: ExtractorConfig(2, 2, seed=v)),
     _site("spawn_node", "input_dim", 1, lambda v, _: spawn_node(v, 2, seed=0)),
     _site("spawn_node", "subspace_dim", 1, lambda v, _: spawn_node(2, v, seed=0)),
     _site("init_hidden", "input_dim", 1, lambda v, _: init_hidden(v, 2, seed=0)),
@@ -855,6 +866,12 @@ INTEGER_SITES = [
     _site("synth_blobs", "dim", 1, lambda v, _: synth_blobs(1, 2, v, 0.1, seed=1)),
     _site("synth_blobs", "seed", 0, lambda v, _: synth_blobs(2, 3, 2, 0.1, seed=v)),
     _site("one_hot", "class_count", 1, lambda v, _: one_hot([0], v)),
+    _site(
+        "classification_metrics",
+        "class_count",
+        1,
+        lambda v, _: classification_metrics([0], [0], v),
+    ),
     _site("split", "train_size", 1, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), v)),
     _site(
         "split", "seed", 0, lambda v, _: split(*synth_blobs(2, 3, 2, 0.1, seed=1), 0.5, seed=v)
@@ -927,17 +944,6 @@ def test_affine_maps_accumulate_groups_in_place(order):
     assert peak < 1.5 * out.nbytes
     want = sum(w @ m for w, m in zip(weights, mats)) + offset
     assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_save_model_rejects_a_classifier_eps_the_config_does_not_hold(tmp_path):
-    """Format v6 keeps config.norm_eps in place of the classifier's eps, so a
-    model whose two differ cannot be saved without changing its scores: it
-    cannot be built at all."""
-    groups, targets, _ = toy_blobs()
-    model = fit(groups, targets, small_cfg())
-    with pytest.raises(ValueError, match="norm_eps"):
-        odd = replace(model, readout=replace(model.readout, eps=2 * model.config.norm_eps))
-        save_model(odd, tmp_path / "model.npz")
 
 
 @pytest.mark.parametrize("labels", [(0, 0, 1), (0.0, 1.0, 2.0), (0, True, 2), ()])
